@@ -134,6 +134,21 @@ class ParamSet:
             at += n
 
 
+def dense_init(params: ParamSet, prefix: str, sizes: list[int],
+               rng: np.random.Generator) -> None:
+    """Add the layers of a dense stack of the given widths to params.
+
+    Layer i maps sizes[i] to sizes[i + 1] as `{prefix}/w{i}` (weights drawn
+    from N(0, 1/fan_in) off rng, in layer order) and `{prefix}/b{i}` (zeros).
+    """
+    if min(sizes) < 1:
+        raise ContractError(f"bad dense layer sizes {list(sizes)} for {prefix!r}")
+    for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
+        w = rng.standard_normal((n_out, n_in)) / np.sqrt(n_in)
+        params.add(f"{prefix}/w{i}", w)
+        params.add(f"{prefix}/b{i}", np.zeros(n_out))
+
+
 class Tape:
     """Topologically ordered list of the nodes reachable from a root."""
 
@@ -248,6 +263,19 @@ def activation(kind: str, x: Tensor) -> Tensor:
             f"unknown activation {kind!r}; expected one of {_ACTIVATIONS}"
         )
     return _result(y, (x,), grad)
+
+
+def dense_stack(params: ParamSet, prefix: str, n_layers: int, x: Tensor,
+                final: str | None = None) -> Tensor:
+    """Dense stack: tanh between layers, `final` activation on the last."""
+    h = x
+    for i in range(n_layers):
+        h = affine(params[f"{prefix}/w{i}"], h, params[f"{prefix}/b{i}"])
+        if i < n_layers - 1:
+            h = activation("tanh", h)
+        elif final is not None:
+            h = activation(final, h)
+    return h
 
 
 def concat(a: Tensor, b: Tensor) -> Tensor:
@@ -401,3 +429,43 @@ class Adam:
             self._v[name] = v
             p.data = p.data - c.lr * (m / bc1) / (np.sqrt(v / bc2) + c.eps)
         return params
+
+
+@dataclass(frozen=True)
+class DenseTrainConfig:
+    epochs: int = 200
+    batch: int = 64
+    lr: float = 1e-3
+    hidden: tuple[int, ...] = (128, 64)
+    seed: int = 0
+
+
+def fit_minibatch(
+    params: ParamSet,
+    loss_fn: Callable[[Array, Array | None], Tensor],
+    n: int,
+    cfg,
+    rng: np.random.Generator,
+    noise_dim: int = 0,
+) -> list[float]:
+    """Minibatch Adam over n rows; returns the mean loss of each epoch.
+
+    cfg supplies epochs, batch and lr. Each epoch shuffles the rows with
+    rng.permutation(n) and cuts the order into minibatches; loss_fn(idx, eps)
+    returns the scalar loss of rows idx. With noise_dim > 0 the epoch draws
+    an (n, noise_dim) standard-normal array right after its shuffle and eps
+    holds its rows idx; otherwise eps is None.
+    """
+    opt = Adam(AdamConfig(lr=cfg.lr))
+    history: list[float] = []
+    for _epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        noise = rng.standard_normal((n, noise_dim)) if noise_dim else None
+        total = 0.0
+        for at in range(0, n, cfg.batch):
+            idx = order[at : at + cfg.batch]
+            loss = loss_fn(idx, None if noise is None else noise[idx])
+            opt.step(params, backward(loss, params))
+            total += loss.item() * len(idx)
+        history.append(total / n)
+    return history

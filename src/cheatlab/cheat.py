@@ -28,14 +28,12 @@ from . import autodiff as ad
 from . import container
 from .errors import (
     ContractError,
-    DimensionError,
-    FormatError,
     FrozenWeightError,
     GenerationError,
     IntegrityError,
 )
 from .policy import ControllerParams
-from .vae import VaeParams, encode
+from .vae import VaeParams, check_obs_width, encode
 from .worldsim import (
     DEFAULT_SIM,
     DroneState,
@@ -64,13 +62,7 @@ class CheatEncoderParams:
     width: int
 
 
-@dataclass(frozen=True)
-class CheatTrainConfig:
-    epochs: int = 200
-    batch: int = 64
-    lr: float = 1e-3
-    hidden: tuple[int, ...] = (128, 64)
-    seed: int = 0
+CheatTrainConfig = ad.DenseTrainConfig
 
 
 @dataclass(frozen=True)
@@ -91,34 +83,17 @@ def cheat_init(
     k: int, hidden: tuple[int, ...], seed: int, width: int = 64
 ) -> CheatEncoderParams:
     """Seeded init matching the autoencoder's: N(0, 1/fan_in), zero biases."""
-    if k < 1 or width < 1 or any(h < 1 for h in hidden):
-        raise ContractError(f"bad architecture k={k} hidden={hidden} width={width}")
-    rng = np.random.default_rng(seed)
     params = ad.ParamSet()
-    sizes = [2 * width, *hidden, k]
-    for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
-        params.add(f"cheat/w{i}", rng.standard_normal((n_out, n_in)) / np.sqrt(n_in))
-        params.add(f"cheat/b{i}", np.zeros(n_out))
+    ad.dense_init(params, "cheat", [2 * width, *hidden, k],
+                  np.random.default_rng(seed))
     return CheatEncoderParams(params, k, tuple(hidden), width)
-
-
-def _forward_traced(p: CheatEncoderParams, x: ad.Tensor) -> ad.Tensor:
-    h = x
-    n_layers = len(p.hidden) + 1
-    for i in range(n_layers):
-        h = ad.affine(p.params[f"cheat/w{i}"], h, p.params[f"cheat/b{i}"])
-        if i < n_layers - 1:
-            h = ad.activation("tanh", h)
-    return h
 
 
 def cheat_encode(p: CheatEncoderParams, obs: Observation) -> np.ndarray:
     """Predicted corridor-world latent for a cluttered-room observation."""
-    if obs.width != p.width:
-        raise DimensionError(
-            f"observation width {obs.width} does not match model width {p.width}"
-        )
-    return _forward_traced(p, ad.constant(obs.features())).data.copy()
+    check_obs_width(p, obs)
+    x = ad.constant(obs.features())
+    return ad.dense_stack(p.params, "cheat", len(p.hidden) + 1, x).data.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +224,9 @@ def cheat_loss(p: CheatEncoderParams, pairs: list[PairedSample]) -> float:
     """Mean squared latent error over a pair list (the training objective)."""
     if not pairs:
         raise ContractError("no pairs to evaluate")
-    x = np.stack([s.real_obs.features() for s in pairs])
+    x = ad.constant(np.stack([s.real_obs.features() for s in pairs]))
     y = np.stack([s.target_mu for s in pairs])
-    pred = _forward_traced(p, ad.constant(x)).data
+    pred = ad.dense_stack(p.params, "cheat", len(p.hidden) + 1, x).data
     return float(np.mean((pred - y) ** 2))
 
 
@@ -281,21 +256,14 @@ def train_cheat(
     x_all = np.stack([s.real_obs.features() for s in pairs])
     y_all = np.stack([s.target_mu for s in pairs])
     p = cheat_init(vae.k, cfg.hidden, cfg.seed, width)
-    n = x_all.shape[0]
     rng = np.random.default_rng(_derive_seed(cfg.seed, "cheat-train"))
-    opt = ad.Adam(ad.AdamConfig(lr=cfg.lr))
-    history: list[float] = []
-    for _epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for at in range(0, n, cfg.batch):
-            idx = order[at : at + cfg.batch]
-            pred = _forward_traced(p, ad.constant(x_all[idx]))
-            loss = ad.mse(pred, ad.constant(y_all[idx]))
-            grads = ad.backward(loss, p.params)
-            opt.step(p.params, grads)
-            total += loss.item() * len(idx)
-        history.append(total / n)
+
+    def loss_fn(idx, _eps):
+        x = ad.constant(x_all[idx])
+        pred = ad.dense_stack(p.params, "cheat", len(p.hidden) + 1, x)
+        return ad.mse(pred, ad.constant(y_all[idx]))
+
+    history = ad.fit_minibatch(p.params, loss_fn, len(x_all), cfg, rng)
     after = {
         "vae": container.params_digest(vae.params),
         "controller": container.params_digest(ctrl.params),
@@ -386,14 +354,11 @@ def save_cheat(
     meta = {"k": p.k, "hidden": list(p.hidden), "width": p.width}
     if frozen_digests:
         meta["frozen"] = dict(frozen_digests)
-    meta.update(extra_meta or {})
-    return container.save_checkpoint(path, "cheat", p.params, meta)
+    return container.save_checkpoint(path, "cheat", p.params, meta, extra_meta)
 
 
 def load_cheat(path) -> CheatEncoderParams:
-    ckpt = container.load_checkpoint(path)
-    if ckpt.stage != "cheat":
-        raise FormatError(f"expected a cheat checkpoint, got {ckpt.stage!r}")
+    ckpt = container.load_checkpoint(path, "cheat", ("k", "hidden", "width"))
     meta = ckpt.metadata
     return CheatEncoderParams(
         ckpt.params, int(meta["k"]), tuple(meta["hidden"]), int(meta["width"])

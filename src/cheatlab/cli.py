@@ -83,6 +83,15 @@ def _stage_gen_fake_data(cfg: RunConfig, out: Path) -> dict:
     return {"episodes": len(data.episodes), "total_steps": data.total_steps}
 
 
+def _loss_metrics(history: list[float]) -> dict:
+    """Headline metrics of a dense-net training stage."""
+    return {
+        "epochs": len(history),
+        "loss_first": history[0] if history else None,
+        "loss_last": history[-1] if history else None,
+    }
+
+
 def _stage_train_vae(cfg: RunConfig, out: Path) -> dict:
     data = read_dataset(out / "fake_data.bin")
     vcfg = vb.VaeTrainConfig(
@@ -96,11 +105,7 @@ def _stage_train_vae(cfg: RunConfig, out: Path) -> dict:
     )
     model, history = vb.train_vae(data, vcfg)
     vb.save_vae(model, out / "vae.ckpt", extra_meta={"seed": vcfg.seed})
-    return {
-        "epochs": len(history),
-        "loss_first": history[0] if history else None,
-        "loss_last": history[-1] if history else None,
-    }
+    return _loss_metrics(history)
 
 
 def _stage_gen_expert(cfg: RunConfig, out: Path) -> dict:
@@ -205,12 +210,7 @@ def _stage_train_cheat(cfg: RunConfig, out: Path) -> dict:
     ch.save_cheat(
         encoder, out / "cheat.ckpt", digests, extra_meta={"seed": ccfg.seed}
     )
-    return {
-        "epochs": len(history),
-        "loss_first": history[0] if history else None,
-        "loss_last": history[-1] if history else None,
-        "frozen": digests,
-    }
+    return {**_loss_metrics(history), "frozen": digests}
 
 
 def _stage_gen_real_data(cfg: RunConfig, out: Path) -> dict:
@@ -237,11 +237,7 @@ def _stage_train_baseline(cfg: RunConfig, out: Path) -> dict:
     )
     params, history = ev.train_baseline(data, bcfg)
     ev.save_baseline(params, out / "baseline.ckpt", extra_meta={"seed": bcfg.seed})
-    return {
-        "epochs": len(history),
-        "loss_first": history[0] if history else None,
-        "loss_last": history[-1] if history else None,
-    }
+    return _loss_metrics(history)
 
 
 def _eval_models(out: Path) -> dict:

@@ -13,8 +13,9 @@ Layout, all integers little-endian:
 
 Structural violations (bad magic, unknown version, truncation, trailing
 garbage) raise FormatError; checksum or digest disagreements raise
-IntegrityError. Writing is deterministic: identical content yields
-identical bytes.
+IntegrityError. A record name or trailer that fails to decode raises
+IntegrityError when the checksum disagrees, else FormatError. Writing is
+deterministic: identical content yields identical bytes.
 """
 
 from __future__ import annotations
@@ -115,6 +116,19 @@ def read_container(path) -> tuple[dict[str, np.ndarray], dict]:
     if len(blob) < 32:
         raise FormatError(f"file too short ({len(blob)} bytes)")
     payload, stored = blob[:-32], blob[-32:]
+    intact = hashlib.sha256(payload).digest() == stored
+    try:
+        records, meta = _parse(payload)
+    except ValueError as err:  # UnicodeDecodeError, JSONDecodeError
+        if not intact:
+            raise IntegrityError(f"checksum mismatch: {err}") from err
+        raise FormatError(f"undecodable content: {err}") from err
+    if not intact:
+        raise IntegrityError("checksum mismatch; file content was altered")
+    return records, meta
+
+
+def _parse(payload: bytes) -> tuple[dict[str, np.ndarray], dict]:
     r = _Reader(payload)
     if r.take(4) != MAGIC:
         raise FormatError(f"bad magic; expected {MAGIC!r}")
@@ -143,8 +157,6 @@ def read_container(path) -> tuple[dict[str, np.ndarray], dict]:
     meta = json.loads(r.take(meta_len).decode("utf-8"))
     if r.at != len(payload):
         raise FormatError(f"{len(payload) - r.at} trailing bytes after trailer")
-    if hashlib.sha256(payload).digest() != stored:
-        raise IntegrityError("checksum mismatch; file content was altered")
     return records, meta
 
 
@@ -159,10 +171,16 @@ class Checkpoint:
     metadata: dict
 
 
-def save_checkpoint(path, stage: str, params: ParamSet, metadata: Mapping) -> str:
-    """Persist a ParamSet; returns the embedded parameter digest."""
+def save_checkpoint(path, stage: str, params: ParamSet, metadata: Mapping,
+                    extra_meta: Mapping | None = None) -> str:
+    """Persist a ParamSet; returns the embedded parameter digest.
+
+    extra_meta entries are merged over metadata before the stage, digest
+    and trainable flags are added.
+    """
     digest = params_digest(params)
     meta = dict(metadata)
+    meta.update(extra_meta or {})
     meta["stage"] = stage
     meta["params_digest"] = digest
     meta["trainable"] = {name: t.trainable for name, t in params.items()}
@@ -171,12 +189,22 @@ def save_checkpoint(path, stage: str, params: ParamSet, metadata: Mapping) -> st
     return digest
 
 
-def load_checkpoint(path) -> Checkpoint:
-    """Load and re-verify a checkpoint written by save_checkpoint."""
+def load_checkpoint(path, stage: str | None = None,
+                    keys: tuple[str, ...] = ()) -> Checkpoint:
+    """Load and re-verify a checkpoint written by save_checkpoint.
+
+    With `stage` given, a checkpoint of any other stage raises FormatError,
+    and so does metadata lacking any of `keys`.
+    """
     records, meta = read_container(path)
     for key in ("stage", "params_digest", "trainable"):
         if key not in meta:
             raise FormatError(f"checkpoint metadata missing {key!r}")
+    if stage is not None and meta["stage"] != stage:
+        raise FormatError(f"expected a {stage} checkpoint, got {meta['stage']!r}")
+    for key in keys:
+        if key not in meta:
+            raise FormatError(f"{meta['stage']} checkpoint metadata missing {key!r}")
     params = ParamSet()
     flags = meta["trainable"]
     for name, arr in records.items():

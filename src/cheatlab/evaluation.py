@@ -22,10 +22,10 @@ import numpy as np
 from . import autodiff as ad
 from . import container
 from .cheat import CheatEncoderParams, cheat_encode
-from .errors import ContractError, DimensionError, FormatError
+from .errors import ContractError
 from .expert import Dataset
 from .policy import ControllerParams, RolloutResult, rollout
-from .vae import VaeParams, decode
+from .vae import VaeParams, check_obs_width, decode
 from .worldsim import (
     Action,
     DEFAULT_SIM,
@@ -52,13 +52,7 @@ class BaselineParams:
     width: int
 
 
-@dataclass(frozen=True)
-class BaselineTrainConfig:
-    epochs: int = 200
-    batch: int = 64
-    lr: float = 1e-3
-    hidden: tuple[int, ...] = (128, 64)
-    seed: int = 0
+BaselineTrainConfig = ad.DenseTrainConfig
 
 
 @dataclass(frozen=True)
@@ -82,36 +76,19 @@ def baseline_init(
     hidden: tuple[int, ...], seed: int, width: int = 64
 ) -> BaselineParams:
     """Seeded init, same scheme as every other stack here."""
-    if width < 1 or any(h < 1 for h in hidden):
-        raise ContractError(f"bad architecture hidden={hidden} width={width}")
-    rng = np.random.default_rng(seed)
     params = ad.ParamSet()
-    sizes = [2 * width, *hidden, 4]
-    for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
-        params.add(f"base/w{i}", rng.standard_normal((n_out, n_in)) / np.sqrt(n_in))
-        params.add(f"base/b{i}", np.zeros(n_out))
+    ad.dense_init(params, "base", [2 * width, *hidden, 4],
+                  np.random.default_rng(seed))
     return BaselineParams(params, tuple(hidden), width)
-
-
-def _baseline_traced(p: BaselineParams, x: ad.Tensor) -> ad.Tensor:
-    h = x
-    n_layers = len(p.hidden) + 1
-    for i in range(n_layers):
-        h = ad.affine(p.params[f"base/w{i}"], h, p.params[f"base/b{i}"])
-        if i < n_layers - 1:
-            h = ad.activation("tanh", h)
-    return h
 
 
 def baseline_action(
     p: BaselineParams, obs: Observation, cfg: SimConfig = DEFAULT_SIM
 ) -> Action:
     """Regressed command, clamped to the same envelope as any Action."""
-    if obs.width != p.width:
-        raise DimensionError(
-            f"observation width {obs.width} does not match model width {p.width}"
-        )
-    y = _baseline_traced(p, ad.constant(obs.features())).data
+    check_obs_width(p, obs)
+    x = ad.constant(obs.features())
+    y = ad.dense_stack(p.params, "base", len(p.hidden) + 1, x).data
     return clamp_action(Action(y[0], y[1], y[2], y[3]), cfg)
 
 
@@ -137,21 +114,14 @@ def train_baseline(
     x_all = np.stack(xs)
     y_all = np.array(ys, dtype=np.float64)
     p = baseline_init(cfg.hidden, cfg.seed, width=real_data.episodes[0][0].observation.width)
-    n = x_all.shape[0]
     rng = np.random.default_rng(_derive_seed(cfg.seed, "baseline-train"))
-    opt = ad.Adam(ad.AdamConfig(lr=cfg.lr))
-    history: list[float] = []
-    for _epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for at in range(0, n, cfg.batch):
-            idx = order[at : at + cfg.batch]
-            pred = _baseline_traced(p, ad.constant(x_all[idx]))
-            loss = ad.mse(pred, ad.constant(y_all[idx]))
-            grads = ad.backward(loss, p.params)
-            opt.step(p.params, grads)
-            total += loss.item() * len(idx)
-        history.append(total / n)
+
+    def loss_fn(idx, _eps):
+        x = ad.constant(x_all[idx])
+        pred = ad.dense_stack(p.params, "base", len(p.hidden) + 1, x)
+        return ad.mse(pred, ad.constant(y_all[idx]))
+
+    history = ad.fit_minibatch(p.params, loss_fn, len(x_all), cfg, rng)
     return p, history
 
 
@@ -159,14 +129,11 @@ def save_baseline(
     p: BaselineParams, path, extra_meta: dict | None = None
 ) -> str:
     meta = {"hidden": list(p.hidden), "width": p.width}
-    meta.update(extra_meta or {})
-    return container.save_checkpoint(path, "baseline", p.params, meta)
+    return container.save_checkpoint(path, "baseline", p.params, meta, extra_meta)
 
 
 def load_baseline(path) -> BaselineParams:
-    ckpt = container.load_checkpoint(path)
-    if ckpt.stage != "baseline":
-        raise FormatError(f"expected a baseline checkpoint, got {ckpt.stage!r}")
+    ckpt = container.load_checkpoint(path, "baseline", ("hidden", "width"))
     meta = ckpt.metadata
     return BaselineParams(
         ckpt.params, tuple(meta["hidden"]), int(meta["width"])

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import container
 from .autodiff import ParamSet
-from .errors import ContractError, DimensionError, EvolutionError, FormatError
+from .errors import ContractError, DimensionError, EvolutionError
 from .expert import Dataset
 from .vae import VaeParams, encode
 from .worldsim import (
@@ -395,33 +395,37 @@ def evolve(
     """Elitist evolution over flat genomes.
 
     The population seeds from N(0, INIT_SIGMA^2). Each generation scores
-    everyone (fitness takes the list of genome vectors and returns one
-    float each), keeps the `elites` best with ties broken toward the lower
-    genome index, and refills by mutating uniformly drawn elites with
-    N(0, mutation_sigma^2) noise. Elites carry over unchanged, so the
+    its new genomes (fitness takes the list of genome vectors and returns
+    one float each), keeps the `elites` best with ties broken toward the
+    lower genome index, and refills by mutating uniformly drawn elites with
+    N(0, mutation_sigma^2) noise. Elites carry over unchanged, together with
+    their scores, so after generation 0 only the children are scored; the
     per-generation best never decreases and the best genome is never lost.
-    Non-finite fitness aborts with the offending genome index.
+    Non-finite fitness aborts with the offending genome's population index.
     """
     cfg.validate()
     if dim < 1:
         raise ContractError(f"genome dimension {dim} < 1")
     rng = np.random.default_rng(cfg.seed)
     pop = rng.normal(0.0, INIT_SIGMA, (cfg.population, dim))
+    fit = np.empty(0)  # scores of pop[: len(fit)], the carried-over elites
     history: list[GenerationStats] = []
     best_genome: np.ndarray | None = None
     best_fit = -math.inf
     for gen in range(cfg.generations):
-        fit = np.asarray(fitness(list(pop)), dtype=np.float64)
-        if fit.shape != (cfg.population,):
+        fresh = pop[len(fit) :]
+        new = np.asarray(fitness(list(fresh)), dtype=np.float64)
+        if new.shape != (len(fresh),):
             raise EvolutionError(
-                f"fitness returned {fit.shape}, wanted ({cfg.population},)"
+                f"fitness returned {new.shape}, wanted ({len(fresh)},)"
             )
-        if not np.all(np.isfinite(fit)):
-            bad = int(np.flatnonzero(~np.isfinite(fit))[0])
+        if not np.all(np.isfinite(new)):
+            bad = int(np.flatnonzero(~np.isfinite(new))[0])
             raise EvolutionError(
-                f"non-finite fitness {fit[bad]} for genome {bad} "
+                f"non-finite fitness {new[bad]} for genome {len(fit) + bad} "
                 f"in generation {gen}"
             )
+        fit = np.concatenate([fit, new])
         order = np.argsort(-fit, kind="stable")  # stable: ties keep low index
         if fit[order[0]] > best_fit:
             best_fit = float(fit[order[0]])
@@ -435,6 +439,7 @@ def evolve(
             0.0, cfg.mutation_sigma, (cfg.population - cfg.elites, dim)
         )
         pop = np.vstack([elites, children])
+        fit = fit[order[: cfg.elites]]
     assert best_genome is not None
     return Genome(best_genome, best_fit), history
 
@@ -517,14 +522,13 @@ def save_controller(p: ControllerParams, path, extra_meta: dict | None = None) -
         "mlp_hidden": list(p.mlp_hidden),
         "out_scale": list(map(float, p.out_scale)),
     }
-    meta.update(extra_meta or {})
-    return container.save_checkpoint(path, "controller", p.params, meta)
+    return container.save_checkpoint(path, "controller", p.params, meta, extra_meta)
 
 
 def load_controller(path) -> ControllerParams:
-    ckpt = container.load_checkpoint(path)
-    if ckpt.stage != "controller":
-        raise FormatError(f"expected a controller checkpoint, got {ckpt.stage!r}")
+    ckpt = container.load_checkpoint(
+        path, "controller", ("k", "h_dim", "mlp_hidden", "out_scale")
+    )
     meta = ckpt.metadata
     return ControllerParams(
         ckpt.params,

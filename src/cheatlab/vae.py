@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import container
-from .errors import ContractError, DimensionError, FormatError
+from .errors import ContractError, DimensionError
 from .expert import Dataset
 from .worldsim import Observation, _derive_seed
 
@@ -56,43 +56,19 @@ class Reconstruction:
     depth_channel: np.ndarray
 
 
-def _layer_sizes(k: int, hidden: tuple[int, ...], width: int):
-    enc = [2 * width, *hidden, 2 * k]
-    dec = [k, *reversed(hidden), 2 * width]
-    return enc, dec
-
-
 def vae_init(
     k: int, hidden: tuple[int, ...], seed: int, width: int = 64
 ) -> VaeParams:
     """Seeded init: weights N(0, 1/fan_in), biases zero."""
-    if k < 1 or width < 1 or any(h < 1 for h in hidden):
-        raise ContractError(f"bad architecture k={k} hidden={hidden} width={width}")
     rng = np.random.default_rng(seed)
     params = ad.ParamSet()
-    enc, dec = _layer_sizes(k, tuple(hidden), width)
-    for prefix, sizes in (("enc", enc), ("dec", dec)):
-        for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
-            w = rng.standard_normal((n_out, n_in)) / np.sqrt(n_in)
-            params.add(f"{prefix}/w{i}", w)
-            params.add(f"{prefix}/b{i}", np.zeros(n_out))
+    ad.dense_init(params, "enc", [2 * width, *hidden, 2 * k], rng)
+    ad.dense_init(params, "dec", [k, *reversed(hidden), 2 * width], rng)
     return VaeParams(params, k, tuple(hidden), width)
 
 
-def _stack(params: ad.ParamSet, prefix: str, n_layers: int, x: ad.Tensor,
-           final: str | None) -> ad.Tensor:
-    """Dense stack: tanh between layers, `final` activation on the last."""
-    h = x
-    for i in range(n_layers):
-        h = ad.affine(params[f"{prefix}/w{i}"], h, params[f"{prefix}/b{i}"])
-        if i < n_layers - 1:
-            h = ad.activation("tanh", h)
-        elif final is not None:
-            h = ad.activation(final, h)
-    return h
-
-
-def _check_obs(p: VaeParams, obs: Observation) -> None:
+def check_obs_width(p, obs: Observation) -> None:
+    """Reject an observation whose scan width differs from model p's."""
     if obs.width != p.width:
         raise DimensionError(
             f"observation width {obs.width} does not match model width {p.width}"
@@ -101,17 +77,17 @@ def _check_obs(p: VaeParams, obs: Observation) -> None:
 
 def encode(p: VaeParams, obs: Observation) -> tuple[np.ndarray, np.ndarray]:
     """Posterior parameters (mu, logvar) for one observation."""
-    _check_obs(p, obs)
+    check_obs_width(p, obs)
     head = _encode_traced(p, ad.constant(obs.features()))
     return head.data[: p.k].copy(), head.data[p.k :].copy()
 
 
 def _encode_traced(p: VaeParams, x: ad.Tensor) -> ad.Tensor:
-    return _stack(p.params, "enc", len(p.hidden) + 1, x, final=None)
+    return ad.dense_stack(p.params, "enc", len(p.hidden) + 1, x)
 
 
 def _decode_traced(p: VaeParams, z: ad.Tensor) -> ad.Tensor:
-    return _stack(p.params, "dec", len(p.hidden) + 1, z, final="sigmoid")
+    return ad.dense_stack(p.params, "dec", len(p.hidden) + 1, z, final="sigmoid")
 
 
 def decode(p: VaeParams, z: np.ndarray) -> Reconstruction:
@@ -159,7 +135,7 @@ def elbo_loss(
     eps must hold k standard-normal draws; passing the same eps reproduces
     the same loss bit for bit.
     """
-    _check_obs(p, obs)
+    check_obs_width(p, obs)
     eps = np.asarray(eps, dtype=np.float64)
     if eps.shape != (p.k,):
         raise DimensionError(f"eps dims {list(eps.shape)} do not match k={p.k}")
@@ -183,21 +159,12 @@ def train_vae(data: Dataset, cfg: VaeTrainConfig) -> tuple[VaeParams, list[float
     width = observations[0].width
     p = vae_init(cfg.k, cfg.hidden, cfg.seed, width)
     x_all = np.stack([o.features() for o in observations])
-    n = x_all.shape[0]
     rng = np.random.default_rng(_derive_seed(cfg.seed, "vae-train"))
-    opt = ad.Adam(ad.AdamConfig(lr=cfg.lr))
-    history: list[float] = []
-    for _epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        noise = rng.standard_normal((n, cfg.k))
-        total = 0.0
-        for at in range(0, n, cfg.batch):
-            idx = order[at : at + cfg.batch]
-            loss = _elbo_graph(p, ad.constant(x_all[idx]), noise[idx], cfg.beta)
-            grads = ad.backward(loss, p.params)
-            opt.step(p.params, grads)
-            total += loss.item() * len(idx)
-        history.append(total / n)
+
+    def loss_fn(idx, eps):
+        return _elbo_graph(p, ad.constant(x_all[idx]), eps, cfg.beta)
+
+    history = ad.fit_minibatch(p.params, loss_fn, len(x_all), cfg, rng, cfg.k)
     return p, history
 
 
@@ -207,14 +174,11 @@ def train_vae(data: Dataset, cfg: VaeTrainConfig) -> tuple[VaeParams, list[float
 
 def save_vae(p: VaeParams, path, extra_meta: dict | None = None) -> str:
     meta = {"k": p.k, "hidden": list(p.hidden), "width": p.width}
-    meta.update(extra_meta or {})
-    return container.save_checkpoint(path, "vae", p.params, meta)
+    return container.save_checkpoint(path, "vae", p.params, meta, extra_meta)
 
 
 def load_vae(path) -> VaeParams:
-    ckpt = container.load_checkpoint(path)
-    if ckpt.stage != "vae":
-        raise FormatError(f"expected a vae checkpoint, got {ckpt.stage!r}")
+    ckpt = container.load_checkpoint(path, "vae", ("k", "hidden", "width"))
     meta = ckpt.metadata
     return VaeParams(
         ckpt.params, int(meta["k"]), tuple(meta["hidden"]), int(meta["width"])

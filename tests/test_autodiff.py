@@ -354,6 +354,79 @@ def test_adam_gradient_shape_mismatch_is_contract_error():
 
 
 # ---------------------------------------------------------------------------
+# dense stacks and the minibatch loop
+
+
+def test_dense_init_layout_and_scale():
+    p = ad.ParamSet()
+    ad.dense_init(p, "net", [400, 300, 2], np.random.default_rng(0))
+    assert p.names() == ["net/w0", "net/b0", "net/w1", "net/b1"]
+    assert p["net/w0"].dims == [300, 400] and p["net/w1"].dims == [2, 300]
+    assert not p["net/b0"].data.any() and not p["net/b1"].data.any()
+    # N(0, 1/fan_in): the first layer's 120k draws have variance ~1/400.
+    assert abs(p["net/w0"].data.var() * 400 - 1.0) < 0.02
+    with pytest.raises(ContractError):
+        ad.dense_init(ad.ParamSet(), "net", [4, 0, 2], np.random.default_rng(0))
+
+
+def test_dense_stack_tanh_between_layers_and_final_activation():
+    p = ad.ParamSet()
+    ad.dense_init(p, "net", [3, 4, 2], np.random.default_rng(1))
+    x = np.array([0.5, -1.0, 2.0])
+    hidden = np.tanh(p["net/w0"].data @ x + p["net/b0"].data)
+    linear = p["net/w1"].data @ hidden + p["net/b1"].data
+    out = ad.dense_stack(p, "net", 2, ad.constant(x))
+    assert np.array_equal(out.data, linear)
+    out = ad.dense_stack(p, "net", 2, ad.constant(x), final="sigmoid")
+    assert np.allclose(out.data, 1.0 / (1.0 + np.exp(-linear)), rtol=0, atol=1e-15)
+
+
+def test_fit_minibatch_draws_noise_right_after_each_shuffle():
+    p = ad.ParamSet()
+    ad.dense_init(p, "net", [3, 2], np.random.default_rng(0))
+    x = np.random.default_rng(1).normal(size=(5, 3))
+    seen = []
+
+    def loss_fn(idx, eps):
+        seen.append((idx.copy(), eps.copy()))
+        pred = ad.dense_stack(p, "net", 1, ad.constant(x[idx]))
+        return ad.mse(pred, ad.constant(np.zeros((len(idx), 2))))
+
+    cfg = ad.DenseTrainConfig(epochs=2, batch=2, lr=1e-2)
+    history = ad.fit_minibatch(p, loss_fn, 5, cfg, np.random.default_rng(5), 4)
+    assert len(history) == 2 and len(seen) == 6
+    ref = np.random.default_rng(5)
+    for epoch in range(2):
+        order = ref.permutation(5)
+        noise = ref.standard_normal((5, 4))
+        for j, at in enumerate(range(0, 5, 2)):
+            idx, eps = seen[3 * epoch + j]
+            assert np.array_equal(idx, order[at : at + 2])
+            assert np.array_equal(eps, noise[order[at : at + 2]])
+
+
+def test_fit_minibatch_without_noise_and_zero_epochs():
+    p = ad.ParamSet()
+    ad.dense_init(p, "net", [3, 1], np.random.default_rng(0))
+    before = p.flatten()
+    x = np.random.default_rng(2).normal(size=(4, 3))
+    eps_seen = []
+
+    def loss_fn(idx, eps):
+        eps_seen.append(eps)
+        pred = ad.dense_stack(p, "net", 1, ad.constant(x[idx]))
+        return ad.mse(pred, ad.constant(np.ones((len(idx), 1))))
+
+    zero = ad.DenseTrainConfig(epochs=0)
+    assert ad.fit_minibatch(p, loss_fn, 4, zero, np.random.default_rng(0)) == []
+    assert np.array_equal(p.flatten(), before) and not eps_seen
+    cfg = ad.DenseTrainConfig(epochs=30, batch=3, lr=0.05)
+    history = ad.fit_minibatch(p, loss_fn, 4, cfg, np.random.default_rng(0))
+    assert eps_seen and all(e is None for e in eps_seen)
+    assert history[-1] < history[0]
+
+
+# ---------------------------------------------------------------------------
 # ParamSet
 
 

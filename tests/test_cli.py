@@ -160,6 +160,20 @@ def test_stage_failure_exits_three_with_stage_prefix(tmp_path, capsys):
     assert "train-vae:" in capsys.readouterr().err
 
 
+def test_corrupted_checkpoint_exits_three(tmp_path, capsys):
+    out = tmp_path / "flipped"
+    for stage in ("gen-fake-data", "train-vae", "gen-expert"):
+        assert cli.main([stage, *tiny_args(out)]) == 0
+    ckpt = out / "vae.ckpt"
+    blob = bytearray(ckpt.read_bytes())
+    blob[16] ^= 0x80  # first byte of the first record name: no longer utf-8
+    ckpt.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert cli.main(["train-policy", *tiny_args(out)]) == 3
+    err = capsys.readouterr().err
+    assert "train-policy:" in err and "checksum mismatch" in err
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "cheatlab.cli", "print-config"],

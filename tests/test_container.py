@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from cheatlab import cheat as ch
 from cheatlab import container as ct
+from cheatlab import evaluation as ev
+from cheatlab import policy as po
+from cheatlab import vae as vb
 from cheatlab.autodiff import ParamSet
 from cheatlab.errors import FormatError, IntegrityError
 
@@ -142,3 +146,64 @@ def test_raw_container_roundtrip(tmp_path):
     for k in records:
         assert np.array_equal(got[k], records[k])
         assert got[k].shape == records[k].shape
+
+
+def test_every_single_bit_flip_raises_a_documented_error(tmp_path):
+    # Flip the top bit of each byte in turn. Record names and the JSON
+    # trailer must not leak UnicodeDecodeError or JSONDecodeError.
+    path = tmp_path / "v.ckpt"
+    vb.save_vae(vb.vae_init(2, (3,), 0, width=2), path, {"seed": 7})
+    blob = path.read_bytes()
+    kinds = set()
+    for at in range(len(blob)):
+        flipped = bytearray(blob)
+        flipped[at] ^= 0x80
+        path.write_bytes(bytes(flipped))
+        with pytest.raises((FormatError, IntegrityError)) as err:
+            vb.load_vae(path)
+        kinds.add(type(err.value))
+    assert kinds == {FormatError, IntegrityError}
+
+
+def _controller():
+    template = po.controller_template(k=2, h_dim=3, mlp_hidden=(4, 3))
+    genome = np.random.default_rng(0).normal(size=po.genome_size(template))
+    return po.controller_from_genome(genome, template)
+
+
+# stage -> (model factory, save, load, metadata keys the loader needs)
+STAGES = {
+    "vae": (lambda: vb.vae_init(2, (3,), 0, width=4), vb.save_vae,
+            vb.load_vae, ("k", "hidden", "width")),
+    "cheat": (lambda: ch.cheat_init(2, (3,), 0, width=4), ch.save_cheat,
+              ch.load_cheat, ("k", "hidden", "width")),
+    "baseline": (lambda: ev.baseline_init((3,), 0, width=4), ev.save_baseline,
+                 ev.load_baseline, ("hidden", "width")),
+    "controller": (_controller, po.save_controller, po.load_controller,
+                   ("k", "h_dim", "mlp_hidden", "out_scale")),
+}
+
+
+@pytest.mark.parametrize("stage", list(STAGES))
+def test_stage_checkpoint_roundtrip_and_metadata_checks(stage, tmp_path):
+    make, save, load, keys = STAGES[stage]
+    first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+    save(make(), first)
+    save(load(first), second)
+    assert first.read_bytes() == second.read_bytes()
+
+    ckpt = ct.load_checkpoint(first)
+    meta = {k: v for k, v in ckpt.metadata.items()
+            if k not in ("stage", "params_digest", "trainable")}
+    assert set(meta) == set(keys)
+    wrong = tmp_path / "wrong.ckpt"
+    ct.save_checkpoint(wrong, "controller" if stage == "vae" else "vae",
+                       ckpt.params, meta)
+    with pytest.raises(FormatError, match=f"expected a {stage} checkpoint"):
+        load(wrong)
+    for key in keys:
+        lacking = tmp_path / f"no_{key}.ckpt"
+        partial = {k: v for k, v in meta.items() if k != key}
+        ct.save_checkpoint(lacking, stage, ckpt.params, partial)
+        with pytest.raises(FormatError, match=key):
+            load(lacking)

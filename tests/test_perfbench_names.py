@@ -1,0 +1,34 @@
+"""The traced benchmark wraps functions by name; they must all still exist.
+
+perfbench/tracing.py lists `module: (function, Class.method, ...)` in
+TRACED. Folding or renaming code in cheatlab must not leave a stale name
+there, or the traced benchmark run would fail instead of measuring.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _traced() -> dict:
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TRACED
+
+
+def test_every_traced_name_resolves_in_cheatlab():
+    traced = _traced()
+    assert traced
+    missing = []
+    for module_name, funcs in traced.items():
+        module = importlib.import_module(f"cheatlab.{module_name}")
+        for func in funcs:
+            obj = module
+            for part in func.split("."):
+                obj = getattr(obj, part, None)
+            if not callable(obj):
+                missing.append(f"{module_name}.{func}")
+    assert missing == []

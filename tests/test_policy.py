@@ -226,6 +226,39 @@ def test_evolve_ties_break_toward_lower_index():
     assert np.array_equal(best.values, first)
 
 
+def test_evolve_scores_only_new_genomes_after_generation_zero():
+    # Elites carry over with their scores, so only the children are scored.
+    sizes = []
+
+    def counting(genomes):
+        sizes.append(len(genomes))
+        return sphere(genomes)
+
+    cfg = po.EvolutionConfig(
+        population=10, elites=3, mutation_sigma=0.05, generations=4, seed=2
+    )
+    best, history = po.evolve(cfg, counting, dim=5)
+    assert sizes == [10, 7, 7, 7]
+    assert best.fitness == history[-1].best
+    assert np.isclose(-float(np.sum(best.values**2)), best.fitness)
+
+
+def test_evolve_nan_in_later_generation_names_population_index():
+    calls = []
+
+    def late_poison(genomes):
+        calls.append(len(genomes))
+        out = [0.0] * len(genomes)
+        if len(calls) == 2:
+            out[1] = float("nan")  # second child, behind the two elites
+        return out
+
+    cfg = po.EvolutionConfig(population=6, elites=2, generations=3, seed=0)
+    with pytest.raises(EvolutionError) as err:
+        po.evolve(cfg, late_poison, dim=3)
+    assert "genome 3 in generation 1" in str(err.value)
+
+
 def test_evolve_rejects_nan_fitness_and_bad_config():
     def poisoned(genomes):
         out = [0.0] * len(genomes)
