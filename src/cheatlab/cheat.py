@@ -358,8 +358,11 @@ def save_cheat(
 
 
 def load_cheat(path) -> CheatEncoderParams:
-    ckpt = container.load_checkpoint(path, "cheat", ("k", "hidden", "width"))
+    ckpt = container.load_checkpoint(path, "cheat", {
+        "k": container.meta_int, "hidden": container.meta_ints,
+        "width": container.meta_int,
+    })
     meta = ckpt.metadata
     return CheatEncoderParams(
-        ckpt.params, int(meta["k"]), tuple(meta["hidden"]), int(meta["width"])
+        ckpt.params, meta["k"], meta["hidden"], meta["width"]
     )

@@ -23,9 +23,10 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import struct
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -189,12 +190,37 @@ def save_checkpoint(path, stage: str, params: ParamSet, metadata: Mapping,
     return digest
 
 
+def meta_int(value) -> int:
+    """A positive JSON integer."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"expected a positive integer, got {value!r}")
+    return value
+
+
+def meta_ints(value) -> tuple[int, ...]:
+    """A JSON list of positive integers, as a tuple."""
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list of positive integers, got {value!r}")
+    return tuple(meta_int(v) for v in value)
+
+
+def meta_floats(value) -> np.ndarray:
+    """A JSON list of finite numbers, as a float64 array."""
+    if not isinstance(value, list) or not all(
+        type(v) in (int, float) and math.isfinite(v) for v in value
+    ):
+        raise ValueError(f"expected a list of finite numbers, got {value!r}")
+    return np.array(value, dtype=np.float64)
+
+
 def load_checkpoint(path, stage: str | None = None,
-                    keys: tuple[str, ...] = ()) -> Checkpoint:
+                    keys: Mapping[str, Callable] | None = None) -> Checkpoint:
     """Load and re-verify a checkpoint written by save_checkpoint.
 
-    With `stage` given, a checkpoint of any other stage raises FormatError,
-    and so does metadata lacking any of `keys`.
+    With `stage` given, a checkpoint of any other stage raises FormatError.
+    `keys` maps each metadata key the caller needs to a converter such as
+    meta_int; the returned metadata holds the converted values. A missing
+    key, or a value its converter rejects, raises FormatError naming it.
     """
     records, meta = read_container(path)
     for key in ("stage", "params_digest", "trainable"):
@@ -202,9 +228,15 @@ def load_checkpoint(path, stage: str | None = None,
             raise FormatError(f"checkpoint metadata missing {key!r}")
     if stage is not None and meta["stage"] != stage:
         raise FormatError(f"expected a {stage} checkpoint, got {meta['stage']!r}")
-    for key in keys:
+    for key, convert in (keys or {}).items():
         if key not in meta:
             raise FormatError(f"{meta['stage']} checkpoint metadata missing {key!r}")
+        try:
+            meta[key] = convert(meta[key])
+        except ValueError as err:
+            raise FormatError(
+                f"{meta['stage']} checkpoint metadata {key!r}: {err}"
+            ) from None
     params = ParamSet()
     flags = meta["trainable"]
     for name, arr in records.items():

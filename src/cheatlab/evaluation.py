@@ -133,11 +133,11 @@ def save_baseline(
 
 
 def load_baseline(path) -> BaselineParams:
-    ckpt = container.load_checkpoint(path, "baseline", ("hidden", "width"))
+    ckpt = container.load_checkpoint(path, "baseline", {
+        "hidden": container.meta_ints, "width": container.meta_int,
+    })
     meta = ckpt.metadata
-    return BaselineParams(
-        ckpt.params, tuple(meta["hidden"]), int(meta["width"])
-    )
+    return BaselineParams(ckpt.params, meta["hidden"], meta["width"])
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ Gaussian mutation of uniformly chosen elites.
 
 Fitness evaluators receive the whole population per generation (a list of
 genome vectors, returning one score each). That lets the imitation
-evaluator precompute the latent sequence once, since z never depends on
-the genome, and batch the population through each timestep.
+evaluator encode the latent sequences once, since z never depends on the
+genome, pad the episodes to one length, and step every genome through
+every episode together: one batched tick per timestep.
 """
 
 from __future__ import annotations
@@ -90,6 +91,47 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def _pack(w) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Fused (weight, bias) layers from controller tensors by name.
+
+    The tensors may carry any leading batch dimensions. The first layer is
+    the LSTM's [W_g | U_g] for gates i, f, o, g stacked to (..., k+H, 4H);
+    the other three are the dense head's weights transposed to
+    (..., n_in, n_out). Biases keep their shape (..., n_out).
+    """
+    gates = np.concatenate(
+        [np.concatenate([w[f"lstm/{m}{g}"] for g in _GATES], axis=-2)
+         for m in "wu"],
+        axis=-1,
+    )
+    bias = np.concatenate([w[f"lstm/b{g}"] for g in _GATES], axis=-1)
+    return [(gates.swapaxes(-1, -2), bias)] + [
+        (w[f"mlp/w{i}"].swapaxes(-1, -2), w[f"mlp/b{i}"]) for i in range(3)
+    ]
+
+
+def _tick(net, scale: np.ndarray, z: np.ndarray, h: np.ndarray,
+          c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """LSTM cell and dense head on (..., k) latents and (..., H) states.
+
+    `net` is _pack's output with biases shaped to broadcast against the
+    (..., n_out) products. Returns the clamped commands (..., 4), h', c'.
+    """
+    n = h.shape[-1]
+    (gates, bias), *head = net
+    y = np.concatenate([z, h], axis=-1)
+    pre = y @ gates + bias
+    ifo = _sigmoid(pre[..., : 3 * n])
+    c = ifo[..., n : 2 * n] * c + ifo[..., :n] * np.tanh(pre[..., 3 * n :])
+    h = ifo[..., 2 * n :] * np.tanh(c)
+    y[..., -n:] = h  # the head reads concat(z, h')
+    for layer, (weight, b) in enumerate(head):
+        y = y @ weight + b
+        if layer < len(head) - 1:
+            y = np.tanh(y)
+    return np.minimum(np.maximum(y * scale, -scale), scale), h, c
+
+
 def controller_step(
     p: ControllerParams, z: np.ndarray, st: LstmState
 ) -> tuple[Action, LstmState]:
@@ -108,24 +150,8 @@ def controller_step(
             f"state dims {list(st.h.shape)}/{list(st.c.shape)} do not match "
             f"h_dim={p.h_dim}"
         )
-    pp = p.params
-    pre = {
-        gate: pp[f"lstm/w{gate}"].data @ z
-        + pp[f"lstm/u{gate}"].data @ st.h
-        + pp[f"lstm/b{gate}"].data
-        for gate in _GATES
-    }
-    i = _sigmoid(pre["i"])
-    f = _sigmoid(pre["f"])
-    o = _sigmoid(pre["o"])
-    g = np.tanh(pre["g"])
-    c = f * st.c + i * g
-    h = o * np.tanh(c)
-    y = np.concatenate([z, h])
-    y = np.tanh(pp["mlp/w0"].data @ y + pp["mlp/b0"].data)
-    y = np.tanh(pp["mlp/w1"].data @ y + pp["mlp/b1"].data)
-    y = pp["mlp/w2"].data @ y + pp["mlp/b2"].data
-    out = np.clip(y * p.out_scale, -p.out_scale, p.out_scale)
+    net = _pack({name: t.data for name, t in p.params.items()})
+    out, h, c = _tick(net, p.out_scale, z, st.h, st.c)
     action = Action(float(out[0]), float(out[1]), float(out[2]), float(out[3]))
     return action, LstmState(h, c)
 
@@ -213,7 +239,12 @@ def fitness_imitation(
 
 class ImitationEvaluator:
     """Population-batched imitation fitness, numerically equal to
-    fitness_imitation on every genome (up to float reassociation)."""
+    fitness_imitation on every genome (up to float reassociation).
+
+    The episodes are padded to the longest into (T, E, .) latent and action
+    arrays with a (T, E) validity mask, so a call makes T batched ticks over
+    (population, episodes) instead of one tick per recorded step.
+    """
 
     def __init__(self, vae: VaeParams, data: Dataset,
                  template: ControllerParams):
@@ -224,12 +255,21 @@ class ImitationEvaluator:
         self.template = template
         self.episodes = []
         for ep in data.episodes:
-            zs = np.stack([encode(vae, s.observation)[0] for s in ep])
+            zs, _ = encode(vae, [s.observation for s in ep])
             acts = np.array(
                 [(s.action.vx, s.action.vy, s.action.vz, s.action.yaw_rate)
                  for s in ep]
             )
             self.episodes.append((zs, acts))
+        steps = max(len(acts) for _, acts in self.episodes)
+        n_eps = len(self.episodes)
+        self.zs = np.zeros((steps, n_eps, vae.k))
+        self.acts = np.zeros((steps, n_eps, 4))
+        self.mask = np.zeros((steps, n_eps))
+        for e, (zs, acts) in enumerate(self.episodes):
+            self.zs[: len(zs), e] = zs
+            self.acts[: len(acts), e] = acts
+            self.mask[: len(acts), e] = 1.0
         self.total_count = 4 * sum(len(a) for _, a in self.episodes)
 
     def _unpack(self, genomes: list[np.ndarray]):
@@ -251,43 +291,21 @@ class ImitationEvaluator:
         return stacked
 
     def __call__(self, genomes: list[np.ndarray]) -> np.ndarray:
-        w = self._unpack(genomes)
-        pop = len(genomes)
         t = self.template
-        err = np.zeros(pop)
-        for zs, acts in self.episodes:
-            h = np.zeros((pop, t.h_dim))
-            c = np.zeros((pop, t.h_dim))
-            zw = {
-                gate: np.einsum("tk,phk->tph", zs, w[f"lstm/w{gate}"])
-                for gate in _GATES
-            }
-            for at in range(len(zs)):
-                pre = {
-                    gate: zw[gate][at]
-                    + np.einsum("pij,pj->pi", w[f"lstm/u{gate}"], h)
-                    + w[f"lstm/b{gate}"]
-                    for gate in _GATES
-                }
-                i = _sigmoid(pre["i"])
-                f = _sigmoid(pre["f"])
-                o = _sigmoid(pre["o"])
-                g = np.tanh(pre["g"])
-                c = f * c + i * g
-                h = o * np.tanh(c)
-                y = np.concatenate(
-                    [np.broadcast_to(zs[at], (pop, t.k)), h], axis=1
-                )
-                y = np.tanh(
-                    np.einsum("poi,pi->po", w["mlp/w0"], y) + w["mlp/b0"]
-                )
-                y = np.tanh(
-                    np.einsum("poi,pi->po", w["mlp/w1"], y) + w["mlp/b1"]
-                )
-                y = np.einsum("poi,pi->po", w["mlp/w2"], y) + w["mlp/b2"]
-                out = np.clip(y * t.out_scale, -t.out_scale, t.out_scale)
-                err += np.sum((out - acts[at]) ** 2, axis=1)
-        return -err / self.total_count
+        pop = len(genomes)
+        # Contiguous weights keep the stacked matmuls on BLAS's fast path;
+        # biases gain an episode axis to broadcast over (pop, episodes, .).
+        net = [(np.ascontiguousarray(w), b[:, None])
+               for w, b in _pack(self._unpack(genomes))]
+        _, n_eps, k = self.zs.shape
+        h = np.zeros((pop, n_eps, t.h_dim))
+        c = np.zeros((pop, n_eps, t.h_dim))
+        err = np.zeros((pop, n_eps))
+        for z, want, valid in zip(self.zs, self.acts, self.mask):
+            z = np.broadcast_to(z, (pop, n_eps, k))
+            out, h, c = _tick(net, t.out_scale, z, h, c)
+            err += valid * np.sum((out - want) ** 2, axis=-1)
+        return -err.sum(axis=1) / self.total_count
 
 
 def fitness_reward(
@@ -526,14 +544,12 @@ def save_controller(p: ControllerParams, path, extra_meta: dict | None = None) -
 
 
 def load_controller(path) -> ControllerParams:
-    ckpt = container.load_checkpoint(
-        path, "controller", ("k", "h_dim", "mlp_hidden", "out_scale")
-    )
+    ckpt = container.load_checkpoint(path, "controller", {
+        "k": container.meta_int, "h_dim": container.meta_int,
+        "mlp_hidden": container.meta_ints, "out_scale": container.meta_floats,
+    })
     meta = ckpt.metadata
     return ControllerParams(
-        ckpt.params,
-        int(meta["k"]),
-        int(meta["h_dim"]),
-        tuple(meta["mlp_hidden"]),
-        np.array(meta["out_scale"], dtype=np.float64),
+        ckpt.params, meta["k"], meta["h_dim"], meta["mlp_hidden"],
+        meta["out_scale"],
     )

@@ -15,6 +15,7 @@ collapses to zero, which defeats every downstream consumer of mu.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -75,11 +76,23 @@ def check_obs_width(p, obs: Observation) -> None:
         )
 
 
-def encode(p: VaeParams, obs: Observation) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior parameters (mu, logvar) for one observation."""
-    check_obs_width(p, obs)
-    head = _encode_traced(p, ad.constant(obs.features()))
-    return head.data[: p.k].copy(), head.data[p.k :].copy()
+def encode(
+    p: VaeParams, obs: Observation | Sequence[Observation]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior parameters (mu, logvar) for one observation, each [k].
+
+    A sequence of N observations is encoded as one batch and gives two
+    [N, k] arrays.
+    """
+    single = isinstance(obs, Observation)
+    batch = [obs] if single else list(obs)
+    if not batch:
+        raise ContractError("encode needs at least one observation")
+    for o in batch:
+        check_obs_width(p, o)
+    x = obs.features() if single else np.stack([o.features() for o in batch])
+    head = _encode_traced(p, ad.constant(x)).data
+    return head[..., : p.k].copy(), head[..., p.k :].copy()
 
 
 def _encode_traced(p: VaeParams, x: ad.Tensor) -> ad.Tensor:
@@ -178,8 +191,9 @@ def save_vae(p: VaeParams, path, extra_meta: dict | None = None) -> str:
 
 
 def load_vae(path) -> VaeParams:
-    ckpt = container.load_checkpoint(path, "vae", ("k", "hidden", "width"))
+    ckpt = container.load_checkpoint(path, "vae", {
+        "k": container.meta_int, "hidden": container.meta_ints,
+        "width": container.meta_int,
+    })
     meta = ckpt.metadata
-    return VaeParams(
-        ckpt.params, int(meta["k"]), tuple(meta["hidden"]), int(meta["width"])
-    )
+    return VaeParams(ckpt.params, meta["k"], meta["hidden"], meta["width"])

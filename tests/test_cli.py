@@ -1,6 +1,7 @@
 """Command-line orchestration: stages, summaries, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 from cheatlab import cli
 from cheatlab.config import KEYS, load_config
+from cheatlab.container import file_digest, load_checkpoint, save_checkpoint
 
 TINY = {
     "data.vae_episodes": "1",
@@ -172,6 +174,33 @@ def test_corrupted_checkpoint_exits_three(tmp_path, capsys):
     assert cli.main(["train-policy", *tiny_args(out)]) == 3
     err = capsys.readouterr().err
     assert "train-policy:" in err and "checksum mismatch" in err
+
+
+def test_mistyped_checkpoint_metadata_exits_three(tmp_path, capsys):
+    out = tmp_path / "mistyped"
+    for stage in ("gen-fake-data", "train-vae", "gen-expert"):
+        assert cli.main([stage, *tiny_args(out)]) == 0
+    ckpt = load_checkpoint(out / "vae.ckpt")
+    meta = {key: ckpt.metadata[key] for key in ("hidden", "width")}
+    save_checkpoint(out / "vae.ckpt", "vae", ckpt.params, {**meta, "k": "two"})
+    capsys.readouterr()
+    assert cli.main(["train-policy", *tiny_args(out)]) == 3
+    err = capsys.readouterr().err
+    assert "train-policy:" in err and "'k'" in err
+
+
+def test_artifacts_identical_across_blas_thread_counts(tmp_path):
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cheatlab.cli", "pipeline", *tiny_args(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append({name: file_digest(out / name) for name in ARTIFACTS})
+    assert digests[0] == digests[1]
 
 
 def test_module_entry_point_runs():

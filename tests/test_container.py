@@ -207,3 +207,9 @@ def test_stage_checkpoint_roundtrip_and_metadata_checks(stage, tmp_path):
         ct.save_checkpoint(lacking, stage, ckpt.params, partial)
         with pytest.raises(FormatError, match=key):
             load(lacking)
+        # A well-checksummed file with a wrong-typed value: FormatError, not
+        # a ValueError from int() or a silently split string from tuple().
+        mistyped = tmp_path / f"bad_{key}.ckpt"
+        ct.save_checkpoint(mistyped, stage, ckpt.params, {**meta, key: "two"})
+        with pytest.raises(FormatError, match=f"'{key}'"):
+            load(mistyped)

@@ -161,16 +161,44 @@ def test_imitation_fitness_rejects_bad_data():
 
 
 def test_population_evaluator_matches_reference_op():
-    data = collect_trajectories("fake", 1, 120, seed=4, cfg=DEFAULT_SIM)
+    # Three episodes of different lengths, the longest in the middle, so a
+    # padding or mask fault in the batched evaluator changes the scores.
+    flown = collect_trajectories("fake", 3, 120, seed=4, cfg=DEFAULT_SIM)
+    episodes = [ep[:n] for ep, n in zip(flown.episodes, (70, 120, 35))]
+    assert [len(ep) for ep in episodes] == [70, 120, 35]
+    data = Dataset(episodes, "fake", 4)
     model = vb.vae_init(4, (24, 12), 2, width=DEFAULT_SIM.scan_width)
     t = po.controller_template(k=4, h_dim=5, mlp_hidden=(8, 6))
-    rng = np.random.default_rng(3)
-    genomes = [rng.normal(0, 0.1, po.genome_size(t)) for _ in range(5)]
     ev = po.ImitationEvaluator(model, data, t)
-    batch = ev(genomes)
-    singles = [po.fitness_imitation(g, model, data, t) for g in genomes]
-    assert np.allclose(batch, singles, rtol=1e-9, atol=1e-12)
-    assert np.all(batch <= 0.0)
+
+    for (zs, acts), ep in zip(ev.episodes, episodes, strict=True):
+        want_z = np.stack([vb.encode(model, s.observation)[0] for s in ep])
+        assert np.allclose(zs, want_z, rtol=1e-12, atol=1e-15)
+        assert np.array_equal(acts, [
+            (s.action.vx, s.action.vy, s.action.vz, s.action.yaw_rate)
+            for s in ep
+        ])
+
+    rng = np.random.default_rng(3)
+    size = po.genome_size(t)
+    big = rng.normal(0, 5.0, size)  # saturates the out_scale clamp
+    first, _ = po.controller_step(
+        po.controller_from_genome(big, t), ev.episodes[0][0][0],
+        po.zero_state(t),
+    )
+    assert np.any(np.abs([first.vx, first.vy, first.vz, first.yaw_rate])
+                  == t.out_scale)
+    population = [rng.normal(0, 0.1, size) for _ in range(3)]
+    population += [big, np.zeros(size)]
+    for genomes in ([population[0]], population):
+        batch = ev(genomes)
+        singles = [po.fitness_imitation(g, model, data, t) for g in genomes]
+        assert np.allclose(batch, singles, rtol=1e-12, atol=0.0)
+        assert np.all(batch <= 0.0)
+
+    acts = np.concatenate([a for _, a in ev.episodes])
+    zero = ev([np.zeros(size)])[0]
+    assert np.isclose(zero, -np.mean(acts**2), rtol=1e-12, atol=0.0)
 
 
 def test_reward_fitness_zero_genome_scores_zero():

@@ -45,6 +45,22 @@ def test_encode_shapes_and_width_check():
         vb.encode(p, random_obs(rng, width=9))
 
 
+def test_sequence_encode_matches_single_encodes():
+    p = tiny_model()
+    rng = np.random.default_rng(1)
+    seq = [random_obs(rng) for _ in range(6)]
+    mu, logvar = vb.encode(p, seq)
+    assert mu.shape == (6, 3) and logvar.shape == (6, 3)
+    for i, obs in enumerate(seq):
+        one_mu, one_logvar = vb.encode(p, obs)
+        assert np.allclose(mu[i], one_mu, rtol=1e-12, atol=1e-15)
+        assert np.allclose(logvar[i], one_logvar, rtol=1e-12, atol=1e-15)
+    with pytest.raises(DimensionError):
+        vb.encode(p, [*seq, random_obs(rng, width=9)])
+    with pytest.raises(ContractError):
+        vb.encode(p, [])
+
+
 def test_reparameterize_zero_eps_returns_mu():
     rng = np.random.default_rng(1)
     mu = rng.normal(0, 1, 5)
