@@ -12,6 +12,7 @@ from cheatlab.expert import collect_trajectories, expert_action, next_gate_index
 from cheatlab.worldsim import (
     DEFAULT_SIM,
     count_gates_passed,
+    fly,
     spawn_fake_world,
     start_state,
     step_dynamics,
@@ -38,19 +39,16 @@ print("episode ended:", "crashed" if state.crashed else "corridor complete",
       f"odometer={state.odometer:.1f} m",
       f"gates={count_gates_passed(world, positions)}/{len(world.gates)}")
 
-# aggregate over seeds
+# aggregate over seeds: the expert reads gate poses, not the scan, so it
+# flies blind, and a None command ends the flight once every gate is passed
 crashes, gates = 0, []
 for seed in range(30):
     w = spawn_fake_world(seed, cfg=cfg)
-    st = start_state(w)
-    pos = [(st.position[0], st.position[1])]
-    for _ in range(2000):
-        st = step_dynamics(w, st, expert_action(w, st, cfg), cfg.dt, cfg)
-        pos.append((st.position[0], st.position[1]))
-        if st.crashed or next_gate_index(w, st) is None:
-            break
-    crashes += int(st.crashed)
-    gates.append(count_gates_passed(w, pos))
+    flight = fly(w, lambda st, _obs: None if next_gate_index(w, st) is None
+                 else expert_action(w, st, cfg), 2000, cfg, blind=True)
+    states = [s.state for s in flight.steps] + [flight.final_state]
+    crashes += int(flight.crashed)
+    gates.append(count_gates_passed(w, [st.position[:2] for st in states]))
 print(f"\n30 seeds: crashes={crashes}, gates passed mean={np.mean(gates):.2f} "
       f"of {cfg.n_gates}")
 

@@ -145,14 +145,12 @@ def _stage_train_policy(cfg: RunConfig, out: Path) -> dict:
             _stage_seed(cfg, "train-policy", "world", i)
             for i in range(cfg["evolve.reward_episodes"])
         ]
-        fitness = po.RewardEvaluator(
-            model,
-            seeds,
-            max_steps=cfg["evolve.reward_max_steps"],
-            gate_bonus=cfg["evolve.gate_bonus"],
-            cfg=sim,
-            template=template,
-        )
+
+        def fitness(genomes):
+            return [po.fitness_reward(g, model, seeds,
+                                      cfg["evolve.reward_max_steps"],
+                                      cfg["evolve.gate_bonus"], sim, template)
+                    for g in genomes]
     best, history = po.evolve(ecfg, fitness, po.genome_size(template))
     ctrl = po.controller_from_genome(best.values, template)
     po.save_controller(

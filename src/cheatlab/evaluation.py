@@ -24,20 +24,19 @@ from . import container
 from .cheat import CheatEncoderParams, cheat_encode
 from .errors import ContractError
 from .expert import Dataset
-from .policy import ControllerParams, RolloutResult, rollout
+from .policy import ControllerParams, rollout
 from .vae import VaeParams, check_obs_width, decode
 from .worldsim import (
     Action,
     DEFAULT_SIM,
     Observation,
+    RolloutResult,
     SimConfig,
     ZERO_ACTION,
     _derive_seed,
     clamp_action,
-    render_observation,
+    fly,
     spawn_real_world,
-    start_state,
-    step_dynamics,
 )
 
 PIPELINES = ("cheat", "baseline", "random", "zero")
@@ -206,29 +205,20 @@ def eval_mean_distance(
     for seed in seeds:
         world = spawn_real_world(seed, density, cfg=cfg, with_gates=False)
         if pipeline == "cheat":
-            result = rollout(
-                world, vae, ctrl, max_steps, encoder="cheat", cheat=cheat,
-                cfg=cfg,
-            )
-            state = result.final_state
+            result = rollout(world, vae, ctrl, max_steps, encoder="cheat",
+                             cheat=cheat, cfg=cfg)
+        elif pipeline == "baseline":
+            result = fly(world, lambda _s, obs: baseline_action(base, obs, cfg),
+                         max_steps, cfg)
+        elif pipeline == "random":
+            cmds = iter(_random_commands(seed, max_steps, hold_steps, cfg))
+            result = fly(world, lambda _s, _o: Action(*next(cmds)), max_steps,
+                         cfg, blind=True)
         else:
-            state = start_state(world)
-            if pipeline == "random":
-                cmds = _random_commands(seed, max_steps, hold_steps, cfg)
-            for t in range(max_steps):
-                if pipeline == "zero":
-                    act = ZERO_ACTION
-                elif pipeline == "random":
-                    act = Action(*cmds[t])
-                else:
-                    act = baseline_action(
-                        base, render_observation(world, state, cfg), cfg
-                    )
-                state = step_dynamics(world, state, act, cfg.dt, cfg)
-                if state.crashed:
-                    break
-        odometers.append(state.odometer)
-        crashes.append(state.crashed)
+            result = fly(world, lambda _s, _o: ZERO_ACTION, max_steps, cfg,
+                         blind=True)
+        odometers.append(result.odometer)
+        crashes.append(result.crashed)
     config = {"max_steps": max_steps, "density": density}
     if pipeline == "random":
         config["hold_steps"] = hold_steps

@@ -22,14 +22,13 @@ from .worldsim import (
     DroneState,
     Observation,
     SimConfig,
+    TrajectoryStep,
     WorldSpec,
     _derive_seed,
+    fly,
     gate_signed_distance,
-    render_observation,
     spawn_fake_world,
     spawn_real_world,
-    start_state,
-    step_dynamics,
     virtual_gate,
     wrap_angle,
 )
@@ -82,15 +81,6 @@ def expert_action(
 
 # ---------------------------------------------------------------------------
 # datasets
-
-
-@dataclass
-class TrajectoryStep:
-    """State, what the expert saw there, and what it commanded."""
-
-    observation: Observation
-    action: Action
-    state: DroneState
 
 
 @dataclass
@@ -148,21 +138,17 @@ def collect_trajectories(
             world = spawn_fake_world(world_seed, n_gates, cfg)
         else:
             world = spawn_real_world(world_seed, clutter_density, False, cfg)
-        state = start_state(world)
-        steps: list[TrajectoryStep] = []
-        for _ in range(max_steps):
+
+        def act(state: DroneState, _obs: Observation) -> Action | None:
             if kind == "fake" and next_gate_index(world, state) is None:
-                break  # corridor complete
-            obs = render_observation(world, state, cfg)
-            act = expert_action(world, state, cfg)
-            steps.append(TrajectoryStep(obs, act, state))
-            state = step_dynamics(world, state, act, cfg.dt, cfg)
-            if state.crashed:
-                break
-        if kind == "fake" and state.crashed:
+                return None  # corridor complete
+            return expert_action(world, state, cfg)
+
+        flight = fly(world, act, max_steps, cfg)
+        if kind == "fake" and flight.crashed:
             rejections += 1
             continue
-        episodes.append(steps)
+        episodes.append(flight.steps)
     manifest = {
         "version": 1,
         "world_kind": kind,

@@ -16,7 +16,7 @@ every episode together: one batched tick per timestep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,13 +30,12 @@ from .worldsim import (
     DEFAULT_SIM,
     DroneState,
     Observation,
+    RolloutResult,
     SimConfig,
     WorldSpec,
     count_gates_passed,
-    render_observation,
+    fly,
     spawn_fake_world,
-    start_state,
-    step_dynamics,
 )
 
 INIT_SIGMA = 0.1  # evolution seeds genomes from N(0, INIT_SIGMA^2)
@@ -133,14 +132,16 @@ def _tick(net, scale: np.ndarray, z: np.ndarray, h: np.ndarray,
 
 
 def controller_step(
-    p: ControllerParams, z: np.ndarray, st: LstmState
+    p: ControllerParams, z: np.ndarray, st: LstmState, net=None
 ) -> tuple[Action, LstmState]:
     """One control tick: standard LSTM cell, then the dense head.
 
     i, f, o are sigmoid gates and g the tanh candidate; c' = f*c + i*g and
     h' = o * tanh(c'). The head reads concat(z, h') through two tanh
     layers, a linear output scaled by out_scale, then a clamp to the same
-    bounds. All-zero parameters therefore command exactly zero.
+    bounds. All-zero parameters therefore command exactly zero. `net` is
+    p's weights as _pack fuses them; a caller ticking one controller many
+    times packs once and passes it, else every call packs anew.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (p.k,):
@@ -150,7 +151,8 @@ def controller_step(
             f"state dims {list(st.h.shape)}/{list(st.c.shape)} do not match "
             f"h_dim={p.h_dim}"
         )
-    net = _pack({name: t.data for name, t in p.params.items()})
+    if net is None:
+        net = _pack({name: t.data for name, t in p.params.items()})
     out, h, c = _tick(net, p.out_scale, z, st.h, st.c)
     action = Action(float(out[0]), float(out[1]), float(out[2]), float(out[3]))
     return action, LstmState(h, c)
@@ -328,41 +330,12 @@ def fitness_reward(
     for seed in seeds:
         world = spawn_fake_world(seed, cfg=cfg)
         result = rollout(world, vae, ctrl, max_steps, cfg=cfg)
-        positions = [
-            (s.state.position[0], s.state.position[1]) for s in result.steps
-        ]
-        positions.append(
-            (result.final_state.position[0], result.final_state.position[1])
-        )
+        states = [s.state for s in result.steps] + [result.final_state]
+        positions = [st.position[:2] for st in states]
         total += result.odometer + gate_bonus * count_gates_passed(
             world, positions
         )
     return total / len(seeds)
-
-
-class RewardEvaluator:
-    """Per-genome rollouts under a fixed seed list; population interface."""
-
-    def __init__(self, vae: VaeParams, seeds: list[int], max_steps: int = 1000,
-                 gate_bonus: float = 5.0, cfg: SimConfig = DEFAULT_SIM,
-                 template: ControllerParams | None = None):
-        self.vae = vae
-        self.seeds = seeds
-        self.max_steps = max_steps
-        self.gate_bonus = gate_bonus
-        self.cfg = cfg
-        self.template = template
-
-    def __call__(self, genomes: list[np.ndarray]) -> np.ndarray:
-        return np.array(
-            [
-                fitness_reward(
-                    g, self.vae, self.seeds, self.max_steps,
-                    self.gate_bonus, self.cfg, self.template,
-                )
-                for g in genomes
-            ]
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -466,21 +439,6 @@ def evolve(
 # closed-loop rollout
 
 
-@dataclass
-class RolloutStep:
-    state: DroneState
-    observation: Observation
-    action: Action
-
-
-@dataclass
-class RolloutResult:
-    steps: list[RolloutStep]
-    final_state: DroneState
-    odometer: float
-    crashed: bool
-
-
 def rollout(
     world: WorldSpec,
     vae: VaeParams,
@@ -495,38 +453,31 @@ def rollout(
     encoder "vae" feeds the frozen encoder mean and requires a corridor
     world; encoder "cheat" feeds the substitute encoder (pass its params
     as `cheat`) and requires a cluttered world. Stops at max_steps or on
-    the first crash.
+    the first crash. The weights are packed once per flight.
     """
     if encoder == "vae":
         if world.kind != "fake":
             raise ContractError("the vae encoder rolls out in corridor worlds")
+        see = lambda obs: encode(vae, obs)[0]
     elif encoder == "cheat":
         if world.kind != "real":
             raise ContractError("the cheat encoder rolls out in room worlds")
         if cheat is None:
             raise ContractError("cheat rollout needs encoder parameters")
-    else:
-        raise ContractError(f"unknown encoder {encoder!r}")
-    if max_steps < 1:
-        raise ContractError(f"max_steps {max_steps} < 1")
-    if encoder == "cheat":
         from .cheat import cheat_encode  # local import to avoid a cycle
 
-    state = start_state(world)
+        see = lambda obs: cheat_encode(cheat, obs)
+    else:
+        raise ContractError(f"unknown encoder {encoder!r}")
+    net = _pack({name: t.data for name, t in ctrl.params.items()})
     st = zero_state(ctrl)
-    steps: list[RolloutStep] = []
-    for _ in range(max_steps):
-        obs = render_observation(world, state, cfg)
-        if encoder == "vae":
-            mu, _ = encode(vae, obs)
-        else:
-            mu = cheat_encode(cheat, obs)
-        act, st = controller_step(ctrl, mu, st)
-        steps.append(RolloutStep(state, obs, act))
-        state = step_dynamics(world, state, act, cfg.dt, cfg)
-        if state.crashed:
-            break
-    return RolloutResult(steps, state, state.odometer, state.crashed)
+
+    def act(_state: DroneState, obs: Observation) -> Action:
+        nonlocal st
+        action, st = controller_step(ctrl, see(obs), st, net)
+        return action
+
+    return fly(world, act, max_steps, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,17 @@ Conventions fixed here and relied on everywhere else:
     solid for both rays and collisions, the aperture between them is free
   - world bounds act as solid walls: rays hit them (class 2) and coming
     within collision_radius of them is a crash
+  - a crash against a box means entering the box grown by collision_radius
+    on every side, an inflated square rather than a rounded one, so off a
+    box corner the reach is up to collision_radius * sqrt(2)
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -98,6 +101,16 @@ class WorldSpec:
     gates: tuple[Gate, ...]
     seed: int
     start: tuple[float, float, float, float]  # x, y, z, yaw
+    # Every solid box (N, 4) and its class code (N,), built once from the
+    # fields above by _solid_boxes and read-only from then on.
+    boxes: np.ndarray = field(init=False, repr=False, compare=False)
+    box_classes: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        boxes, classes = _solid_boxes(self)
+        boxes.flags.writeable = classes.flags.writeable = False
+        object.__setattr__(self, "boxes", boxes)
+        object.__setattr__(self, "box_classes", classes)
 
 
 @dataclass(frozen=True)
@@ -203,13 +216,16 @@ def _solid_boxes(world: WorldSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def point_in_collision(world: WorldSpec, x: float, y: float, radius: float) -> bool:
-    """True if a disc of the given radius overlaps any solid or the walls."""
+    """True if the point lies within radius of a wall or inside a solid box
+    grown by radius on every side. The grown box keeps square corners, so
+    off a corner this reaches up to radius * sqrt(2), further than a disc
+    of that radius would."""
     bx0, by0, bx1, by1 = world.bounds
     if x < bx0 + radius or x > bx1 - radius:
         return True
     if y < by0 + radius or y > by1 - radius:
         return True
-    boxes, _ = _solid_boxes(world)
+    boxes = world.boxes
     if boxes.size == 0:
         return False
     hit = (
@@ -240,7 +256,7 @@ def _cast_rays(
     ty = np.where(dy > 0, (by1 - y) / dy, (by0 - y) / dy)
     t_wall = np.minimum(tx, ty)
 
-    boxes, box_class = _solid_boxes(world)
+    boxes, box_class = world.boxes, world.box_classes
     if boxes.size:
         inv_x = 1.0 / dx[:, None]
         inv_y = 1.0 / dy[:, None]
@@ -306,8 +322,9 @@ def step_dynamics(
 
     The altitude is clamped to [z_min, z_max]; the odometer accumulates
     planar displacement only. The returned state is crashed when the new
-    position is within collision_radius of any solid or wall; a crashed
-    state must not be stepped again.
+    position is in collision by point_in_collision's rule: within
+    collision_radius of a wall, inside a solid box grown by collision_radius.
+    A crashed state must not be stepped again.
     """
     if state.crashed:
         raise ContractError("cannot step a crashed state")
@@ -325,6 +342,53 @@ def step_dynamics(
     odometer = state.odometer + math.hypot(dx, dy)
     crashed = point_in_collision(world, x, y, cfg.collision_radius)
     return DroneState((x, y, z), yaw, odometer, crashed)
+
+
+@dataclass
+class TrajectoryStep:
+    """A state, what was seen there (None if blind), the command given."""
+
+    observation: Observation | None
+    action: Action
+    state: DroneState
+
+
+@dataclass
+class RolloutResult:
+    steps: list[TrajectoryStep]
+    final_state: DroneState
+    odometer: float
+    crashed: bool
+
+
+def fly(
+    world: WorldSpec,
+    act: Callable[[DroneState, Observation | None], Action | None],
+    max_steps: int,
+    cfg: SimConfig = DEFAULT_SIM,
+    blind: bool = False,
+) -> RolloutResult:
+    """Fly one drone from the world's start pose under a flier `act`.
+
+    Each step renders the scan (a blind flier is handed None instead),
+    asks act(state, obs) for a command, records it with the state it was
+    given from, and steps the dynamics. A None command ends the flight
+    with that step unrecorded. Stops at the first crash or after max_steps.
+    """
+    if max_steps < 1:
+        raise ContractError(f"max_steps {max_steps} < 1")
+    state = start_state(world)
+    steps: list[TrajectoryStep] = []
+    for _ in range(max_steps):
+        obs = None if blind else render_observation(world, state, cfg)
+        action = act(state, obs)
+        if action is None:
+            break
+        steps.append(TrajectoryStep(obs, action, state))
+        state = step_dynamics(world, state, action, cfg.dt, cfg)
+        if state.crashed:
+            break
+    return RolloutResult(steps, state, state.odometer, state.crashed)
 
 
 # ---------------------------------------------------------------------------

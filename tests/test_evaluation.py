@@ -17,6 +17,7 @@ from cheatlab.worldsim import (
     Action,
     DEFAULT_SIM,
     DroneState,
+    TrajectoryStep,
     WorldSpec,
     spawn_real_world,
     start_state,
@@ -225,7 +226,8 @@ def one_step_trace(seed=0):
 
     state = start_state(world)
     obs = render_observation(world, state)
-    return [po.RolloutStep(state, obs, Action(0, 0, 0, 0))]
+    return [TrajectoryStep(observation=obs, action=Action(0, 0, 0, 0),
+                           state=state)]
 
 
 def test_belief_strip_shape_and_stability(tiny_models, tmp_path):

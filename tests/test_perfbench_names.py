@@ -7,6 +7,8 @@ there, or the traced benchmark run would fail instead of measuring.
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -32,3 +34,13 @@ def test_every_traced_name_resolves_in_cheatlab():
             if not callable(obj):
                 missing.append(f"{module_name}.{func}")
     assert missing == []
+
+
+def test_perfbench_selftest_passes():
+    # The benchmark's own checks read fields of the program's results; a
+    # change that breaks one should fail here, not first in the benchmark.
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"],
+                          cwd=TRACING.parents[1], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "7/7" in proc.stdout

@@ -1,5 +1,6 @@
 """Simulator tests: analytic ray geometry, dynamics, spawning, invariants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -248,6 +249,31 @@ def test_spawn_real_world_with_gates_are_passable_and_inside():
         for g in world.gates:
             assert g.half_width > CFG.collision_radius
     assert found > 0
+
+
+def test_box_arrays_are_built_once_read_only_and_follow_replace():
+    world = ws.spawn_real_world(1, 0.4, with_gates=True, cfg=CFG)
+    assert world.obstacles and world.gates
+    boxes, classes = ws._solid_boxes(world)
+    assert np.array_equal(world.boxes, boxes)
+    assert np.array_equal(world.box_classes, classes)
+    for arr in (world.boxes, world.box_classes):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert world == ws.world_from_json(ws.world_to_json(world))
+    assert hash(world) == hash(ws.world_from_json(ws.world_to_json(world)))
+    # spawn_real_world adds its gates with dataclasses.replace; the new
+    # world must collide with its own gate posts, the gate-free one not.
+    bare = dataclasses.replace(world, gates=())
+    assert np.array_equal(bare.boxes, boxes[: len(world.obstacles)])
+    checked = 0
+    for g in world.gates:
+        for x0, y0, x1, y1 in ws._gate_post_boxes(g):
+            cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
+            assert ws.point_in_collision(world, cx, cy, CFG.collision_radius)
+            if not ws.point_in_collision(bare, cx, cy, CFG.collision_radius):
+                checked += 1
+    assert checked > 0
 
 
 # ---------------------------------------------------------------------------
