@@ -39,13 +39,15 @@ print("episode ended:", "crashed" if state.crashed else "corridor complete",
       f"odometer={state.odometer:.1f} m",
       f"gates={count_gates_passed(world, positions)}/{len(world.gates)}")
 
-# aggregate over seeds: the expert reads gate poses, not the scan, so it
-# flies blind, and a None command ends the flight once every gate is passed
+# aggregate over seeds: the expert reads gate poses, not the scan, so the
+# 30 corridors fly blind in one lock-step batch, and each flight ends once
+# its drone has passed every gate
+worlds = [spawn_fake_world(seed, cfg=cfg) for seed in range(30)]
+flights = fly(worlds, lambda flock, drones, _scans: expert_action(flock, drones, cfg),
+              2000, cfg, blind=True,
+              done=lambda flock, drones: next_gate_index(flock, drones) < 0)
 crashes, gates = 0, []
-for seed in range(30):
-    w = spawn_fake_world(seed, cfg=cfg)
-    flight = fly(w, lambda st, _obs: None if next_gate_index(w, st) is None
-                 else expert_action(w, st, cfg), 2000, cfg, blind=True)
+for w, flight in zip(worlds, flights):
     states = [s.state for s in flight.steps] + [flight.final_state]
     crashes += int(flight.crashed)
     gates.append(count_gates_passed(w, [st.position[:2] for st in states]))

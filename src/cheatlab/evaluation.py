@@ -15,6 +15,7 @@ says the substitute encoder believes, as one grayscale image.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ from . import container
 from .cheat import CheatEncoderParams, cheat_encode
 from .errors import ContractError
 from .expert import Dataset
-from .policy import ControllerParams, rollout
+from .policy import ControllerParams, rollouts
 from .vae import VaeParams, check_obs_width, decode
 from .worldsim import (
     Action,
@@ -32,7 +33,6 @@ from .worldsim import (
     Observation,
     RolloutResult,
     SimConfig,
-    ZERO_ACTION,
     _derive_seed,
     clamp_action,
     fly,
@@ -200,25 +200,28 @@ def eval_mean_distance(
     elif pipeline == "baseline":
         base = _require_model(models, "baseline", BaselineParams)
 
-    odometers: list[float] = []
-    crashes: list[bool] = []
-    for seed in seeds:
-        world = spawn_real_world(seed, density, cfg=cfg, with_gates=False)
-        if pipeline == "cheat":
-            result = rollout(world, vae, ctrl, max_steps, encoder="cheat",
-                             cheat=cheat, cfg=cfg)
-        elif pipeline == "baseline":
-            result = fly(world, lambda _s, obs: baseline_action(base, obs, cfg),
-                         max_steps, cfg)
-        elif pipeline == "random":
-            cmds = iter(_random_commands(seed, max_steps, hold_steps, cfg))
-            result = fly(world, lambda _s, _o: Action(*next(cmds)), max_steps,
-                         cfg, blind=True)
-        else:
-            result = fly(world, lambda _s, _o: ZERO_ACTION, max_steps, cfg,
-                         blind=True)
-        odometers.append(result.odometer)
-        crashes.append(result.crashed)
+    worlds = [spawn_real_world(seed, density, cfg=cfg, with_gates=False)
+              for seed in seeds]
+    if pipeline == "cheat":
+        results = rollouts(worlds, vae, ctrl, max_steps, encoder="cheat",
+                           cheat=cheat, cfg=cfg, record=False)
+    elif pipeline == "baseline":
+        def act(_flock, _drones, scans):
+            actions = [baseline_action(base, obs, cfg) for obs in scans]
+            return [(a.vx, a.vy, a.vz, a.yaw_rate) for a in actions]
+
+        results = fly(worlds, act, max_steps, cfg, record=False)
+    elif pipeline == "random":
+        table = np.stack([_random_commands(seed, max_steps, hold_steps, cfg)
+                          for seed in seeds])
+        ticks = itertools.count()
+        results = fly(worlds, lambda flock, _d, _s: table[flock.ids, next(ticks)],
+                      max_steps, cfg, blind=True, record=False)
+    else:
+        results = fly(worlds, lambda flock, _d, _s: np.zeros((len(flock), 4)),
+                      max_steps, cfg, blind=True, record=False)
+    odometers = [r.odometer for r in results]
+    crashes = [r.crashed for r in results]
     config = {"max_steps": max_steps, "density": density}
     if pipeline == "random":
         config["hold_steps"] = hold_steps

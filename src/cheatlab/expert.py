@@ -20,13 +20,15 @@ from .worldsim import (
     Action,
     DEFAULT_SIM,
     DroneState,
+    Drones,
+    Flock,
     Observation,
     SimConfig,
     TrajectoryStep,
     WorldSpec,
     _derive_seed,
+    _one,
     fly,
-    gate_signed_distance,
     spawn_fake_world,
     spawn_real_world,
     virtual_gate,
@@ -37,46 +39,73 @@ K_OMEGA = 2.0  # heading gain, 1/s
 V_NOM = 1.5  # cruise speed, m/s
 
 
-def next_gate_index(world: WorldSpec, state: DroneState) -> int | None:
-    """First corridor gate whose plane is still ahead of the drone."""
-    x, y, _ = state.position
-    for i, gate in enumerate(world.gates):
-        if gate_signed_distance(gate, x, y) <= 0.0:
-            return i
-    return None
+def next_gate_index(world: WorldSpec | Flock, state: DroneState | Drones):
+    """First corridor gate whose plane is still ahead of the drone.
+
+    Batch form: a Flock and Drones give (B,) indices with -1 for a drone
+    past every gate; a WorldSpec and a DroneState are its B = 1 case and
+    give an int or None.
+    """
+    single = isinstance(world, WorldSpec)
+    flock, drones = _one(world, state) if single else (world, state)
+    gx, gy, nx, ny = flock.gates
+    if len(gx) == 0:
+        idx = np.full(len(drones), -1)
+    else:
+        ahead = (drones.x - gx) * nx + (drones.y - gy) * ny <= 0.0
+        idx = np.where(ahead.any(axis=0), ahead.argmax(axis=0), -1)
+    if not single:
+        return idx
+    return None if idx[0] < 0 else int(idx[0])
 
 
 def expert_action(
-    world: WorldSpec,
-    state: DroneState,
+    world: WorldSpec | Flock,
+    state: DroneState | Drones,
     cfg: SimConfig = DEFAULT_SIM,
     k_omega: float = K_OMEGA,
     v_nom: float = V_NOM,
-) -> Action:
+):
     """Pure pursuit toward the current target gate center.
 
     yaw_rate is proportional to the wrapped bearing error and vx follows
     the cosine of that error, floored at zero so the drone never reverses.
     vy and vz stay zero. In a corridor with every gate passed the command
     is zero (hover); in a room with no free gap it is a pure rotation.
+
+    Batch form: a Flock of one world kind and Drones give (B, 4) command
+    rows; a WorldSpec and a DroneState are its B = 1 case and give one
+    Action.
     """
-    if state.crashed:
+    single = isinstance(world, WorldSpec)
+    flock, drones = _one(world, state) if single else (world, state)
+    if drones.crashed.any():
         raise ContractError("expert cannot act from a crashed state")
-    if world.kind == "fake":
-        idx = next_gate_index(world, state)
-        if idx is None:
-            return Action(0.0, 0.0, 0.0, 0.0)
-        gate = world.gates[idx]
+    kinds = {w.kind for w in flock.worlds}
+    if kinds == {"fake"}:
+        gates = next_gate_index(flock, drones).tolist()
+        targets = [None if i < 0 else w.gates[i].center
+                   for w, i in zip(flock.worlds, gates)]
+        idle = 0.0
+    elif kinds == {"real"}:
+        targets = [None if g is None else g.center
+                   for g in virtual_gate(flock, drones, cfg)]
+        idle = cfg.yaw_rate_max
     else:
-        gate = virtual_gate(world, state, cfg)
-        if gate is None:
-            return Action(0.0, 0.0, 0.0, cfg.yaw_rate_max)
-    x, y, _ = state.position
-    bearing = math.atan2(gate.center[1] - y, gate.center[0] - x)
-    err = wrap_angle(bearing - state.yaw)
-    yaw_rate = min(max(k_omega * err, -cfg.yaw_rate_max), cfg.yaw_rate_max)
-    vx = min(max(v_nom * math.cos(err), 0.0), cfg.v_max)
-    return Action(vx, 0.0, 0.0, yaw_rate)
+        raise ContractError(
+            f"the expert flies one world kind at a time, not {sorted(kinds)}")
+    out = np.zeros((len(drones), 4))
+    for row, target, x, y, yaw in zip(out, targets, drones.x.tolist(),
+                                      drones.y.tolist(), drones.yaw.tolist()):
+        if target is None:
+            row[3] = idle
+            continue
+        # math.atan2 per drone: np.arctan2 rounds differently.
+        bearing = math.atan2(target[1] - y, target[0] - x)
+        err = wrap_angle(bearing - yaw)
+        row[0] = min(max(v_nom * math.cos(err), 0.0), cfg.v_max)
+        row[3] = min(max(k_omega * err, -cfg.yaw_rate_max), cfg.yaw_rate_max)
+    return Action(*out[0].tolist()) if single else out
 
 
 # ---------------------------------------------------------------------------
@@ -123,32 +152,33 @@ def collect_trajectories(
             f"need n_episodes >= 1 and max_steps >= 1, got "
             f"{n_episodes}, {max_steps}"
         )
+    if kind == "fake":
+        spawn = lambda s: spawn_fake_world(s, n_gates, cfg)
+        done = lambda flock, drones: next_gate_index(flock, drones) < 0
+    else:
+        spawn = lambda s: spawn_real_world(s, clutter_density, False, cfg)
+        done = None
+    act = lambda flock, drones, _scans: expert_action(flock, drones, cfg)
+    # Each wave flies as many attempts as episodes are still missing, so
+    # it can never keep too many; its results are taken in attempt order,
+    # which keeps the same episodes and rejection count as one at a time.
     episodes: list[list[TrajectoryStep]] = []
     rejections = 0
     attempt = 0
     while len(episodes) < n_episodes:
-        if rejections > 10 * n_episodes:
-            raise GenerationError(
-                f"rejected {rejections} crashed corridor episodes "
-                f"(budget 10 * {n_episodes}); geometry is too hostile"
-            )
-        world_seed = _derive_seed(seed, attempt)
-        attempt += 1
-        if kind == "fake":
-            world = spawn_fake_world(world_seed, n_gates, cfg)
-        else:
-            world = spawn_real_world(world_seed, clutter_density, False, cfg)
-
-        def act(state: DroneState, _obs: Observation) -> Action | None:
-            if kind == "fake" and next_gate_index(world, state) is None:
-                return None  # corridor complete
-            return expert_action(world, state, cfg)
-
-        flight = fly(world, act, max_steps, cfg)
-        if kind == "fake" and flight.crashed:
-            rejections += 1
-            continue
-        episodes.append(flight.steps)
+        wave = range(attempt, attempt + n_episodes - len(episodes))
+        attempt = wave.stop
+        worlds = [spawn(_derive_seed(seed, a)) for a in wave]
+        for flight in fly(worlds, act, max_steps, cfg, done=done):
+            if rejections > 10 * n_episodes:
+                raise GenerationError(
+                    f"rejected {rejections} crashed corridor episodes "
+                    f"(budget 10 * {n_episodes}); geometry is too hostile"
+                )
+            if kind == "fake" and flight.crashed:
+                rejections += 1
+            else:
+                episodes.append(flight.steps)
     manifest = {
         "version": 1,
         "world_kind": kind,

@@ -28,7 +28,6 @@ from .vae import VaeParams, encode
 from .worldsim import (
     Action,
     DEFAULT_SIM,
-    DroneState,
     Observation,
     RolloutResult,
     SimConfig,
@@ -326,10 +325,10 @@ def fitness_reward(
     if template is None:
         template = controller_template(k=vae.k, cfg=cfg)
     ctrl = controller_from_genome(values, template)
+    worlds = [spawn_fake_world(seed, cfg=cfg) for seed in seeds]
     total = 0.0
-    for seed in seeds:
-        world = spawn_fake_world(seed, cfg=cfg)
-        result = rollout(world, vae, ctrl, max_steps, cfg=cfg)
+    for world, result in zip(worlds, rollouts(worlds, vae, ctrl, max_steps,
+                                              cfg=cfg)):
         states = [s.state for s in result.steps] + [result.final_state]
         positions = [st.position[:2] for st in states]
         total += result.odometer + gate_bonus * count_gates_passed(
@@ -439,6 +438,54 @@ def evolve(
 # closed-loop rollout
 
 
+def rollouts(
+    worlds: list[WorldSpec],
+    vae: VaeParams,
+    ctrl: ControllerParams,
+    max_steps: int,
+    encoder: str = "vae",
+    cheat=None,
+    cfg: SimConfig = DEFAULT_SIM,
+    record: bool = True,
+) -> list[RolloutResult]:
+    """Fly the controller closed-loop from each world's start pose, one
+    drone per world in one lock-step batch.
+
+    encoder "vae" feeds the frozen encoder mean and requires corridor
+    worlds; encoder "cheat" feeds the substitute encoder (pass its params
+    as `cheat`) and requires cluttered worlds. Each drone stops at
+    max_steps or on its first crash. The weights are packed once; every
+    drone keeps its own LSTM state and runs the nets at batch 1, so it
+    flies exactly as it would alone. `record` is fly's.
+    """
+    if encoder == "vae":
+        kind = "fake"
+        see = lambda obs: encode(vae, obs)[0]
+    elif encoder == "cheat":
+        kind = "real"
+        if cheat is None:
+            raise ContractError("cheat rollout needs encoder parameters")
+        from .cheat import cheat_encode  # local import to avoid a cycle
+
+        see = lambda obs: cheat_encode(cheat, obs)
+    else:
+        raise ContractError(f"unknown encoder {encoder!r}")
+    if any(w.kind != kind for w in worlds):
+        where = "corridor" if kind == "fake" else "room"
+        raise ContractError(f"the {encoder} encoder rolls out in {where} worlds")
+    net = _pack({name: t.data for name, t in ctrl.params.items()})
+    lstm = [zero_state(ctrl) for _ in worlds]
+
+    def act(flock, _drones, scans: list[Observation]) -> list[tuple]:
+        rows = []
+        for i, obs in zip(flock.ids.tolist(), scans):
+            a, lstm[i] = controller_step(ctrl, see(obs), lstm[i], net)
+            rows.append((a.vx, a.vy, a.vz, a.yaw_rate))
+        return rows
+
+    return fly(worlds, act, max_steps, cfg, record=record)
+
+
 def rollout(
     world: WorldSpec,
     vae: VaeParams,
@@ -448,36 +495,8 @@ def rollout(
     cheat=None,
     cfg: SimConfig = DEFAULT_SIM,
 ) -> RolloutResult:
-    """Fly the controller closed-loop from the world's start pose.
-
-    encoder "vae" feeds the frozen encoder mean and requires a corridor
-    world; encoder "cheat" feeds the substitute encoder (pass its params
-    as `cheat`) and requires a cluttered world. Stops at max_steps or on
-    the first crash. The weights are packed once per flight.
-    """
-    if encoder == "vae":
-        if world.kind != "fake":
-            raise ContractError("the vae encoder rolls out in corridor worlds")
-        see = lambda obs: encode(vae, obs)[0]
-    elif encoder == "cheat":
-        if world.kind != "real":
-            raise ContractError("the cheat encoder rolls out in room worlds")
-        if cheat is None:
-            raise ContractError("cheat rollout needs encoder parameters")
-        from .cheat import cheat_encode  # local import to avoid a cycle
-
-        see = lambda obs: cheat_encode(cheat, obs)
-    else:
-        raise ContractError(f"unknown encoder {encoder!r}")
-    net = _pack({name: t.data for name, t in ctrl.params.items()})
-    st = zero_state(ctrl)
-
-    def act(_state: DroneState, obs: Observation) -> Action:
-        nonlocal st
-        action, st = controller_step(ctrl, see(obs), st, net)
-        return action
-
-    return fly(world, act, max_steps, cfg)
+    """One world's flight: the B = 1 case of rollouts."""
+    return rollouts([world], vae, ctrl, max_steps, encoder, cheat, cfg)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,22 @@ Conventions fixed here and relied on everywhere else:
   - a crash against a box means entering the box grown by collision_radius
     on every side, an inflated square rather than a rounded one, so off a
     box corner the reach is up to collision_radius * sqrt(2)
+
+Every simulator kernel works on a batch: a Flock (B worlds packed into
+NaN-padded box arrays) and Drones (B states as arrays). fly steps one
+drone per world in lock-step, with one render, one collision check and
+one dynamics step per tick for the whole batch. render_observation,
+point_in_collision, step_dynamics and virtual_gate also take a single
+WorldSpec and DroneState: that is the B = 1 case of the same kernel.
+Only operations that round the same at any batch shape are vectorized
+(arithmetic, comparisons, min/max, cos/sin), so a drone flown in a batch
+comes out bit for bit as it would alone. The dynamics integration runs
+per drone on Python floats, and the collision check after it is batched.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -111,6 +123,11 @@ class WorldSpec:
         boxes.flags.writeable = classes.flags.writeable = False
         object.__setattr__(self, "boxes", boxes)
         object.__setattr__(self, "box_classes", classes)
+
+    @functools.cached_property
+    def flock(self) -> Flock:
+        """This world as a batch of one, packed on first use."""
+        return Flock([self])
 
 
 @dataclass(frozen=True)
@@ -215,86 +232,213 @@ def _solid_boxes(world: WorldSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(boxes), np.concatenate(classes)
 
 
-def point_in_collision(world: WorldSpec, x: float, y: float, radius: float) -> bool:
+# ---------------------------------------------------------------------------
+# batches: the form every simulator kernel works on
+
+
+class Flock:
+    """B worlds packed once for a lock-step flight.
+
+    Boxes are box-major, `edges[k, n, b]` for edge k (x0, y0, x1, y1) of
+    box n in world b, so a reduction over boxes runs across whole planes.
+    The first `n_obstacles` rows hold obstacles and the rest gate posts,
+    each block NaN-padded to the largest count in the flock; a NaN pad
+    never stops a ray or a drone. `bounds` is (4, B), and `gates` is
+    (4, G, B), NaN-padded: each gate's center x, y and plane normal x, y.
+    `ids` holds each world's index in the list the flight started from.
+    """
+
+    __slots__ = ("worlds", "ids", "bounds", "edges", "n_obstacles", "gates",
+                 "_reach")
+
+    def __init__(self, worlds: Sequence[WorldSpec]):
+        obstacles = [w.boxes[w.box_classes == OBSTACLE] for w in worlds]
+        posts = [w.boxes[w.box_classes == GATE] for w in worlds]
+        n = max(len(o) for o in obstacles)
+        boxes = np.full((n + max(len(p) for p in posts), len(worlds), 4),
+                        np.nan)
+        frames = np.full((max(len(w.gates) for w in worlds), len(worlds), 4),
+                         np.nan)
+        for b, (w, o, p) in enumerate(zip(worlds, obstacles, posts)):
+            boxes[: len(o), b] = o
+            boxes[n : n + len(p), b] = p
+            for j, g in enumerate(w.gates):
+                frames[j, b] = (g.center[0], g.center[1],
+                                math.cos(g.yaw), math.sin(g.yaw))
+        self.worlds = list(worlds)
+        self.ids = np.arange(len(worlds))
+        self.bounds = np.array([w.bounds for w in worlds], dtype=float).T.copy()
+        self.edges = np.ascontiguousarray(boxes.transpose(2, 0, 1))
+        self.n_obstacles = n
+        self.gates = np.ascontiguousarray(frames.transpose(2, 0, 1))
+        self._reach = {}
+
+    def __len__(self) -> int:
+        return len(self.worlds)
+
+    def take(self, keep: np.ndarray) -> Flock:
+        """The sub-flock of the worlds where the boolean mask is set."""
+        out = object.__new__(Flock)
+        out.worlds = [w for w, k in zip(self.worlds, keep.tolist()) if k]
+        out.ids, out.bounds = self.ids[keep], self.bounds[:, keep]
+        out.edges, out.gates = self.edges[:, :, keep], self.gates[:, :, keep]
+        out.n_obstacles, out._reach = self.n_obstacles, {}
+        return out
+
+    def reach(self, radius: float) -> tuple[np.ndarray, ...]:
+        """Lowest and highest safe wall coordinates (2, B), then the boxes
+        grown by radius as lows and highs (2, N, B); built once per radius."""
+        if radius not in self._reach:
+            self._reach[radius] = (
+                self.bounds[:2] + radius, self.bounds[2:] - radius,
+                self.edges[:2] - radius, self.edges[2:] + radius)
+        return self._reach[radius]
+
+
+class Drones:
+    """B drone states, the batch form of DroneState: `pose` is (5, B),
+    rows x, y, z, yaw and odometer, and `crashed` is (B,)."""
+
+    __slots__ = ("pose", "crashed")
+
+    def __init__(self, pose: np.ndarray, crashed: np.ndarray):
+        self.pose, self.crashed = pose, crashed
+
+    @classmethod
+    def of(cls, states: Sequence[DroneState]) -> Drones:
+        pose = np.array([(*s.position, s.yaw, s.odometer) for s in states],
+                        dtype=np.float64).T.copy()
+        return cls(pose, np.array([bool(s.crashed) for s in states]))
+
+    x = property(lambda self: self.pose[0])
+    y = property(lambda self: self.pose[1])
+    yaw = property(lambda self: self.pose[3])
+
+    def __len__(self) -> int:
+        return len(self.crashed)
+
+    def take(self, keep: np.ndarray) -> Drones:
+        return Drones(self.pose[:, keep], self.crashed[keep])
+
+    def states(self) -> list[DroneState]:
+        return [DroneState((x, y, z), yaw, odometer, crashed)
+                for (x, y, z, yaw, odometer), crashed
+                in zip(self.pose.T.tolist(), self.crashed.tolist())]
+
+
+def _one(world: WorldSpec, state: DroneState) -> tuple[Flock, Drones]:
+    """A single world and state as a batch of one."""
+    return world.flock, Drones.of([state])
+
+
+def point_in_collision(world: WorldSpec | Flock, x, y, radius: float):
     """True if the point lies within radius of a wall or inside a solid box
     grown by radius on every side. The grown box keeps square corners, so
     off a corner this reaches up to radius * sqrt(2), further than a disc
-    of that radius would."""
-    bx0, by0, bx1, by1 = world.bounds
-    if x < bx0 + radius or x > bx1 - radius:
-        return True
-    if y < by0 + radius or y > by1 - radius:
-        return True
-    boxes = world.boxes
-    if boxes.size == 0:
-        return False
-    hit = (
-        (x >= boxes[:, 0] - radius)
-        & (x <= boxes[:, 2] + radius)
-        & (y >= boxes[:, 1] - radius)
-        & (y <= boxes[:, 3] + radius)
-    )
-    return bool(hit.any())
+    of that radius would.
+
+    Batch form: a Flock with (B,) point arrays gives a (B,) bool array;
+    a WorldSpec with one point is its B = 1 case and gives a bool.
+    """
+    if isinstance(world, WorldSpec):
+        return bool(_collides(world.flock, np.array([x], dtype=np.float64),
+                              np.array([y], dtype=np.float64), radius)[0])
+    return _collides(world, x, y, radius)
 
 
-def _cast_rays(
-    world: WorldSpec, x: float, y: float, angles: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distances and class codes for rays from (x, y) along given angles.
+def _collides(flock: Flock, x: np.ndarray, y: np.ndarray,
+              radius: float) -> np.ndarray:
+    wall_lo, wall_hi, box_lo, box_hi = flock.reach(radius)
+    p = np.array([x, y])
+    out = (p < wall_lo) | (p > wall_hi)
+    hit = out[0] | out[1]
+    if box_lo.shape[1]:
+        q = p[:, None]
+        inside = (q >= box_lo) & (q <= box_hi)  # a NaN pad compares False
+        hit |= np.logical_or.reduce(inside[0] & inside[1], axis=0)
+    return hit
 
-    Walls (bounds) and solid boxes compete for the nearest hit. Distances
-    are exact; no maximum is applied here.
+
+def _cast(bounds, edges, x, y, angles, n_obstacles=None):
+    """Nearest hit along rays at angles (B, R) from points (B,).
+
+    Walls (bounds, (4, B)) and solid boxes (edges, (4, N, B) as in Flock)
+    compete for the nearest hit. Returns the exact distances (B, R), no
+    maximum applied. Given n_obstacles, the box rows past it are gate
+    posts, and the second result (B, R) flags the rays whose nearest hit
+    is a gate post; argmin over obstacle-then-post order picked the same
+    ones, since a tie goes to the obstacle. Every step is elementwise or
+    a min, so a drone's rays come out the same bits at any B.
     """
     dx = np.cos(angles)
     dy = np.sin(angles)
     # Guard exact zeros so the slab method stays finite.
-    dx = np.where(np.abs(dx) < 1e-12, 1e-12, dx)
-    dy = np.where(np.abs(dy) < 1e-12, 1e-12, dy)
-
-    bx0, by0, bx1, by1 = world.bounds
+    dx[np.abs(dx) < 1e-12] = 1e-12
+    dy[np.abs(dy) < 1e-12] = 1e-12
+    x, y = x[:, None], y[:, None]
+    bx0, by0, bx1, by1 = bounds[:, :, None]
     tx = np.where(dx > 0, (bx1 - x) / dx, (bx0 - x) / dx)
     ty = np.where(dy > 0, (by1 - y) / dy, (by0 - y) / dy)
     t_wall = np.minimum(tx, ty)
+    if edges.shape[1] == 0:
+        return t_wall, None if n_obstacles is None else np.zeros(t_wall.shape, bool)
 
-    boxes, box_class = world.boxes, world.box_classes
-    if boxes.size:
-        inv_x = 1.0 / dx[:, None]
-        inv_y = 1.0 / dy[:, None]
-        t1 = (boxes[None, :, 0] - x) * inv_x
-        t2 = (boxes[None, :, 2] - x) * inv_x
-        t3 = (boxes[None, :, 1] - y) * inv_y
-        t4 = (boxes[None, :, 3] - y) * inv_y
-        t_near = np.maximum(np.minimum(t1, t2), np.minimum(t3, t4))
-        t_far = np.minimum(np.maximum(t1, t2), np.maximum(t3, t4))
-        ok = (t_near <= t_far) & (t_far > 0.0)
-        t_entry = np.where(t_near > 0.0, t_near, 0.0)
-        t_entry = np.where(ok, t_entry, np.inf)
-        best = np.argmin(t_entry, axis=1)
-        t_box = t_entry[np.arange(len(angles)), best]
-        cls_box = box_class[best]
-    else:
-        t_box = np.full(len(angles), np.inf)
-        cls_box = np.zeros(len(angles), dtype=np.int64)
-
+    inv_x = 1.0 / dx
+    inv_y = 1.0 / dy
+    x0, y0, x1, y1 = edges[:, :, :, None]
+    t1 = (x0 - x) * inv_x
+    t2 = (x1 - x) * inv_x
+    t_near = np.minimum(t1, t2)
+    t_far = np.maximum(t1, t2, out=t1)
+    t3 = (y0 - y) * inv_y
+    t4 = np.multiply(y1 - y, inv_y, out=t2)
+    np.maximum(t_near, np.minimum(t3, t4), out=t_near)
+    np.minimum(t_far, np.maximum(t3, t4, out=t3), out=t_far)
+    miss = ~((t_near <= t_far) & (t_far > 0.0))  # also every NaN pad
+    np.copyto(t_near, 0.0, where=~(t_near > 0.0))  # rays starting inside
+    np.copyto(t_near, np.inf, where=miss)
+    if n_obstacles is None:
+        t_box = np.minimum.reduce(t_near, axis=0)
+        return np.where(t_box < t_wall, t_box, t_wall), None
+    t_obstacle = np.minimum.reduce(t_near[:n_obstacles], axis=0, initial=np.inf)
+    t_post = np.minimum.reduce(t_near[n_obstacles:], axis=0, initial=np.inf)
+    t_box = np.minimum(t_obstacle, t_post)
     use_box = t_box < t_wall
-    dist = np.where(use_box, t_box, t_wall)
-    cls = np.where(use_box, cls_box, OBSTACLE)
-    return dist, cls
+    return np.where(use_box, t_box, t_wall), use_box & (t_post < t_obstacle)
 
 
-def render_observation(
-    world: WorldSpec, state: DroneState, cfg: SimConfig = DEFAULT_SIM
-) -> Observation:
-    """Render the scanline seen from a state; ignores altitude."""
-    x, y, _ = state.position
+@functools.cache
+def _fan(first: float, last: float, n: int) -> np.ndarray:
+    """n ray offsets from first to last, built once per fan shape."""
+    rel = np.linspace(first, last, n)
+    rel.flags.writeable = False
+    return rel
+
+
+def render_observation(world: WorldSpec | Flock, state: DroneState | Drones,
+                       cfg: SimConfig = DEFAULT_SIM):
+    """Render the scanline seen from a state; ignores altitude.
+
+    Batch form: a Flock and Drones render every drone in one ray cast and
+    give (classes, depth) as (B, W) arrays; a WorldSpec and a DroneState
+    are its B = 1 case and give one Observation.
+    """
+    if isinstance(world, WorldSpec):
+        classes, depth = _render(*_one(world, state), cfg)
+        return Observation(classes[0], depth[0])
+    return _render(world, state, cfg)
+
+
+def _render(flock: Flock, drones: Drones,
+            cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     fov = math.radians(cfg.fov_deg)
-    w = cfg.scan_width
-    angles = state.yaw + np.linspace(fov / 2.0, -fov / 2.0, w)
-    dist, cls = _cast_rays(world, x, y, angles)
+    angles = drones.yaw[:, None] + _fan(fov / 2.0, -fov / 2.0, cfg.scan_width)
+    dist, post = _cast(flock.bounds, flock.edges, drones.x, drones.y, angles,
+                       flock.n_obstacles)
     visible = dist < cfg.d_max
-    depth = np.where(visible, np.clip(1.0 - dist / cfg.d_max, 0.0, 1.0), 0.0)
-    classes = np.where(visible, cls, FREE)
-    return Observation(classes, depth)
+    depth = np.where(visible, np.minimum(np.maximum(1.0 - dist / cfg.d_max, 0.0),
+                                         1.0), 0.0)
+    return np.where(visible, np.where(post, GATE, OBSTACLE), FREE), depth
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +455,9 @@ def clamp_action(a: Action, cfg: SimConfig = DEFAULT_SIM) -> Action:
     )
 
 
-def step_dynamics(
-    world: WorldSpec,
-    state: DroneState,
-    action: Action,
-    dt: float,
-    cfg: SimConfig = DEFAULT_SIM,
-) -> DroneState:
+def step_dynamics(world: WorldSpec | Flock, state: DroneState | Drones,
+                  action: Action | np.ndarray, dt: float,
+                  cfg: SimConfig = DEFAULT_SIM):
     """Integrate one step: yaw first, then body-frame planar velocity.
 
     The altitude is clamped to [z_min, z_max]; the odometer accumulates
@@ -325,23 +465,42 @@ def step_dynamics(
     position is in collision by point_in_collision's rule: within
     collision_radius of a wall, inside a solid box grown by collision_radius.
     A crashed state must not be stepped again.
+
+    Batch form: a Flock, Drones and (B, 4) command rows (vx, vy, vz,
+    yaw_rate) give the next Drones; a WorldSpec, a DroneState and an
+    Action are its B = 1 case and give the next DroneState.
     """
-    if state.crashed:
+    if isinstance(world, WorldSpec):
+        commands = np.array([(action.vx, action.vy, action.vz,
+                              action.yaw_rate)], dtype=np.float64)
+        return _step(*_one(world, state), commands, dt, cfg).states()[0]
+    return _step(world, state, action, dt, cfg)
+
+
+def _step(flock: Flock, drones: Drones, commands: np.ndarray, dt: float,
+          cfg: SimConfig) -> Drones:
+    if drones.crashed.any():
         raise ContractError("cannot step a crashed state")
     if not (0.0 < dt <= 0.2):
         raise ContractError(f"dt must lie in (0, 0.2], got {dt}")
-    a = clamp_action(action, cfg)
-    yaw = wrap_angle(state.yaw + dt * a.yaw_rate)
-    c, s = math.cos(yaw), math.sin(yaw)
-    dx = dt * (a.vx * c - a.vy * s)
-    dy = dt * (a.vx * s + a.vy * c)
-    x, y, z = state.position
-    x += dx
-    y += dy
-    z = min(max(z + dt * a.vz, cfg.z_min), cfg.z_max)
-    odometer = state.odometer + math.hypot(dx, dy)
-    crashed = point_in_collision(world, x, y, cfg.collision_radius)
-    return DroneState((x, y, z), yaw, odometer, crashed)
+    # The integration runs per drone on Python floats, as math.hypot has
+    # to (np.hypot rounds differently). At B = 1, where the controller
+    # flies, that costs half of what two dozen ufunc calls on (B,) arrays
+    # do. The collision check is one batched call.
+    v, w = cfg.v_max, cfg.yaw_rate_max
+    rows = []
+    for (x, y, z, yaw, odometer), (vx, vy, vz, yaw_rate) in zip(
+            drones.pose.T.tolist(), commands.tolist()):
+        vx, vy = min(max(vx, -v), v), min(max(vy, -v), v)
+        yaw = wrap_angle(yaw + dt * min(max(yaw_rate, -w), w))
+        c, s = math.cos(yaw), math.sin(yaw)
+        dx = dt * (vx * c - vy * s)
+        dy = dt * (vx * s + vy * c)
+        z = min(max(z + dt * min(max(vz, -v), v), cfg.z_min), cfg.z_max)
+        rows.append((x + dx, y + dy, z, yaw, odometer + math.hypot(dx, dy)))
+    pose = np.array(rows).T
+    crashed = point_in_collision(flock, pose[0], pose[1], cfg.collision_radius)
+    return Drones(pose, crashed)
 
 
 @dataclass
@@ -362,33 +521,71 @@ class RolloutResult:
 
 
 def fly(
-    world: WorldSpec,
-    act: Callable[[DroneState, Observation | None], Action | None],
+    worlds: Sequence[WorldSpec],
+    act: Callable[[Flock, Drones, list[Observation] | None], np.ndarray],
     max_steps: int,
     cfg: SimConfig = DEFAULT_SIM,
     blind: bool = False,
-) -> RolloutResult:
-    """Fly one drone from the world's start pose under a flier `act`.
+    done: Callable[[Flock, Drones], np.ndarray] | None = None,
+    record: bool = True,
+) -> list[RolloutResult]:
+    """Fly one drone per world, all in lock-step, from each start pose.
 
-    Each step renders the scan (a blind flier is handed None instead),
-    asks act(state, obs) for a command, records it with the state it was
-    given from, and steps the dynamics. A None command ends the flight
-    with that step unrecorded. Stops at the first crash or after max_steps.
+    Each tick first ends the flight of every drone that done(flock, drones)
+    flags, with that tick unrecorded and nothing rendered for it. It then
+    renders all live drones' scans in one batch (a blind flight hands act
+    None instead), asks act(flock, drones, scans) for one command row
+    (vx, vy, vz, yaw_rate) per live drone, records each with the state it
+    was given from, and steps the dynamics. `flock` and `drones` hold the
+    live drones only, in world order; `flock.ids` are their indices in
+    `worlds`. A drone stops at its first crash (a start pose in collision
+    is one, with no step flown) or after max_steps. One world is the
+    B = 1 case, and every drone flies exactly as it would alone. With
+    record=False the results keep no steps, only how each flight ended,
+    so a large batch holds no scans past the tick that used them.
     """
     if max_steps < 1:
         raise ContractError(f"max_steps {max_steps} < 1")
-    state = start_state(world)
-    steps: list[TrajectoryStep] = []
+    if not worlds:
+        raise ContractError("no worlds to fly")
+    flock = Flock(worlds)
+    pose = Drones.of([start_state(w) for w in worlds]).pose
+    # A drone whose start pose is already in collision has crashed there.
+    drones = Drones(pose, point_in_collision(flock, pose[0], pose[1],
+                                             cfg.collision_radius))
+    steps: list[list[TrajectoryStep]] = [[] for _ in worlds]
+    final: list[DroneState | None] = [None] * len(worlds)
+
+    def land(mask: np.ndarray) -> None:
+        nonlocal flock, drones
+        for i, state in zip(flock.ids[mask].tolist(), drones.take(mask).states()):
+            final[i] = state
+        flock, drones = flock.take(~mask), drones.take(~mask)
+
     for _ in range(max_steps):
-        obs = None if blind else render_observation(world, state, cfg)
-        action = act(state, obs)
-        if action is None:
+        if drones.crashed.any():
+            land(drones.crashed)
+        if done is not None and len(drones):
+            over = done(flock, drones)
+            if over.any():
+                land(over)
+        if not len(drones):
             break
-        steps.append(TrajectoryStep(obs, action, state))
-        state = step_dynamics(world, state, action, cfg.dt, cfg)
-        if state.crashed:
-            break
-    return RolloutResult(steps, state, state.odometer, state.crashed)
+        if blind:
+            scans = None
+        else:
+            classes, depth = render_observation(flock, drones, cfg)
+            scans = [Observation(c, d) for c, d in zip(classes, depth)]
+        commands = np.asarray(act(flock, drones, scans), dtype=np.float64)
+        if record:
+            for i, scan, row, state in zip(flock.ids.tolist(),
+                                           scans or [None] * len(drones),
+                                           commands.tolist(), drones.states()):
+                steps[i].append(TrajectoryStep(scan, Action(*row), state))
+        drones = step_dynamics(flock, drones, commands, cfg.dt, cfg)
+    land(np.ones(len(drones), dtype=bool))
+    return [RolloutResult(s, f, f.odometer, f.crashed)
+            for s, f in zip(steps, final)]
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +716,7 @@ def spawn_real_world(
     if not with_gates:
         return world
 
+    flock = Flock([world])
     gates: list[Gate] = []
     for _probe in range(8):
         for _try in range(20):
@@ -529,7 +727,8 @@ def spawn_real_world(
                 break
         else:
             continue
-        g = _widest_gap_gate(world, px, py, pyaw, cfg)
+        (g,) = _gap_gates(flock, np.array([px]), np.array([py]),
+                          np.array([pyaw]), cfg)
         if g is None:
             continue
         gx, gy, _ = g.center
@@ -553,60 +752,76 @@ def spawn_real_world(
 # widest-gap virtual gate
 
 
-def _widest_gap_gate(
-    world: WorldSpec, x: float, y: float, yaw: float, cfg: SimConfig
-) -> Gate | None:
+# Margin past d_gate inside which a box is kept for the gap fan; it only
+# has to exceed the rounding in a slab entry distance (~1e-14 m).
+_FAN_MARGIN = 1e-6
+
+
+def _gap_gates(flock: Flock, x: np.ndarray, y: np.ndarray, yaw: np.ndarray,
+               cfg: SimConfig) -> list[Gate | None]:
     """Widest free angular gap in the forward half-plane within d_gate.
 
     A fan of rays covers [yaw - pi/2, yaw + pi/2]; a direction is free
     when nothing blocks it closer than d_gate. The widest maximal run of
     free directions (first run wins ties) becomes a gate centered d_gate
-    out along the run's middle ray, facing along that ray. Returns None
-    when no run's chord reaches twice the collision radius.
+    out along the run's middle ray, facing along that ray. Gives None for
+    a drone when no run's chord reaches twice the collision radius.
     """
     m = cfg.gap_fan_rays
-    rel = np.linspace(-math.pi / 2.0, math.pi / 2.0, m)
-    dist, _ = _cast_rays(world, x, y, yaw + rel)
+    rel = _fan(-math.pi / 2.0, math.pi / 2.0, m)
+    # A box whose nearest point lies beyond d_gate cannot block a ray
+    # closer than d_gate, so dropping it leaves the free mask exact.
+    x0, y0, x1, y1 = flock.edges
+    gx = np.maximum(np.maximum(x0 - x, x - x1), 0.0)
+    gy = np.maximum(np.maximum(y0 - y, y - y1), 0.0)
+    near = gx * gx + gy * gy <= (cfg.d_gate + _FAN_MARGIN) ** 2
+    order = np.argsort(~near, axis=0, kind="stable")[: near.sum(axis=0).max()]
+    cols = np.arange(len(x))
+    edges = np.where(near[order, cols], flock.edges[:, order, cols], np.nan)
+    dist, _ = _cast(flock.bounds, edges, x, y, yaw[:, None] + rel)
     free = dist >= cfg.d_gate
-
-    best_start, best_len = -1, 0
-    run_start = None
-    for i in range(m + 1):
-        if i < m and free[i]:
-            if run_start is None:
-                run_start = i
-        elif run_start is not None:
-            length = i - run_start
-            if length > best_len:
-                best_start, best_len = run_start, length
-            run_start = None
-    if best_len == 0:
-        return None
+    # run[i] is the length of the free run ending at ray i (0 if blocked);
+    # its first maximum ends the widest run, so the first run wins ties.
+    idx = np.arange(m)
+    run = idx - np.maximum.accumulate(np.where(free, -1, idx), axis=1)
+    ends = run.argmax(axis=1)
+    lengths = run[np.arange(len(ends)), ends]
     step = math.pi / (m - 1)
-    width = (best_len - 1) * step
-    chord = 2.0 * cfg.d_gate * math.sin(width / 2.0)
-    if chord <= 2.0 * cfg.collision_radius:
-        return None
-    mid = best_start + (best_len - 1) // 2
-    theta = yaw + rel[mid]
-    return Gate(
-        center=(x + cfg.d_gate * math.cos(theta),
-                y + cfg.d_gate * math.sin(theta),
-                1.5),
-        yaw=wrap_angle(theta),
-        half_width=min(cfg.gate_half_width, chord / 2.0),
-        frame_thickness=cfg.frame_thickness,
-    )
+    gates: list[Gate | None] = []
+    for xb, yb, yawb, end, length in zip(x.tolist(), y.tolist(), yaw.tolist(),
+                                         ends.tolist(), lengths.tolist()):
+        width = (length - 1) * step
+        chord = 2.0 * cfg.d_gate * math.sin(width / 2.0)
+        if length == 0 or chord <= 2.0 * cfg.collision_radius:
+            gates.append(None)
+            continue
+        theta = yawb + rel[end - length + 1 + (length - 1) // 2]
+        gates.append(Gate(
+            center=(xb + cfg.d_gate * math.cos(theta),
+                    yb + cfg.d_gate * math.sin(theta),
+                    1.5),
+            yaw=wrap_angle(theta),
+            half_width=min(cfg.gate_half_width, chord / 2.0),
+            frame_thickness=cfg.frame_thickness,
+        ))
+    return gates
 
 
-def virtual_gate(
-    world: WorldSpec, state: DroneState, cfg: SimConfig = DEFAULT_SIM
-) -> Gate | None:
-    """Gate the drone would believe in: widest free gap ahead, or None."""
-    if world.kind != "real":
-        raise ContractError(f"virtual gates are for real worlds, not {world.kind!r}")
-    x, y, _ = state.position
-    return _widest_gap_gate(world, x, y, state.yaw, cfg)
+def virtual_gate(world: WorldSpec | Flock, state: DroneState | Drones,
+                 cfg: SimConfig = DEFAULT_SIM):
+    """Gate the drone would believe in: widest free gap ahead, or None.
+
+    Batch form: a Flock and Drones give one Gate or None per drone; a
+    WorldSpec and a DroneState are its B = 1 case.
+    """
+    single = isinstance(world, WorldSpec)
+    flock, drones = _one(world, state) if single else (world, state)
+    for w in flock.worlds:
+        if w.kind != "real":
+            raise ContractError(
+                f"virtual gates are for real worlds, not {w.kind!r}")
+    gates = _gap_gates(flock, drones.x, drones.y, drones.yaw, cfg)
+    return gates[0] if single else gates
 
 
 # ---------------------------------------------------------------------------

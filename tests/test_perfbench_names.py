@@ -7,6 +7,7 @@ there, or the traced benchmark run would fail instead of measuring.
 
 import importlib
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -44,3 +45,36 @@ def test_perfbench_selftest_passes():
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "7/7" in proc.stdout
+
+
+TRACED_RUN = """
+import json, sys
+from pathlib import Path
+sys.path[:0] = [{src!r}, {perfbench!r}, {tests!r}]
+import tracing
+from cheatlab import cli
+from test_cli import tiny_args
+
+tracer = tracing.Tracer()
+tracer.scope = "timed"
+code = cli.main(["pipeline", *tiny_args(Path({out!r}))])
+tracer.scope = None
+uncalled = [f"{{m}}.{{f}}" for m, funcs in tracing.TRACED.items() for f in funcs
+            if not tracer.calls["timed", f"{{m}}.{{f}}"]]
+print(json.dumps({{"code": code, "uncalled": uncalled}}))
+"""
+
+
+def test_a_tiny_pipeline_calls_every_traced_name(tmp_path):
+    # The traced benchmark refuses a run where a TRACED function records no
+    # calls, so a fold that reroutes the calls around one must fail here.
+    # A fresh interpreter keeps the tracer's rebinding out of other tests.
+    root = TRACING.parents[1]
+    script = TRACED_RUN.format(src=str(root / "src"),
+                               perfbench=str(root / "perfbench"),
+                               tests=str(root / "tests"), out=str(tmp_path))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=root,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result == {"code": 0, "uncalled": []}
