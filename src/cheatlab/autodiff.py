@@ -14,6 +14,7 @@ loops can process minibatches without a python-level loop per sample.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -73,21 +74,57 @@ def constant(data, name: str | None = None) -> Tensor:
 
 
 class ParamSet:
-    """Ordered mapping from unique names to leaf tensors.
+    """Ordered mapping from unique names to leaf tensors over one buffer.
 
-    Iteration order is insertion order, which fixes the canonical
-    serialization and genome layouts downstream.
+    The values live in one contiguous float64 array, `flat`: the tensors
+    in insertion order, each row-major. Every tensor's `.data` is a
+    C-contiguous view of `flat`, so writing through a tensor writes the
+    buffer and the reverse. This one layout is the serialization, genome
+    and gradient layout downstream. `add` re-lays the buffer into a new
+    array and re-points every tensor at it, so an array taken from `flat`
+    or from a `.data` before an `add` is stale.
     """
 
     def __init__(self) -> None:
+        self.flat = np.zeros(0)
         self._tensors: dict[str, Tensor] = {}
+        self._layout: dict[str, tuple[int, tuple[int, ...]]] = {}
 
     def add(self, name: str, data, trainable: bool = True) -> Tensor:
         if name in self._tensors:
             raise ContractError(f"duplicate parameter name {name!r}")
         t = Tensor(data, name=name, trainable=trainable)
+        at = self.flat.size
+        flat = np.empty(at + t.data.size)
+        flat[:at] = self.flat
+        flat[at:] = t.data.ravel()
         self._tensors[name] = t
+        self._layout[name] = (at, t.data.shape)
+        self._point(flat)
         return t
+
+    def _point(self, flat: Array) -> None:
+        self.flat = flat
+        for name, view in self.views(flat).items():
+            self._tensors[name].data = view
+
+    def _check(self, shape: tuple[int, ...]) -> None:
+        if shape != self.flat.shape:
+            raise DimensionError(f"flat vector of shape {list(shape)} does not "
+                                 f"match parameter count {self.flat.size}")
+
+    def views(self, flat: Array) -> dict[str, Array]:
+        """Name -> view of an array whose last axis is laid out like `flat`.
+
+        Leading axes carry through: a (pop, size) stack of flat vectors
+        gives one (pop, *shape) view per name.
+        """
+        self._check(flat.shape[-1:])
+        lead = flat.shape[:-1]
+        return {
+            name: flat[..., at : at + math.prod(shape)].reshape(lead + shape)
+            for name, (at, shape) in self._layout.items()
+        }
 
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
@@ -104,34 +141,35 @@ class ParamSet:
     def items(self) -> Iterator[tuple[str, Tensor]]:
         return iter(self._tensors.items())
 
-    def copy(self) -> "ParamSet":
+    def copy(self, values: Array | None = None) -> "ParamSet":
+        """A new set with this layout and these trainable flags over a copy
+        of `values` (this set's own by default); it shares no memory."""
+        flat = np.array(self.flat if values is None else values, dtype=np.float64)
+        self._check(flat.shape)
         out = ParamSet()
-        for name, t in self.items():
-            out.add(name, t.data.copy(), trainable=t.trainable)
+        out._layout = dict(self._layout)
+        out._tensors = {name: Tensor((), name, t.trainable)
+                        for name, t in self.items()}
+        out._point(flat)
         return out
 
     def total_size(self) -> int:
-        return sum(t.data.size for t in self._tensors.values())
+        return self.flat.size
 
     def flatten(self) -> Array:
-        """Concatenate every tensor in insertion order, row-major."""
-        if not self._tensors:
-            return np.zeros(0)
-        return np.concatenate([t.data.ravel() for t in self._tensors.values()])
+        """A copy of `flat`: every tensor in insertion order, row-major."""
+        return self.flat.copy()
 
     def set_flat(self, values: Array) -> None:
-        """Load a flat vector produced by flatten() back into the tensors."""
+        """Write a flat vector laid out like `flat` into the buffer."""
         values = np.asarray(values, dtype=np.float64)
-        if values.shape != (self.total_size(),):
-            raise DimensionError(
-                f"flat vector of shape {list(values.shape)} does not match "
-                f"parameter count {self.total_size()}"
-            )
-        at = 0
-        for t in self._tensors.values():
-            n = t.data.size
-            t.data = values[at : at + n].reshape(t.data.shape).copy()
-            at += n
+        self._check(values.shape)
+        self.flat[...] = values
+
+    def trainable_mask(self) -> Array:
+        """Boolean mask over `flat`: True on the entries of trainable tensors."""
+        flags = np.array([t.trainable for t in self._tensors.values()], bool)
+        return np.repeat(flags, [t.data.size for t in self._tensors.values()])
 
 
 def dense_init(params: ParamSet, prefix: str, sizes: list[int],
@@ -175,11 +213,13 @@ class Tape:
         return cls(order)
 
 
-def backward(loss: Tensor, params: ParamSet) -> dict[str, Tensor]:
-    """Reverse sweep from a scalar loss; returns one gradient per parameter.
+def backward(loss: Tensor, params: ParamSet) -> ParamSet:
+    """Reverse sweep from a scalar loss; returns the gradient of every
+    parameter as one set with params' layout, so `grads.flat` is the whole
+    gradient and `grads[name].data` each parameter's view of it.
 
-    Parameters that do not influence the loss get a zero gradient of
-    matching shape. Each graph node is visited exactly once.
+    Parameters that do not influence the loss get a zero gradient. Each
+    graph node is visited exactly once.
     """
     if loss.data.shape != ():
         raise ContractError(
@@ -196,11 +236,11 @@ def backward(loss: Tensor, params: ParamSet) -> dict[str, Tensor]:
                 continue
             acc = adjoint.get(id(parent))
             adjoint[id(parent)] = pg if acc is None else acc + pg
-    out: dict[str, Tensor] = {}
+    grads = params.copy()
     for name, t in params.items():
         g = adjoint.get(id(t))
-        out[name] = Tensor(np.zeros_like(t.data) if g is None else g)
-    return out
+        grads[name].data[...] = 0.0 if g is None else g
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -393,41 +433,51 @@ class AdamConfig:
 
 
 class Adam:
-    """Adam with bias correction; first and second moments kept per name."""
+    """Adam with bias correction over a parameter set's flat buffer.
+
+    The first and second moments are one buffer each, laid out like
+    `params.flat`, and step() updates `params.flat` in place. Every ufunc
+    writes into work buffers kept here: fresh temporaries of a whole
+    net's size sit above the allocator's mmap threshold and would be
+    page-faulted in again on every step. The entries of non-trainable
+    tensors are left untouched. One optimizer serves one parameter set.
+    """
 
     def __init__(self, cfg: AdamConfig | None = None):
         self.cfg = cfg or AdamConfig()
         self.t = 0
-        self._m: dict[str, Array] = {}
-        self._v: dict[str, Array] = {}
+        self._bufs: tuple[Array, ...] = ()  # m, v and two work buffers
 
-    def step(self, params: ParamSet, grads: dict[str, Tensor]) -> ParamSet:
-        """Apply one update in place; non-trainable tensors are untouched."""
+    def step(self, params: ParamSet, grads: ParamSet) -> ParamSet:
+        """Apply one update in place; grads must have params' layout."""
         c = self.cfg
+        if grads._layout != params._layout:
+            raise ContractError(f"gradient layout {grads._layout} does not "
+                                f"match parameters {params._layout}")
+        if not self._bufs:
+            self._bufs = tuple(np.zeros_like(params.flat) for _ in range(4))
         self.t += 1
         bc1 = 1.0 - c.beta1**self.t
         bc2 = 1.0 - c.beta2**self.t
-        for name, p in params.items():
-            if not p.trainable:
-                continue
-            if name not in grads:
-                raise ContractError(f"missing gradient for trainable {name!r}")
-            g = grads[name].data
-            if g.shape != p.data.shape:
-                raise ContractError(
-                    f"gradient dims {list(g.shape)} do not match parameter "
-                    f"{name!r} dims {p.dims}"
-                )
-            m = self._m.get(name)
-            v = self._v.get(name)
-            if m is None:
-                m = np.zeros_like(p.data)
-                v = np.zeros_like(p.data)
-            m = c.beta1 * m + (1.0 - c.beta1) * g
-            v = c.beta2 * v + (1.0 - c.beta2) * (g * g)
-            self._m[name] = m
-            self._v[name] = v
-            p.data = p.data - c.lr * (m / bc1) / (np.sqrt(v / bc2) + c.eps)
+        g, (m, v, a, b) = grads.flat, self._bufs
+        # m = beta1 * m + (1 - beta1) * g
+        np.multiply(m, c.beta1, out=m)
+        np.multiply(g, 1.0 - c.beta1, out=a)
+        np.add(m, a, out=m)
+        # v = beta2 * v + (1 - beta2) * (g * g)
+        np.multiply(v, c.beta2, out=v)
+        np.multiply(g, g, out=a)
+        np.multiply(a, 1.0 - c.beta2, out=a)
+        np.add(v, a, out=v)
+        # flat -= lr * (m / bc1) / (sqrt(v / bc2) + eps) where trainable
+        np.divide(v, bc2, out=a)
+        np.sqrt(a, out=a)
+        np.add(a, c.eps, out=a)
+        np.divide(m, bc1, out=b)
+        np.multiply(b, c.lr, out=b)
+        np.divide(b, a, out=b)
+        np.subtract(params.flat, b, out=params.flat,
+                    where=params.trainable_mask())
         return params
 
 

@@ -136,29 +136,15 @@ def _stage_train_policy(cfg: RunConfig, out: Path) -> dict:
         mutation_sigma=cfg["evolve.mutation_sigma"],
         generations=cfg["evolve.generations"],
         seed=_stage_seed(cfg, "train-policy"),
-        fitness_kind=cfg["evolve.fitness"],
     )
-    if cfg["evolve.fitness"] == "imitation":
-        fitness = po.ImitationEvaluator(model, data, template)
-    else:
-        seeds = [
-            _stage_seed(cfg, "train-policy", "world", i)
-            for i in range(cfg["evolve.reward_episodes"])
-        ]
-
-        def fitness(genomes):
-            return [po.fitness_reward(g, model, seeds,
-                                      cfg["evolve.reward_max_steps"],
-                                      cfg["evolve.gate_bonus"], sim, template)
-                    for g in genomes]
-    best, history = po.evolve(ecfg, fitness, po.genome_size(template))
+    best, history = po.evolve(ecfg, po.ImitationEvaluator(model, data, template),
+                              po.genome_size(template))
     ctrl = po.controller_from_genome(best.values, template)
     po.save_controller(
         ctrl,
         out / "controller.ckpt",
         extra_meta={
             "seed": ecfg.seed,
-            "fitness": cfg["evolve.fitness"],
             "best_fitness": best.fitness,
             "generations": len(history),
         },

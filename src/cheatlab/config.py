@@ -130,10 +130,6 @@ KEYS: dict[str, _Key] = {
         EvolutionConfig.mutation_sigma, _float(0, lo_open=True)
     ),
     "evolve.generations": _Key(150, _int(1)),
-    "evolve.fitness": _Key("imitation", _choice("imitation", "reward")),
-    "evolve.gate_bonus": _Key(5.0, _float(0)),
-    "evolve.reward_episodes": _Key(8, _int(1)),
-    "evolve.reward_max_steps": _Key(600, _int(1)),
     # substitute encoder
     "cheat.n_poses": _Key(2000, _int(1)),
     "cheat.mode": _Key("virtual_gate", _choice("virtual_gate", "gates_visible")),

@@ -2,9 +2,12 @@
 
 The controller is a single LSTM cell over the latent code followed by a
 dense stack on concat(z, h'); the four outputs are scaled to the command
-bounds and clamped. It is trained without gradients: genomes are the
-flattened parameter vectors, selection is elitist, and variation is
-Gaussian mutation of uniformly chosen elites.
+bounds and clamped. It is trained without gradients: a genome is the
+controller's flat parameter buffer (ParamSet.flat), selection is elitist,
+and variation is Gaussian mutation of uniformly chosen elites. The
+ParamSet layout is the genome codec: decoding a genome is one copy into
+the template's layout, and a stacked population reads as one
+(pop, *shape) view per tensor.
 
 Fitness evaluators receive the whole population per generation (a list of
 genome vectors, returning one score each). That lets the imitation
@@ -32,9 +35,7 @@ from .worldsim import (
     RolloutResult,
     SimConfig,
     WorldSpec,
-    count_gates_passed,
     fly,
-    spawn_fake_world,
 )
 
 INIT_SIGMA = 0.1  # evolution seeds genomes from N(0, INIT_SIGMA^2)
@@ -172,24 +173,24 @@ def genome_size(p: ControllerParams) -> int:
 
 
 def genome_from_controller(p: ControllerParams) -> np.ndarray:
-    """Flatten in ParamSet insertion order, row-major per tensor."""
+    """A copy of the controller's flat parameter buffer: the tensors in
+    ParamSet insertion order, row-major each."""
     return p.params.flatten()
 
 
 def controller_from_genome(
     values: np.ndarray, template: ControllerParams
 ) -> ControllerParams:
-    """Inverse of genome_from_controller; the template is not mutated."""
+    """Inverse of genome_from_controller: one copy of `values` into a new
+    parameter set with the template's layout; the template is not mutated."""
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (genome_size(template),):
         raise ContractError(
             f"genome length {values.size} does not match parameter count "
             f"{genome_size(template)}"
         )
-    params = template.params.copy()
-    params.set_flat(values)
     return ControllerParams(
-        params,
+        template.params.copy(values),
         template.k,
         template.h_dim,
         template.mlp_hidden,
@@ -273,23 +274,15 @@ class ImitationEvaluator:
             self.mask[: len(acts), e] = 1.0
         self.total_count = 4 * sum(len(a) for _, a in self.episodes)
 
-    def _unpack(self, genomes: list[np.ndarray]):
-        t = self.template
-        stacked = {}
+    def _unpack(self, genomes: list[np.ndarray]) -> dict[str, np.ndarray]:
+        """Name -> (pop, *shape) views of the stacked genomes."""
         flat = np.stack([np.asarray(g, dtype=np.float64) for g in genomes])
-        if flat.shape[1] != genome_size(t):
+        if flat.shape[1] != genome_size(self.template):
             raise ContractError(
                 f"genome length {flat.shape[1]} does not match parameter "
-                f"count {genome_size(t)}"
+                f"count {genome_size(self.template)}"
             )
-        at = 0
-        for name, tensor in t.params.items():
-            n = tensor.data.size
-            stacked[name] = flat[:, at : at + n].reshape(
-                (len(genomes), *tensor.data.shape)
-            )
-            at += n
-        return stacked
+        return self.template.params.views(flat)
 
     def __call__(self, genomes: list[np.ndarray]) -> np.ndarray:
         t = self.template
@@ -309,34 +302,6 @@ class ImitationEvaluator:
         return -err.sum(axis=1) / self.total_count
 
 
-def fitness_reward(
-    genome: np.ndarray | Genome,
-    vae: VaeParams,
-    seeds: list[int],
-    max_steps: int = 1000,
-    gate_bonus: float = 5.0,
-    cfg: SimConfig = DEFAULT_SIM,
-    template: ControllerParams | None = None,
-) -> float:
-    """Mean over seeded corridors of odometer plus a bonus per gate passed."""
-    values = genome.values if isinstance(genome, Genome) else genome
-    if not seeds:
-        raise ContractError("reward fitness needs at least one seed")
-    if template is None:
-        template = controller_template(k=vae.k, cfg=cfg)
-    ctrl = controller_from_genome(values, template)
-    worlds = [spawn_fake_world(seed, cfg=cfg) for seed in seeds]
-    total = 0.0
-    for world, result in zip(worlds, rollouts(worlds, vae, ctrl, max_steps,
-                                              cfg=cfg)):
-        states = [s.state for s in result.steps] + [result.final_state]
-        positions = [st.position[:2] for st in states]
-        total += result.odometer + gate_bonus * count_gates_passed(
-            world, positions
-        )
-    return total / len(seeds)
-
-
 # ---------------------------------------------------------------------------
 # evolution
 
@@ -352,7 +317,6 @@ class EvolutionConfig:
     mutation_sigma: float = 0.01
     generations: int = 150
     seed: int = 0
-    fitness_kind: str = "imitation"  # or "reward"
 
     def validate(self) -> None:
         if self.population < 2:
@@ -366,8 +330,6 @@ class EvolutionConfig:
                 f"bad sigma {self.mutation_sigma} or generations "
                 f"{self.generations}"
             )
-        if self.fitness_kind not in ("imitation", "reward"):
-            raise ContractError(f"unknown fitness kind {self.fitness_kind!r}")
 
 
 @dataclass

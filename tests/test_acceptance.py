@@ -37,10 +37,12 @@ from cheatlab.policy import (
     EvolutionConfig,
     ImitationEvaluator,
     controller_from_genome,
+    controller_step,
     controller_template,
     evolve,
     genome_size,
     rollout,
+    zero_state,
 )
 from cheatlab.vae import VaeTrainConfig, encode, train_vae
 from cheatlab.worldsim import (
@@ -354,6 +356,7 @@ def controller_stack(vae_stack):
         gates.append(count_gates_passed(world, positions))
     return {
         "ctrl": ctrl,
+        "evaluator": evaluator,
         "history": history,
         "zero_error": zero_error,
         "best_error": -best.fitness,
@@ -371,10 +374,26 @@ def test_criterion_5_policy_training(controller_stack):
     seconds = controller_stack["seconds"]
     ok = (nondecreasing and ratio <= 0.25 and mean_gates >= 2.0
           and seconds < 1200.0)
+    # Information, not a bound: the teacher-forced yaw rate on the
+    # gen-expert set against the expert's, the criterion-7 diagnosis.
+    ctrl = controller_stack["ctrl"]
+    yaw, want = [], []
+    for zs, acts in controller_stack["evaluator"].episodes:
+        st = zero_state(ctrl)
+        for z in zs:
+            act, st = controller_step(ctrl, z, st)
+            yaw.append(act.yaw_rate)
+        want.extend(acts[:, 3])
+    corr = float(np.corrcoef(yaw, want)[0, 1])
+    lo, hi = np.percentile(yaw, [1, 99])
+    want_lo, want_hi = np.percentile(want, [1, 99])
     _report(5, ok,
             f"150 generations: best-so-far nondecreasing={nondecreasing}, "
             f"imitation error ratio {ratio:.3f} (<= 0.25), held-out gates "
-            f"{mean_gates:.2f} (>= 2.0), {seconds:.0f}s (< 1200s)")
+            f"{mean_gates:.2f} (>= 2.0), {seconds:.0f}s (< 1200s); "
+            f"teacher-forced yaw rate: correlation {corr:.2f} with the "
+            f"expert, 1st-99th percentile [{lo:+.2f}, {hi:+.2f}] rad/s "
+            f"against the expert's [{want_lo:+.2f}, {want_hi:+.2f}]")
 
 
 @pytest.fixture(scope="session")

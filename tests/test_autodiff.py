@@ -7,6 +7,8 @@ the comparison uses |a - n| <= tol * max(1, |a|, |n|) per entry.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cheatlab import autodiff as ad
 from cheatlab.errors import ConfigError, ContractError, DimensionError
@@ -136,6 +138,8 @@ def test_unused_leaf_gets_zero_gradient():
     assert np.allclose(grads["used"].data, used.data)  # d/dx mean(x^2) = x
     assert grads["unused"].data.shape == (2, 2)
     assert np.all(grads["unused"].data == 0.0)
+    assert grads.names() == p.names() and grads.flat.shape == p.flat.shape
+    assert np.shares_memory(grads["used"].data, grads.flat)
 
 
 def test_backward_requires_scalar_loss():
@@ -308,8 +312,8 @@ def test_adam_two_steps_match_reference_recurrence():
     opt = ad.Adam(ad.AdamConfig(lr=0.1))
     g1 = np.array([0.3, -0.5, 1.0])
     g2 = np.array([-0.2, 0.4, 0.7])
-    opt.step(p, {"theta": ad.Tensor(g1)})
-    opt.step(p, {"theta": ad.Tensor(g2)})
+    opt.step(p, p.copy(g1))
+    opt.step(p, p.copy(g2))
     want = adam_reference([1.0, -2.0, 0.5], [g1, g2], 0.1, 0.9, 0.999, 1e-8)
     assert np.allclose(p["theta"].data, want, rtol=0, atol=1e-15)
 
@@ -320,7 +324,7 @@ def test_adam_first_step_magnitude_near_lr():
     p = ad.ParamSet()
     p.add("theta", [0.0])
     opt = ad.Adam(ad.AdamConfig(lr=0.05))
-    opt.step(p, {"theta": ad.Tensor(np.array([3.7]))})
+    opt.step(p, p.copy([3.7]))
     assert np.isclose(abs(p["theta"].data[0]), 0.05, rtol=1e-6)
 
 
@@ -330,7 +334,7 @@ def test_adam_zero_gradients_leave_parameters_unchanged():
     before = p["theta"].data.copy()
     opt = ad.Adam()
     for _ in range(3):
-        opt.step(p, {"theta": ad.Tensor(np.zeros(2))})
+        opt.step(p, p.copy(np.zeros(2)))
     assert np.array_equal(p["theta"].data, before)
 
 
@@ -340,17 +344,42 @@ def test_adam_skips_non_trainable_and_requires_gradients():
     frozen = p.add("c", [2.0], trainable=False)
     frozen_before = frozen.data.copy()
     opt = ad.Adam()
-    opt.step(p, {"w": ad.Tensor(np.array([0.5]))})
+    opt.step(p, p.copy([0.5, 0.3]))
     assert np.array_equal(p["c"].data, frozen_before)
     with pytest.raises(ContractError):
-        opt.step(p, {})
+        opt.step(p, ad.ParamSet())
 
 
 def test_adam_gradient_shape_mismatch_is_contract_error():
     p = ad.ParamSet()
     p.add("w", np.zeros(3))
+    wrong = ad.ParamSet()
+    wrong.add("w", np.zeros(4))
     with pytest.raises(ContractError):
-        ad.Adam().step(p, {"w": ad.Tensor(np.zeros(4))})
+        ad.Adam().step(p, wrong)
+
+
+def test_adam_updates_the_flat_buffer_per_tensor_and_skips_frozen_bits():
+    rng = np.random.default_rng(13)
+    p = ad.ParamSet()
+    p.add("w", rng.normal(size=(3, 2)))
+    p.add("c", rng.normal(size=4), trainable=False)
+    p.add("b", rng.normal(size=3))
+    start = {name: t.data.copy() for name, t in p.items()}
+    frozen = p["c"].data.tobytes()
+    flat = p.flat
+    opt = ad.Adam(ad.AdamConfig(lr=0.05))
+    steps = [rng.normal(size=p.total_size()) for _ in range(3)]
+    for g in steps:
+        opt.step(p, p.copy(g))
+    assert p.flat is flat  # updated in place
+    for name in ("w", "b"):
+        want = adam_reference(start[name], [p.views(g)[name] for g in steps],
+                              0.05, 0.9, 0.999, 1e-8)
+        # The reference forms (1 - b2) * g * g, the module (1 - b2) * (g * g),
+        # so the two may differ in the last bit.
+        np.testing.assert_allclose(p[name].data, want, rtol=1e-15, atol=0)
+    assert p["c"].data.tobytes() == frozen
 
 
 # ---------------------------------------------------------------------------
@@ -454,3 +483,48 @@ def test_paramset_flatten_roundtrip():
     assert np.allclose(p.flatten(), flat)
     with pytest.raises(DimensionError):
         p.set_flat(np.zeros(7))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.lists(st.integers(1, 4), max_size=3),
+                          st.booleans()),
+                min_size=1, max_size=6))
+def test_paramset_tensors_are_views_of_one_flat_buffer(specs):
+    rng = np.random.default_rng(len(specs))
+    p = ad.ParamSet()
+    values = []
+    for i, (shape, trainable) in enumerate(specs):
+        values.append(rng.normal(size=shape))
+        p.add(f"t{i}", values[-1], trainable=trainable)
+        at = 0
+        for (name, t), want in zip(p.items(), values):
+            assert t.data.flags.c_contiguous and np.shares_memory(t.data, p.flat)
+            assert t.data.ctypes.data == p.flat.ctypes.data + 8 * at
+            assert np.array_equal(t.data, want)
+            at += t.data.size
+        assert at == p.flat.size == p.total_size()
+    assert np.array_equal(p.trainable_mask(), np.repeat(
+        [tr for _, tr in specs], [np.prod(s, dtype=int) for s, _ in specs]))
+
+    # A write through a tensor's ravel reaches the buffer, as criterion 1's
+    # finite differences need.
+    at = 0
+    for i, (_, t) in enumerate(p.items()):
+        t.data.ravel()[0] = 100.0 + i
+        assert p.flat[at] == 100.0 + i
+        at += t.data.size
+
+    q = p.copy()
+    assert not np.shares_memory(q.flat, p.flat)
+    assert not any(np.shares_memory(t.data, p.flat) for _, t in q.items())
+    assert q.names() == p.names() and np.array_equal(q.flat, p.flat)
+    assert [t.trainable for _, t in q.items()] == [tr for _, tr in specs]
+
+    before = p.flatten()
+    new = rng.normal(size=p.total_size())
+    q.set_flat(new)
+    assert np.array_equal(q.flatten(), new)
+    assert not np.shares_memory(q.flatten(), q.flat)
+    assert all(np.array_equal(t.data, v)
+               for (_, t), v in zip(q.items(), q.views(new).values()))
+    assert np.array_equal(p.flat, before)

@@ -57,8 +57,10 @@ def test_malformed_line_and_override():
     with pytest.raises(ConfigError):
         load_config(None, ["seed"])
     with pytest.raises(ConfigError) as err:
-        load_config(None, ["evolve.fitness=telekinesis"])
-    assert "evolve.fitness" in str(err.value)
+        load_config(None, ["cheat.mode=telekinesis"])
+    assert "cheat.mode" in str(err.value)
+    with pytest.raises(ConfigError, match="unknown key 'evolve.fitness'"):
+        load_config(None, ["evolve.fitness=imitation"])
 
 
 def test_malformed_file_line(tmp_path):

@@ -201,14 +201,6 @@ def test_population_evaluator_matches_reference_op():
     assert np.isclose(zero, -np.mean(acts**2), rtol=1e-12, atol=0.0)
 
 
-def test_reward_fitness_zero_genome_scores_zero():
-    model = vb.vae_init(3, (6, 4), 0, width=DEFAULT_SIM.scan_width)
-    t = po.controller_template(k=3)
-    g = np.zeros(po.genome_size(t))
-    val = po.fitness_reward(g, model, seeds=[0, 1], max_steps=20)
-    assert val == 0.0  # hovers: no odometer, no gates
-
-
 # ---------------------------------------------------------------------------
 # evolution
 
