@@ -213,13 +213,16 @@ class Tape:
         return cls(order)
 
 
-def backward(loss: Tensor, params: ParamSet) -> ParamSet:
+def backward(loss: Tensor, params: ParamSet,
+             grads: ParamSet | None = None) -> ParamSet:
     """Reverse sweep from a scalar loss; returns the gradient of every
     parameter as one set with params' layout, so `grads.flat` is the whole
     gradient and `grads[name].data` each parameter's view of it.
 
     Parameters that do not influence the loss get a zero gradient. Each
-    graph node is visited exactly once.
+    graph node is visited exactly once. Passing `grads` (a `params.copy()`)
+    writes every adjoint into it in place and returns it, so a training
+    loop reuses one buffer; without it the gradient is a new set.
     """
     if loss.data.shape != ():
         raise ContractError(
@@ -236,7 +239,8 @@ def backward(loss: Tensor, params: ParamSet) -> ParamSet:
                 continue
             acc = adjoint.get(id(parent))
             adjoint[id(parent)] = pg if acc is None else acc + pg
-    grads = params.copy()
+    if grads is None:
+        grads = params.copy()
     for name, t in params.items():
         g = adjoint.get(id(t))
         grads[name].data[...] = 0.0 if g is None else g
@@ -440,13 +444,15 @@ class Adam:
     writes into work buffers kept here: fresh temporaries of a whole
     net's size sit above the allocator's mmap threshold and would be
     page-faulted in again on every step. The entries of non-trainable
-    tensors are left untouched. One optimizer serves one parameter set.
+    tensors are left untouched; their mask is built with the buffers, on
+    the first step. One optimizer serves one parameter set.
     """
 
     def __init__(self, cfg: AdamConfig | None = None):
         self.cfg = cfg or AdamConfig()
         self.t = 0
         self._bufs: tuple[Array, ...] = ()  # m, v and two work buffers
+        self._trainable = np.zeros(0, bool)  # params.trainable_mask()
 
     def step(self, params: ParamSet, grads: ParamSet) -> ParamSet:
         """Apply one update in place; grads must have params' layout."""
@@ -456,6 +462,7 @@ class Adam:
                                 f"match parameters {params._layout}")
         if not self._bufs:
             self._bufs = tuple(np.zeros_like(params.flat) for _ in range(4))
+            self._trainable = params.trainable_mask()
         self.t += 1
         bc1 = 1.0 - c.beta1**self.t
         bc2 = 1.0 - c.beta2**self.t
@@ -476,8 +483,7 @@ class Adam:
         np.divide(m, bc1, out=b)
         np.multiply(b, c.lr, out=b)
         np.divide(b, a, out=b)
-        np.subtract(params.flat, b, out=params.flat,
-                    where=params.trainable_mask())
+        np.subtract(params.flat, b, out=params.flat, where=self._trainable)
         return params
 
 
@@ -507,6 +513,7 @@ def fit_minibatch(
     holds its rows idx; otherwise eps is None.
     """
     opt = Adam(AdamConfig(lr=cfg.lr))
+    grads = params.copy()
     history: list[float] = []
     for _epoch in range(cfg.epochs):
         order = rng.permutation(n)
@@ -515,7 +522,7 @@ def fit_minibatch(
         for at in range(0, n, cfg.batch):
             idx = order[at : at + cfg.batch]
             loss = loss_fn(idx, None if noise is None else noise[idx])
-            opt.step(params, backward(loss, params))
+            opt.step(params, backward(loss, params, grads))
             total += loss.item() * len(idx)
         history.append(total / n)
     return history

@@ -142,6 +142,19 @@ def test_unused_leaf_gets_zero_gradient():
     assert np.shares_memory(grads["used"].data, grads.flat)
 
 
+def test_backward_writes_a_given_gradient_buffer_in_place():
+    p = ad.ParamSet()
+    used = p.add("used", [1.0, -2.0])
+    p.add("unused", np.ones((2, 2)))
+    loss = ad.mse(used, ad.constant([0.0, 0.0]))
+    fresh = ad.backward(loss, p)
+    buf = p.copy(np.full(p.flat.size, np.nan))  # stale values must not leak
+    flat = buf.flat
+    assert ad.backward(loss, p, buf) is buf
+    assert buf.flat is flat
+    assert buf.flat.tobytes() == fresh.flat.tobytes()
+
+
 def test_backward_requires_scalar_loss():
     p = ad.ParamSet()
     v = p.add("v", [1.0, 2.0])

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from cheatlab import policy as po
 from cheatlab import vae as vb
@@ -92,6 +94,53 @@ def test_controller_step_dimension_checks():
         )
 
 
+def fused_tick_reference(p, z, h, c):
+    """The cell-plus-head formula as one (k+H, 4H) gate product over fresh
+    arrays, written out in plain numpy: the form the in-place kernel
+    replaced, kept to pin controller_step's bits."""
+    w = {name: t.data for name, t in p.params.items()}
+    gates = np.concatenate(
+        [np.concatenate([w[f"lstm/{m}{g}"] for g in "ifog"], axis=-2)
+         for m in "wu"],
+        axis=-1,
+    ).swapaxes(-1, -2)
+    bias = np.concatenate([w[f"lstm/b{g}"] for g in "ifog"])
+    n = h.shape[-1]
+    y = np.concatenate([z, h])
+    pre = y @ gates + bias
+    ifo = 1.0 / (1.0 + np.exp(-pre[: 3 * n]))
+    c = ifo[n : 2 * n] * c + ifo[:n] * np.tanh(pre[3 * n :])
+    h = ifo[2 * n :] * np.tanh(c)
+    y[-n:] = h
+    for i in range(3):
+        y = y @ w[f"mlp/w{i}"].swapaxes(-1, -2) + w[f"mlp/b{i}"]
+        if i < 2:
+            y = np.tanh(y)
+    scale = p.out_scale
+    return np.minimum(np.maximum(y * scale, -scale), scale), h, c
+
+
+def test_controller_step_bits_match_the_fused_formula():
+    # The 1x1 case of the in-place kernel flies room-flight and eval, so its
+    # commands and state must keep the fused formula's bits exactly.
+    rng = np.random.default_rng(8)
+    for k, h_dim, mlp, sigma in ((8, 16, (32, 16), 0.3), (3, 5, (7, 4), 1.5),
+                                 (1, 1, (2, 2), 0.05), (6, 9, (3, 11), 3.0)):
+        t = po.controller_template(k=k, h_dim=h_dim, mlp_hidden=mlp)
+        ctrl = po.controller_from_genome(
+            rng.normal(0, sigma, po.genome_size(t)), t)
+        st, net = po.zero_state(ctrl), po._packed(ctrl)
+        h, c = st.h, st.c
+        for step in range(40):
+            z = rng.normal(0, 2.0, k)
+            want, h, c = fused_tick_reference(ctrl, z, h, c)
+            act, st = po.controller_step(ctrl, z, st, net if step % 2 else None)
+            got = np.array([act.vx, act.vy, act.vz, act.yaw_rate])
+            assert got.tobytes() == want.tobytes()
+            assert st.h.tobytes() == h.tobytes()
+            assert st.c.tobytes() == c.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # genome codec
 
@@ -134,6 +183,44 @@ def test_each_genome_index_maps_to_exactly_one_entry():
 # fitness
 
 
+def fitness_imitation(
+    genome: np.ndarray | po.Genome,
+    vae: vb.VaeParams,
+    data: Dataset,
+    template: po.ControllerParams | None = None,
+) -> float:
+    """Negative mean squared action error against the recorded expert.
+
+    Observations are teacher-forced through the frozen encoder mean; the
+    LSTM state resets at every episode boundary. The value is the mean
+    over every recorded step and all four action components, negated so
+    greater is better. This is the per-step reference that the batched
+    ImitationEvaluator is checked against.
+    """
+    values = genome.values if isinstance(genome, po.Genome) else genome
+    if data.world_kind != "fake" or not data.episodes:
+        raise ContractError("imitation fitness needs a nonempty corridor dataset")
+    if template is None:
+        template = po.controller_template(k=vae.k)
+    ctrl = po.controller_from_genome(values, template)
+    total = 0.0
+    count = 0
+    for ep in data.episodes:
+        st = po.zero_state(ctrl)
+        for step in ep:
+            mu, _ = vb.encode(vae, step.observation)
+            act, st = po.controller_step(ctrl, mu, st)
+            want = step.action
+            total += (
+                (act.vx - want.vx) ** 2
+                + (act.vy - want.vy) ** 2
+                + (act.vz - want.vz) ** 2
+                + (act.yaw_rate - want.yaw_rate) ** 2
+            )
+            count += 4
+    return -total / count
+
+
 def zero_action_dataset(width=8, steps=5):
     obs = Observation(np.zeros(width, dtype=int), np.zeros(width))
     st = DroneState((0.0, 0.0, 1.5), 0.0, 0.0, False)
@@ -148,7 +235,9 @@ def test_imitation_fitness_zero_case():
     model = vb.vae_init(3, (6, 4), 0, width=8)
     t = po.controller_template(k=3)
     g = np.zeros(po.genome_size(t))
-    assert po.fitness_imitation(g, model, zero_action_dataset()) == 0.0
+    assert fitness_imitation(g, model, zero_action_dataset()) == 0.0
+    ev = po.ImitationEvaluator(model, zero_action_dataset(), t)
+    assert np.array_equal(ev([g]), [0.0])
 
 
 def test_imitation_fitness_rejects_bad_data():
@@ -157,7 +246,12 @@ def test_imitation_fitness_rejects_bad_data():
     g = np.zeros(po.genome_size(t))
     empty = Dataset([], "fake", 0, {})
     with pytest.raises(ContractError):
-        po.fitness_imitation(g, model, empty)
+        fitness_imitation(g, model, empty)
+    with pytest.raises(ContractError):
+        po.ImitationEvaluator(model, empty, t)
+    ev = po.ImitationEvaluator(model, zero_action_dataset(), t)
+    with pytest.raises(ContractError):
+        ev([g[:-1]])
 
 
 def test_population_evaluator_matches_reference_op():
@@ -192,13 +286,61 @@ def test_population_evaluator_matches_reference_op():
     population += [big, np.zeros(size)]
     for genomes in ([population[0]], population):
         batch = ev(genomes)
-        singles = [po.fitness_imitation(g, model, data, t) for g in genomes]
+        singles = [fitness_imitation(g, model, data, t) for g in genomes]
         assert np.allclose(batch, singles, rtol=1e-12, atol=0.0)
         assert np.all(batch <= 0.0)
 
     acts = np.concatenate([a for _, a in ev.episodes])
     zero = ev([np.zeros(size)])[0]
     assert np.isclose(zero, -np.mean(acts**2), rtol=1e-12, atol=0.0)
+
+
+def random_corridor_dataset(rng, lengths, width=8):
+    still = DroneState((0.0, 0.0, 1.5), 0.0, 0.0, False)
+    episodes = [
+        [TrajectoryStep(
+            Observation(rng.integers(0, 3, width), rng.random(width)),
+            Action(*map(float, rng.normal(0, 1, 4))), still)
+         for _ in range(n)]
+        for n in lengths
+    ]
+    return Dataset(episodes, "fake", 0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(pop=hs.integers(2, 70),
+       lengths=hs.lists(hs.integers(1, 25), min_size=1, max_size=6),
+       h_dim=hs.integers(1, 6),
+       mlp=hs.tuples(hs.integers(1, 6), hs.integers(1, 6)),
+       cuts=hs.lists(hs.floats(0.0, 1.0), max_size=4),
+       seed=hs.integers(0, 2**16))
+def test_scores_do_not_depend_on_how_the_population_is_split(
+        pop, lengths, h_dim, mlp, cuts, seed):
+    rng = np.random.default_rng(seed)
+    model = vb.vae_init(3, (6, 4), seed, width=8)
+    t = po.controller_template(k=3, h_dim=h_dim, mlp_hidden=mlp)
+    ev = po.ImitationEvaluator(model, random_corridor_dataset(rng, lengths), t)
+    genomes = list(rng.normal(0, 0.5, (pop, po.genome_size(t))))
+    whole = ev(genomes)
+    bounds = sorted({0, pop, *(int(c * pop) for c in cuts)})
+    parts = [ev(genomes[a:b]) for a, b in zip(bounds, bounds[1:])]
+    assert np.array_equal(np.concatenate(parts), whole)
+    # Three threads whatever the box, down to one genome per shard.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(po, "_SHARD_ROWS", 1)
+        mp.setattr(po, "_usable_cores", lambda: 3)
+        assert len(ev.shards(pop)) == min(3, pop)
+        assert np.array_equal(ev(genomes), whole)
+
+
+def test_shard_rule_reads_the_cores_and_the_rows():
+    assert po._shards(64, 24, cores=1) == [(0, 64)]
+    assert po._shards(64, 2, cores=2) == [(0, 64)]  # the pipeline configs' E=2
+    assert po._shards(56, 24, cores=2) == [(0, 28), (28, 56)]
+    assert po._shards(7, 10_000, cores=16) == [(j, j + 1) for j in range(7)]
+    if po._usable_cores() < 2:
+        pytest.skip("one usable core: every population is one shard")
+    assert len(po._shards(64, 24, po._usable_cores())) > 1
 
 
 # ---------------------------------------------------------------------------
