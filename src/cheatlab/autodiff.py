@@ -251,11 +251,18 @@ def backward(loss: Tensor, params: ParamSet,
 # primitives
 
 
+def _affine(w: Array, x: Array, b: Array) -> Array:
+    """w @ x + b for a vector x, x @ w.T + b for a batch of rows."""
+    return w @ x + b if x.ndim == 1 else x @ w.T + b
+
+
 def affine(w: Tensor, x: Tensor, b: Tensor) -> Tensor:
     """Dense map w @ x + b.
 
     w has dims [m, n] and b dims [m]. x may be a single vector [n] or a
     batch [B, n]; the batch form returns [B, m] with b broadcast per row.
+    No gradient is computed for an x that is a constant leaf (a
+    non-trainable tensor with no parents), such as an input batch.
     """
     if w.data.ndim != 2 or b.data.ndim != 1:
         raise DimensionError(
@@ -264,61 +271,68 @@ def affine(w: Tensor, x: Tensor, b: Tensor) -> Tensor:
     m, n = w.data.shape
     if b.data.shape[0] != m:
         raise DimensionError(f"affine: w dims {w.dims} vs b dims {b.dims}")
+    if x.data.ndim not in (1, 2):
+        raise DimensionError(f"affine: x must have rank 1 or 2, got dims {x.dims}")
+    if x.data.shape[-1] != n:
+        raise DimensionError(f"affine: w dims {w.dims} vs x dims {x.dims}")
+    y = _affine(w.data, x.data, b.data)
+    wants_x = x._grad_fn is not None or x.trainable
     if x.data.ndim == 1:
-        if x.data.shape[0] != n:
-            raise DimensionError(f"affine: w dims {w.dims} vs x dims {x.dims}")
-        y = w.data @ x.data + b.data
 
         def grad_fn(g: Array):
-            return np.outer(g, x.data), w.data.T @ g, g
+            return np.outer(g, x.data), (w.data.T @ g if wants_x else None), g
 
         return _result(y, (w, x, b), grad_fn)
-    if x.data.ndim == 2:
-        if x.data.shape[1] != n:
-            raise DimensionError(f"affine: w dims {w.dims} vs x dims {x.dims}")
-        y = x.data @ w.data.T + b.data
 
-        def grad_fn_batch(g: Array):
-            return g.T @ x.data, g @ w.data, g.sum(axis=0)
+    def grad_fn_batch(g: Array):
+        return g.T @ x.data, (g @ w.data if wants_x else None), g.sum(axis=0)
 
-        return _result(y, (w, x, b), grad_fn_batch)
-    raise DimensionError(f"affine: x must have rank 1 or 2, got dims {x.dims}")
+    return _result(y, (w, x, b), grad_fn_batch)
 
 
-_ACTIVATIONS = ("tanh", "sigmoid", "relu", "exp")
+# Each activation's forward map; the graph and plain-array forms share it.
+_FORWARD = {
+    "tanh": np.tanh,
+    "sigmoid": lambda x: 1.0 / (1.0 + np.exp(-x)),
+    "relu": lambda x: np.maximum(x, 0.0),
+    "exp": np.exp,
+}
 
 
 def activation(kind: str, x: Tensor) -> Tensor:
     """Elementwise nonlinearity; kind is one of tanh, sigmoid, relu, exp."""
+    if kind not in _FORWARD:
+        raise ConfigError(
+            f"unknown activation {kind!r}; expected one of {tuple(_FORWARD)}"
+        )
+    y = _FORWARD[kind](x.data)
     if kind == "tanh":
-        y = np.tanh(x.data)
         grad = lambda g: ((1.0 - y * y) * g,)
     elif kind == "sigmoid":
-        y = 1.0 / (1.0 + np.exp(-x.data))
         grad = lambda g: (y * (1.0 - y) * g,)
     elif kind == "relu":
-        y = np.maximum(x.data, 0.0)
         grad = lambda g: ((x.data > 0.0) * g,)
-    elif kind == "exp":
-        y = np.exp(x.data)
-        grad = lambda g: (y * g,)
     else:
-        raise ConfigError(
-            f"unknown activation {kind!r}; expected one of {_ACTIVATIONS}"
-        )
+        grad = lambda g: (y * g,)
     return _result(y, (x,), grad)
 
 
-def dense_stack(params: ParamSet, prefix: str, n_layers: int, x: Tensor,
-                final: str | None = None) -> Tensor:
-    """Dense stack: tanh between layers, `final` activation on the last."""
+def dense_stack(params: ParamSet, prefix: str, n_layers: int,
+                x: Tensor | Array, final: str | None = None) -> Tensor | Array:
+    """Dense stack: tanh between layers, `final` activation on the last.
+
+    A Tensor x builds graph nodes for backward. A plain array x runs the
+    same arithmetic on arrays and returns an array, with no graph: the
+    inference form, bit for bit the graph form's values.
+    """
+    plain = not isinstance(x, Tensor)
     h = x
     for i in range(n_layers):
-        h = affine(params[f"{prefix}/w{i}"], h, params[f"{prefix}/b{i}"])
-        if i < n_layers - 1:
-            h = activation("tanh", h)
-        elif final is not None:
-            h = activation(final, h)
+        w, b = params[f"{prefix}/w{i}"], params[f"{prefix}/b{i}"]
+        h = _affine(w.data, h, b.data) if plain else affine(w, h, b)
+        kind = "tanh" if i < n_layers - 1 else final
+        if kind is not None:
+            h = _FORWARD[kind](h) if plain else activation(kind, h)
     return h
 
 

@@ -92,8 +92,7 @@ def cheat_init(
 def cheat_encode(p: CheatEncoderParams, obs: Observation) -> np.ndarray:
     """Predicted corridor-world latent for a cluttered-room observation."""
     check_obs_width(p, obs)
-    x = ad.constant(obs.features())
-    return ad.dense_stack(p.params, "cheat", len(p.hidden) + 1, x).data.copy()
+    return ad.dense_stack(p.params, "cheat", len(p.hidden) + 1, obs.features())
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +223,9 @@ def cheat_loss(p: CheatEncoderParams, pairs: list[PairedSample]) -> float:
     """Mean squared latent error over a pair list (the training objective)."""
     if not pairs:
         raise ContractError("no pairs to evaluate")
-    x = ad.constant(np.stack([s.real_obs.features() for s in pairs]))
+    x = np.stack([s.real_obs.features() for s in pairs])
     y = np.stack([s.target_mu for s in pairs])
-    pred = ad.dense_stack(p.params, "cheat", len(p.hidden) + 1, x).data
+    pred = ad.dense_stack(p.params, "cheat", len(p.hidden) + 1, x)
     return float(np.mean((pred - y) ** 2))
 
 

@@ -86,8 +86,7 @@ def baseline_action(
 ) -> Action:
     """Regressed command, clamped to the same envelope as any Action."""
     check_obs_width(p, obs)
-    x = ad.constant(obs.features())
-    y = ad.dense_stack(p.params, "base", len(p.hidden) + 1, x).data
+    y = ad.dense_stack(p.params, "base", len(p.hidden) + 1, obs.features())
     return clamp_action(Action(y[0], y[1], y[2], y[3]), cfg)
 
 
@@ -100,19 +99,11 @@ def train_baseline(
             f"the regression baseline trains on room data, got "
             f"{real_data.world_kind!r}"
         )
-    xs, ys = [], []
-    for episode in real_data.episodes:
-        for step in episode:
-            xs.append(step.observation.features())
-            ys.append(
-                (step.action.vx, step.action.vy, step.action.vz,
-                 step.action.yaw_rate)
-            )
-    if not xs:
+    if not real_data.total_steps:
         raise ContractError("dataset holds no steps")
-    x_all = np.stack(xs)
-    y_all = np.array(ys, dtype=np.float64)
-    p = baseline_init(cfg.hidden, cfg.seed, width=real_data.episodes[0][0].observation.width)
+    x_all = real_data.record.features()
+    y_all = real_data.record.actions
+    p = baseline_init(cfg.hidden, cfg.seed, width=real_data.record.width)
     rng = np.random.default_rng(_derive_seed(cfg.seed, "baseline-train"))
 
     def loss_fn(idx, _eps):
@@ -207,7 +198,8 @@ def eval_mean_distance(
                            cheat=cheat, cfg=cfg, record=False)
     elif pipeline == "baseline":
         def act(_flock, _drones, scans):
-            actions = [baseline_action(base, obs, cfg) for obs in scans]
+            actions = [baseline_action(base, Observation(c, d), cfg)
+                       for c, d in zip(*scans)]
             return [(a.vx, a.vy, a.vz, a.yaw_rate) for a in actions]
 
         results = fly(worlds, act, max_steps, cfg, record=False)

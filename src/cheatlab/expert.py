@@ -17,14 +17,19 @@ import numpy as np
 from . import container
 from .errors import ContractError, GenerationError, IntegrityError
 from .worldsim import (
+    FREE,
+    GATE,
+    OBSTACLE,
     Action,
     DEFAULT_SIM,
     DroneState,
     Drones,
     Flock,
     Observation,
+    Record,
     SimConfig,
-    TrajectoryStep,
+    TrajectoryStep,  # noqa: F401  (Dataset.episodes yields these)
+    View,
     WorldSpec,
     _derive_seed,
     _one,
@@ -114,17 +119,33 @@ def expert_action(
 
 @dataclass
 class Dataset:
-    episodes: list[list[TrajectoryStep]]
+    """Recorded episodes as one Record block, plus their provenance.
+
+    `record` may be given as episodes of steps (lists or views), which are
+    packed into one block once. `episodes` reads the block as
+    TrajectorySteps, each built only when it is indexed.
+    """
+
+    record: Record
     world_kind: str
     generator_seed: int
     manifest: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if not isinstance(self.record, Record):
+            self.record = Record.of(self.record)
+
+    @property
+    def episodes(self) -> View:
+        return self.record.episodes()
+
     @property
     def total_steps(self) -> int:
-        return sum(len(ep) for ep in self.episodes)
+        return len(self.record.actions)
 
     def observations(self) -> list[Observation]:
-        return [st.observation for ep in self.episodes for st in ep]
+        return [Observation(c, d)
+                for c, d in zip(self.record.classes, self.record.depth)]
 
 
 def collect_trajectories(
@@ -162,11 +183,11 @@ def collect_trajectories(
     # Each wave flies as many attempts as episodes are still missing, so
     # it can never keep too many; its results are taken in attempt order,
     # which keeps the same episodes and rejection count as one at a time.
-    episodes: list[list[TrajectoryStep]] = []
+    kept: list[Record] = []
     rejections = 0
     attempt = 0
-    while len(episodes) < n_episodes:
-        wave = range(attempt, attempt + n_episodes - len(episodes))
+    while len(kept) < n_episodes:
+        wave = range(attempt, attempt + n_episodes - len(kept))
         attempt = wave.stop
         worlds = [spawn(_derive_seed(seed, a)) for a in wave]
         for flight in fly(worlds, act, max_steps, cfg, done=done):
@@ -178,49 +199,42 @@ def collect_trajectories(
             if kind == "fake" and flight.crashed:
                 rejections += 1
             else:
-                episodes.append(flight.steps)
+                kept.append(flight.record)
+    record = Record.join(kept)
+    lengths = np.diff(record.offsets).tolist()
     manifest = {
         "version": 1,
         "world_kind": kind,
         "generator_seed": int(seed),
         "n_episodes": n_episodes,
         "max_steps": max_steps,
-        "episode_lengths": [len(ep) for ep in episodes],
-        "total_steps": sum(len(ep) for ep in episodes),
+        "episode_lengths": lengths,
+        "total_steps": sum(lengths),
         "scan_width": cfg.scan_width,
         "clutter_density": clutter_density if kind == "real" else None,
         "n_gates": (n_gates if n_gates is not None else cfg.n_gates)
         if kind == "fake"
         else None,
     }
-    return Dataset(episodes, kind, int(seed), manifest)
+    return Dataset(record, kind, int(seed), manifest)
+
+
+_FIELDS = ("classes", "depth", "actions", "states")  # a Record's, per episode
 
 
 def write_dataset(dataset: Dataset, path) -> None:
-    """Serialize into the shared container: four records per episode."""
+    """Serialize into the shared container: four records per episode,
+    each a slice of the dataset's Record."""
+    rec = dataset.record
     records: dict[str, np.ndarray] = {}
-    for i, ep in enumerate(dataset.episodes):
-        tag = f"ep{i:05d}"
-        records[f"{tag}/classes"] = np.array(
-            [st.observation.classes for st in ep], dtype=np.float64
-        ).reshape(len(ep), -1)
-        records[f"{tag}/depth"] = np.array(
-            [st.observation.depth for st in ep]
-        ).reshape(len(ep), -1)
-        records[f"{tag}/actions"] = np.array(
-            [(st.action.vx, st.action.vy, st.action.vz, st.action.yaw_rate)
-             for st in ep]
-        ).reshape(len(ep), 4)
-        records[f"{tag}/states"] = np.array(
-            [(*st.state.position, st.state.yaw, st.state.odometer,
-              1.0 if st.state.crashed else 0.0)
-             for st in ep]
-        ).reshape(len(ep), 6)
+    for i, (lo, hi) in enumerate(rec.spans()):
+        for name in _FIELDS:
+            records[f"ep{i:05d}/{name}"] = getattr(rec, name)[lo:hi]
     meta = dict(dataset.manifest)
     meta["kind"] = "dataset"
     meta["world_kind"] = dataset.world_kind
     meta["generator_seed"] = dataset.generator_seed
-    meta["episode_lengths"] = [len(ep) for ep in dataset.episodes]
+    meta["episode_lengths"] = np.diff(rec.offsets).tolist()
     container.write_container(path, records, meta)
 
 
@@ -232,35 +246,32 @@ def read_dataset(path) -> Dataset:
     lengths = meta.get("episode_lengths")
     if lengths is None:
         raise IntegrityError("dataset manifest missing episode_lengths")
-    episodes: list[list[TrajectoryStep]] = []
+    episodes: list[Record] = []
+    width = None
     for i, want in enumerate(lengths):
         tag = f"ep{i:05d}"
         try:
-            classes = records[f"{tag}/classes"]
-            depth = records[f"{tag}/depth"]
-            actions = records[f"{tag}/actions"]
-            states = records[f"{tag}/states"]
+            arrays = [records[f"{tag}/{name}"] for name in _FIELDS]
         except KeyError as err:
             raise IntegrityError(f"dataset missing record {err}") from err
+        classes, depth, actions, states = arrays
         if not (len(classes) == len(depth) == len(actions) == len(states) == want):
             raise IntegrityError(
                 f"episode {i}: manifest says {want} steps, records hold "
                 f"{len(classes)}/{len(depth)}/{len(actions)}/{len(states)}"
             )
-        steps = []
-        for t in range(want):
-            obs = Observation(classes[t].astype(np.int64), depth[t])
-            act = Action(*map(float, actions[t]))
-            x, y, z, yaw, odo, crashed = map(float, states[t])
-            steps.append(
-                TrajectoryStep(
-                    obs, act, DroneState((x, y, z), yaw, odo, crashed >= 0.5)
-                )
-            )
-        episodes.append(steps)
+        width = classes.shape[-1] if width is None else width
+        if [a.shape[1:] for a in arrays] != [(width,), (width,), (4,), (6,)]:
+            raise IntegrityError(
+                f"episode {i}: records of dims {[list(a.shape) for a in arrays]}"
+                f" do not hold {width}-wide scans, 4 actions and 6 states")
+        if not np.isin(classes, (FREE, GATE, OBSTACLE)).all():
+            raise IntegrityError(f"episode {i}: class codes outside 0, 1, 2")
+        episodes.append(Record(classes.astype(np.int8), depth, actions, states))
     extra = len(records) - 4 * len(lengths)
     if extra != 0:
         raise IntegrityError(
             f"dataset holds {len(records)} records for {len(lengths)} episodes"
         )
-    return Dataset(episodes, meta["world_kind"], meta["generator_seed"], meta)
+    return Dataset(Record.join(episodes), meta["world_kind"],
+                   meta["generator_seed"], meta)

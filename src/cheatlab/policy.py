@@ -311,14 +311,11 @@ class ImitationEvaluator:
                 "imitation fitness needs a nonempty corridor dataset"
             )
         self.template = template
-        self.episodes = []
-        for ep in data.episodes:
-            zs, _ = encode(vae, [s.observation for s in ep])
-            acts = np.array(
-                [(s.action.vx, s.action.vy, s.action.vz, s.action.yaw_rate)
-                 for s in ep]
-            )
-            self.episodes.append((zs, acts))
+        rec = data.record
+        self.episodes = [
+            (encode(vae, rec.features(lo, hi))[0], rec.actions[lo:hi])
+            for lo, hi in rec.spans()
+        ]
         steps = max(len(acts) for _, acts in self.episodes)
         n_eps = len(self.episodes)
         self.zs = np.zeros((steps, n_eps, vae.k))
@@ -507,10 +504,11 @@ def rollouts(
     net = _packed(ctrl)
     lstm = [zero_state(ctrl) for _ in worlds]
 
-    def act(flock, _drones, scans: list[Observation]) -> list[tuple]:
+    def act(flock, _drones, scans) -> list[tuple]:
         rows = []
-        for i, obs in zip(flock.ids.tolist(), scans):
-            a, lstm[i] = controller_step(ctrl, see(obs), lstm[i], net)
+        for i, c, d in zip(flock.ids.tolist(), *scans):
+            a, lstm[i] = controller_step(ctrl, see(Observation(c, d)), lstm[i],
+                                         net)
             rows.append((a.vx, a.vy, a.vz, a.yaw_rate))
         return rows
 

@@ -77,29 +77,38 @@ def check_obs_width(p, obs: Observation) -> None:
 
 
 def encode(
-    p: VaeParams, obs: Observation | Sequence[Observation]
+    p: VaeParams, obs: Observation | Sequence[Observation] | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior parameters (mu, logvar) for one observation, each [k].
 
-    A sequence of N observations is encoded as one batch and gives two
-    [N, k] arrays.
+    A sequence of N observations, or their features as one (N, 2W) array
+    (Record.features), is encoded as one batch and gives two [N, k]
+    arrays. Inference runs on plain arrays and builds no graph.
     """
-    single = isinstance(obs, Observation)
-    batch = [obs] if single else list(obs)
-    if not batch:
+    if isinstance(obs, Observation):
+        check_obs_width(p, obs)
+        x = obs.features()
+    elif isinstance(obs, np.ndarray):
+        if obs.ndim != 2 or obs.shape[1] != 2 * p.width:
+            raise DimensionError(f"feature dims {list(obs.shape)} do not "
+                                 f"match model width {p.width}")
+        x = obs
+    else:
+        for o in obs:
+            check_obs_width(p, o)
+        x = [o.features() for o in obs]
+    if not len(x):
         raise ContractError("encode needs at least one observation")
-    for o in batch:
-        check_obs_width(p, o)
-    x = obs.features() if single else np.stack([o.features() for o in batch])
-    head = _encode_traced(p, ad.constant(x)).data
+    head = _encoder(p, np.asarray(x))
     return head[..., : p.k].copy(), head[..., p.k :].copy()
 
 
-def _encode_traced(p: VaeParams, x: ad.Tensor) -> ad.Tensor:
+# The two halves: graph nodes for a Tensor input, an array for an array.
+def _encoder(p: VaeParams, x):
     return ad.dense_stack(p.params, "enc", len(p.hidden) + 1, x)
 
 
-def _decode_traced(p: VaeParams, z: ad.Tensor) -> ad.Tensor:
+def _decoder(p: VaeParams, z):
     return ad.dense_stack(p.params, "dec", len(p.hidden) + 1, z, final="sigmoid")
 
 
@@ -110,7 +119,7 @@ def decode(p: VaeParams, z: np.ndarray) -> Reconstruction:
         raise DimensionError(
             f"latent dims {list(z.shape)} do not match k={p.k}"
         )
-    out = _decode_traced(p, ad.constant(z)).data
+    out = _decoder(p, z)
     return Reconstruction(out[: p.width].copy(), out[p.width :].copy())
 
 
@@ -129,11 +138,11 @@ def reparameterize(mu, logvar, eps):
 
 def _elbo_graph(p: VaeParams, x: ad.Tensor, eps: np.ndarray, beta: float):
     """Shared single/batch graph; x is [2W] or [B, 2W], eps matches mu."""
-    head = _encode_traced(p, x)
+    head = _encoder(p, x)
     mu = ad.narrow(head, 0, p.k)
     logvar = ad.narrow(head, p.k, 2 * p.k)
     z = reparameterize(mu, logvar, ad.constant(eps))
-    recon = _decode_traced(p, z)
+    recon = _decoder(p, z)
     loss = ad.add(
         ad.mse(recon, x), ad.scale(ad.gaussian_kl(mu, logvar), beta)
     )
@@ -166,12 +175,10 @@ def train_vae(data: Dataset, cfg: VaeTrainConfig) -> tuple[VaeParams, list[float
         raise ContractError(
             f"the autoencoder trains on corridor data, got {data.world_kind!r}"
         )
-    observations = data.observations()
-    if not observations:
+    if not data.total_steps:
         raise ContractError("dataset holds no observations")
-    width = observations[0].width
-    p = vae_init(cfg.k, cfg.hidden, cfg.seed, width)
-    x_all = np.stack([o.features() for o in observations])
+    p = vae_init(cfg.k, cfg.hidden, cfg.seed, data.record.width)
+    x_all = data.record.features()
     rng = np.random.default_rng(_derive_seed(cfg.seed, "vae-train"))
 
     def loss_fn(idx, eps):

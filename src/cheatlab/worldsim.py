@@ -38,8 +38,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -174,7 +175,7 @@ class Observation:
     def features(self) -> np.ndarray:
         """Flatten to 2W floats: class codes rescaled to {0, 0.5, 1},
         then depths. This is the input layout of every dense encoder."""
-        return np.concatenate([self.classes * 0.5, self.depth])
+        return scan_features(self.classes, self.depth)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Observation):
@@ -185,6 +186,12 @@ class Observation:
 
     def __repr__(self) -> str:
         return f"Observation(width={self.width})"
+
+
+def scan_features(classes: np.ndarray, depth: np.ndarray) -> np.ndarray:
+    """Observation.features along the last axis, so (N, W) scan rows give
+    the (N, 2W) encoder input of N observations in one array."""
+    return np.concatenate([classes * 0.5, depth], axis=-1)
 
 
 def wrap_angle(a: float) -> float:
@@ -512,17 +519,173 @@ class TrajectoryStep:
     state: DroneState
 
 
+class View(Sequence):
+    """A read-only sequence whose item i is built by item(i) only when it
+    is indexed. A slice is a view too. It compares equal to a list, tuple
+    or view of equal items."""
+
+    __slots__ = ("_len", "_item")
+
+    def __init__(self, n: int, item: Callable):
+        self._len, self._item = n, item
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            picked = range(self._len)[i]
+            return View(len(picked), lambda j: self._item(picked[j]))
+        return self._item(range(self._len)[i])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (View, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
+class Record:
+    """Recorded steps as one struct-of-arrays block, episode after episode.
+
+    Row n is one step. `classes` (int8, the codes 0, 1, 2) and `depth`
+    (N, W) hold the scan seen there, both None for a blind flight;
+    `actions` (N, 4) the command given (vx, vy, vz, yaw_rate); `states`
+    (N, 6) the state it was given from (x, y, z, yaw, odometer, and the
+    crash flag as 1.0 or 0.0), the layout of a dataset container's
+    records. Episode e holds rows offsets[e] to offsets[e + 1]; without
+    offsets the block is one episode. `episodes()` reads the block as
+    TrajectorySteps, each built only when it is indexed.
+    """
+
+    __slots__ = ("classes", "depth", "actions", "states", "offsets")
+
+    def __init__(self, classes, depth, actions, states, offsets=None):
+        self.classes, self.depth = classes, depth
+        self.actions, self.states = actions, states
+        self.offsets = (np.array([0, len(actions)]) if offsets is None
+                        else offsets)
+
+    @classmethod
+    def join(cls, parts: Sequence[Record]) -> Record:
+        """One block holding every part's episodes, in order."""
+        if not parts:
+            return cls(np.zeros((0, 0), np.int8), np.zeros((0, 0)),
+                       np.zeros((0, 4)), np.zeros((0, 6)), np.zeros(1, np.int64))
+        base = np.cumsum([0] + [len(p.actions) for p in parts])
+        cat = lambda arrays: (None if arrays[0] is None
+                              else np.concatenate(arrays))
+        return cls(cat([p.classes for p in parts]), cat([p.depth for p in parts]),
+                   cat([p.actions for p in parts]), cat([p.states for p in parts]),
+                   cat([[0]] + [p.offsets[1:] + b for p, b in zip(parts, base)]))
+
+    @classmethod
+    def of(cls, episodes: Sequence[Sequence[TrajectoryStep]]) -> Record:
+        """Pack episodes of seeing steps, as lists or views, into one block."""
+        width = next((st.observation.width for ep in episodes for st in ep), 0)
+
+        def rows(ep, values, n, dtype=np.float64):
+            return np.array(values, dtype).reshape(len(ep), n)
+
+        return cls.join([cls(
+            rows(ep, [st.observation.classes for st in ep], width, np.int8),
+            rows(ep, [st.observation.depth for st in ep], width),
+            rows(ep, [(st.action.vx, st.action.vy, st.action.vz,
+                       st.action.yaw_rate) for st in ep], 4),
+            rows(ep, [(*st.state.position, st.state.yaw, st.state.odometer,
+                       float(st.state.crashed)) for st in ep], 6),
+        ) for ep in episodes])
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Record):
+            return NotImplemented
+        return all(a is b if a is None or b is None else np.array_equal(a, b)
+                   for a, b in ((getattr(self, k), getattr(other, k))
+                                for k in self.__slots__))
+
+    @property
+    def width(self) -> int:
+        return int(self.classes.shape[1])
+
+    def spans(self) -> list[tuple[int, int]]:
+        """Each episode's first and past-the-end row."""
+        return list(zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist()))
+
+    def episode(self, e: int) -> Record:
+        """Episode e as a one-episode block of views into this one."""
+        lo, hi = self.offsets[e : e + 2].tolist()
+        cut = lambda a: None if a is None else a[lo:hi]
+        return Record(cut(self.classes), cut(self.depth), self.actions[lo:hi],
+                      self.states[lo:hi])
+
+    def features(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Encoder input (n, 2W) of rows lo to hi, as scan_features."""
+        return scan_features(self.classes[lo:hi], self.depth[lo:hi])
+
+    def step(self, n: int) -> TrajectoryStep:
+        """Row n as a TrajectoryStep; the observation views this block."""
+        x, y, z, yaw, odometer, crashed = self.states[n].tolist()
+        seen = None if self.classes is None else Observation(self.classes[n],
+                                                            self.depth[n])
+        return TrajectoryStep(seen, Action(*self.actions[n].tolist()),
+                              DroneState((x, y, z), yaw, odometer, crashed >= 0.5))
+
+    def episodes(self) -> View:
+        """A view of the episodes, each a view of its TrajectorySteps."""
+        def steps(e: int) -> View:
+            lo, hi = self.offsets[e : e + 2].tolist()
+            return View(hi - lo, lambda j: self.step(lo + j))
+        return View(len(self), steps)
+
+
 @dataclass
 class RolloutResult:
-    steps: list[TrajectoryStep]
+    """One flight: its recorded steps as a one-episode Record, and how it
+    ended."""
+
+    record: Record
     final_state: DroneState
     odometer: float
     crashed: bool
 
+    @property
+    def steps(self) -> View:
+        return self.record.episodes()[0]
+
+
+def _lay_out(log: list, n_worlds: int, width: int | None) -> Record:
+    """The record of a flight from its per-tick log, each world's steps
+    contiguous and in tick order.
+
+    A drone live at tick t has recorded t steps before it, so its row for
+    tick t is its episode's first row plus t. Each tick's entry is freed
+    once it is laid out.
+    """
+    ids = [entry[0] for entry in log]
+    lengths = np.bincount(np.concatenate(ids) if ids else np.zeros(0, np.int64),
+                          minlength=n_worlds)
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    first, n = offsets[:-1], int(offsets[-1])
+    classes = None if width is None else np.empty((n, width), np.int8)
+    depth = None if width is None else np.empty((n, width))
+    actions, states = np.empty((n, 4)), np.empty((n, 6))
+    for t in range(len(log) - 1, -1, -1):
+        live, scans, commands, drones = log.pop()
+        rows = first[live] + t
+        if scans is not None:
+            classes[rows], depth[rows] = scans
+        actions[rows] = commands
+        states[rows, :5] = drones.pose.T
+        states[rows, 5] = drones.crashed
+    return Record(classes, depth, actions, states, offsets)
+
 
 def fly(
     worlds: Sequence[WorldSpec],
-    act: Callable[[Flock, Drones, list[Observation] | None], np.ndarray],
+    act: Callable[[Flock, Drones, tuple[np.ndarray, np.ndarray] | None],
+                  np.ndarray],
     max_steps: int,
     cfg: SimConfig = DEFAULT_SIM,
     blind: bool = False,
@@ -533,16 +696,21 @@ def fly(
 
     Each tick first ends the flight of every drone that done(flock, drones)
     flags, with that tick unrecorded and nothing rendered for it. It then
-    renders all live drones' scans in one batch (a blind flight hands act
-    None instead), asks act(flock, drones, scans) for one command row
-    (vx, vy, vz, yaw_rate) per live drone, records each with the state it
-    was given from, and steps the dynamics. `flock` and `drones` hold the
-    live drones only, in world order; `flock.ids` are their indices in
-    `worlds`. A drone stops at its first crash (a start pose in collision
-    is one, with no step flown) or after max_steps. One world is the
-    B = 1 case, and every drone flies exactly as it would alone. With
-    record=False the results keep no steps, only how each flight ended,
-    so a large batch holds no scans past the tick that used them.
+    renders all live drones' scans in one batch, as (B, W) class and depth
+    arrays (a blind flight hands act None instead), asks act(flock,
+    drones, scans) for one command row (vx, vy, vz, yaw_rate) per live
+    drone, records each with the state it was given from, and steps the
+    dynamics. `flock` and `drones` hold the live drones only, in world
+    order; `flock.ids` are their indices in `worlds`. A drone stops at its
+    first crash (a start pose in collision is one, with no step flown) or
+    after max_steps. One world is the B = 1 case, and every drone flies
+    exactly as it would alone.
+
+    A tick is recorded as arrays: the live ids, the scans, the commands
+    and the Drones. When the flight ends they are laid out as one Record,
+    and each result's record is its world's rows of it. With record=False
+    the results keep no steps, only how each flight ended, so a large
+    batch holds no scans past the tick that used them.
     """
     if max_steps < 1:
         raise ContractError(f"max_steps {max_steps} < 1")
@@ -553,7 +721,7 @@ def fly(
     # A drone whose start pose is already in collision has crashed there.
     drones = Drones(pose, point_in_collision(flock, pose[0], pose[1],
                                              cfg.collision_radius))
-    steps: list[list[TrajectoryStep]] = [[] for _ in worlds]
+    log = []  # per recorded tick: live ids, scans, commands, Drones
     final: list[DroneState | None] = [None] * len(worlds)
 
     def land(mask: np.ndarray) -> None:
@@ -571,21 +739,17 @@ def fly(
                 land(over)
         if not len(drones):
             break
-        if blind:
-            scans = None
-        else:
-            classes, depth = render_observation(flock, drones, cfg)
-            scans = [Observation(c, d) for c, d in zip(classes, depth)]
-        commands = np.asarray(act(flock, drones, scans), dtype=np.float64)
+        scans = None if blind else render_observation(flock, drones, cfg)
+        # A copy, so a flier may hand back a buffer it writes again.
+        commands = np.array(act(flock, drones, scans), dtype=np.float64)
         if record:
-            for i, scan, row, state in zip(flock.ids.tolist(),
-                                           scans or [None] * len(drones),
-                                           commands.tolist(), drones.states()):
-                steps[i].append(TrajectoryStep(scan, Action(*row), state))
+            kept = None if blind else (scans[0].astype(np.int8), scans[1])
+            log.append((flock.ids, kept, commands, drones))
         drones = step_dynamics(flock, drones, commands, cfg.dt, cfg)
     land(np.ones(len(drones), dtype=bool))
-    return [RolloutResult(s, f, f.odometer, f.crashed)
-            for s, f in zip(steps, final)]
+    steps = _lay_out(log, len(worlds), None if blind else cfg.scan_width)
+    return [RolloutResult(steps.episode(i), f, f.odometer, f.crashed)
+            for i, f in enumerate(final)]
 
 
 # ---------------------------------------------------------------------------
@@ -662,6 +826,16 @@ def _disc_overlaps_box(cx, cy, r, box) -> bool:
     return (qx - cx) ** 2 + (qy - cy) ** 2 <= r * r
 
 
+def _blocks_start(sx, sy, clearance, radius, box) -> bool:
+    """True if box intrudes into the disc of `clearance` around the start,
+    or if the start lies in the box grown by `radius` on every side, which
+    is point_in_collision's square rule and reaches past such a disc off a
+    box corner when clearance < radius * sqrt(2)."""
+    return _disc_overlaps_box(sx, sy, clearance, box) or (
+        box[0] - radius <= sx <= box[2] + radius
+        and box[1] - radius <= sy <= box[3] + radius)
+
+
 def spawn_real_world(
     seed: int,
     clutter_density: float = 0.4,
@@ -673,9 +847,10 @@ def spawn_real_world(
     clutter_density in [0, 1] scales the obstacle count linearly up to
     max_obstacles. Obstacles never intrude into a clearance disc around
     the start, which guarantees a traversable gap of at least twice the
-    collision radius from the start pose. With with_gates, gates are
-    placed in free gaps found by the widest-gap heuristic at seeded
-    probe poses.
+    collision radius from the start pose, and no box or gate post puts
+    the start in collision by point_in_collision's rule. With with_gates,
+    gates are placed in free gaps found by the widest-gap heuristic at
+    seeded probe poses.
     """
     if not (0.0 <= clutter_density <= 1.0):
         raise ContractError(f"density must lie in [0, 1], got {clutter_density}")
@@ -700,7 +875,7 @@ def spawn_real_world(
                 min(cx + hx, size),
                 min(cy + hy, size),
             )
-            if _disc_overlaps_box(sx, sy, clearance, box):
+            if _blocks_start(sx, sy, clearance, cfg.collision_radius, box):
                 continue
             obstacles.append(Obstacle(*box))
             break
@@ -736,7 +911,8 @@ def spawn_real_world(
         if not (margin <= gx <= size - margin and margin <= gy <= size - margin):
             continue
         if any(
-            _disc_overlaps_box(sx, sy, cfg.collision_radius + 0.3, box)
+            _blocks_start(sx, sy, cfg.collision_radius + 0.3,
+                          cfg.collision_radius, box)
             for box in _gate_post_boxes(g)
         ):
             continue  # posts must never box in the start pose

@@ -423,6 +423,38 @@ def test_dense_stack_tanh_between_layers_and_final_activation():
     assert np.allclose(out.data, 1.0 / (1.0 + np.exp(-linear)), rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("final", [None, "sigmoid", "tanh"])
+@pytest.mark.parametrize("shape", [(5,), (7, 5)])
+def test_dense_stack_on_a_plain_array_matches_the_graph_bit_for_bit(final, shape):
+    p = ad.ParamSet()
+    ad.dense_init(p, "net", [5, 9, 6, 3], np.random.default_rng(2))
+    x = np.random.default_rng(3).normal(0, 2, shape)
+    plain = ad.dense_stack(p, "net", 3, x, final=final)
+    graph = ad.dense_stack(p, "net", 3, ad.constant(x), final=final)
+    assert isinstance(plain, np.ndarray) and not isinstance(plain, ad.Tensor)
+    assert plain.tobytes() == graph.data.tobytes()
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_affine_skips_the_gradient_of_a_constant_input(batch):
+    rng = np.random.default_rng(4)
+    p = ad.ParamSet()
+    w = p.add("w", rng.normal(size=(3, 4)))
+    b = p.add("b", rng.normal(size=3))
+    shape = (5, 4) if batch else (4,)
+    g = rng.normal(size=(5, 3) if batch else 3)
+    _, gx, _ = ad.affine(w, ad.constant(rng.normal(size=shape)), b)._grad_fn(g)
+    assert gx is None
+    x = p.add("x", rng.normal(size=shape))  # a trainable input keeps it
+    _, gx, _ = ad.affine(w, x, b)._grad_fn(g)
+    assert np.array_equal(gx, g @ w.data if batch else w.data.T @ g)
+    h = ad.activation("tanh", ad.affine(w, x, b))  # so does a computed one
+    _, gh, _ = ad.affine(p.add("v", rng.normal(size=(2, 3))), h,
+                         p.add("c", np.zeros(2)))._grad_fn(
+        rng.normal(size=(5, 2) if batch else 2))
+    assert gh is not None
+
+
 def test_fit_minibatch_draws_noise_right_after_each_shuffle():
     p = ad.ParamSet()
     ad.dense_init(p, "net", [3, 2], np.random.default_rng(0))

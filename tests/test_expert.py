@@ -1,11 +1,15 @@
 """Expert control law, corridor safety, and dataset serialization tests."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from cheatlab import evaluation as ev
 from cheatlab import expert as ex
+from cheatlab import policy as po
+from cheatlab import vae as vb
 from cheatlab import worldsim as ws
 from cheatlab.errors import ContractError, IntegrityError
 
@@ -166,3 +170,80 @@ def test_dataset_manifest_mismatch_detected(tmp_path):
     ct.write_container(path, records, meta)
     with pytest.raises(IntegrityError):
         ex.read_dataset(path)
+
+
+# ---------------------------------------------------------------------------
+# the record block behind a dataset
+
+
+# sha256 of write_dataset's container for these collections, computed
+# when datasets were still written one step object at a time.
+PINNED_CONTAINERS = {
+    ("fake", 2, 40, 3):
+        "b64e46b93577e40d2414e77a0d0da6e335c7b8107cfe962d188a19a139c938a9",
+    ("real", 2, 30, 5):
+        "e914c46b74657f83e2b85002c78d20b5712514c2d17a6c184f6fa5488165b794",
+}
+
+
+@pytest.mark.parametrize("args", sorted(PINNED_CONTAINERS))
+def test_written_dataset_bytes_are_pinned(tmp_path, args):
+    kind, episodes, steps, seed = args
+    data = ex.collect_trajectories(kind, episodes, steps, seed=seed, cfg=CFG)
+    path = tmp_path / "d.bin"
+    ex.write_dataset(data, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CONTAINERS[args]
+
+
+def test_a_dataset_opening_with_an_empty_episode_round_trips(tmp_path):
+    flown = ex.collect_trajectories("real", 2, 30, seed=5, cfg=CFG)
+    d = ex.Dataset([[]] + list(flown.episodes), "real", 5, dict(flown.manifest))
+    assert [len(ep) for ep in d.episodes] == [0, 30, 30]
+    assert d.episodes[0] == [] and d.episodes[1:] == flown.episodes
+    path = tmp_path / "d.bin"
+    ex.write_dataset(d, path)
+    back = ex.read_dataset(path)
+    assert back.episodes == d.episodes
+    assert back.manifest["episode_lengths"] == [0, 30, 30]
+    cfg = ev.BaselineTrainConfig(hidden=(12, 6), epochs=2, seed=1)
+    with_empty, losses = ev.train_baseline(back, cfg)
+    without, same = ev.train_baseline(flown, cfg)
+    assert losses == same
+    assert np.array_equal(with_empty.params.flat, without.params.flat)
+
+
+def test_collect_write_read_and_score_build_no_step_objects(tmp_path,
+                                                             monkeypatch):
+    built = [0]
+    init = ws.TrajectoryStep.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ws.TrajectoryStep, "__init__", counted)
+    data = ex.collect_trajectories("fake", 3, 200, seed=4, cfg=CFG)
+    path = tmp_path / "d.bin"
+    ex.write_dataset(data, path)
+    back = ex.read_dataset(path)
+    vae = vb.vae_init(3, (12, 6), 0, width=CFG.scan_width)
+    template = po.controller_template(k=3, h_dim=4, mlp_hidden=(8, 6))
+    evaluator = po.ImitationEvaluator(vae, back, template)
+    evaluator([np.zeros(po.genome_size(template))])
+    assert built[0] == 0
+    back.episodes[2][-1]  # indexing a step builds exactly that one
+    assert built[0] == 1
+
+
+def test_read_rejects_records_of_the_wrong_shape_or_codes(tmp_path):
+    from cheatlab import container as ct
+
+    path = tmp_path / "d.bin"
+    ex.write_dataset(small_dataset(episodes=2), path)
+    records, meta = ct.read_container(path)
+    for name, bad in (("ep00001/actions", records["ep00001/actions"][:, :3]),
+                      ("ep00001/depth", records["ep00001/depth"][:, :-1]),
+                      ("ep00000/classes", records["ep00000/classes"] + 3.0)):
+        ct.write_container(path, dict(records, **{name: bad}), meta)
+        with pytest.raises(IntegrityError):
+            ex.read_dataset(path)

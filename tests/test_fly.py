@@ -78,6 +78,32 @@ def hover(flock, _drones, _scans):
     return np.zeros((len(flock), 4))
 
 
+def test_fliers_receive_the_batch_scan_arrays():
+    worlds = [ws.spawn_real_world(s, 0.4, cfg=CFG) for s in (3, 4, 5)]
+    seen = []
+    results = ws.fly(worlds, lambda f, d, scans: seen.append(scans)
+                     or hover(f, d, scans), 3, CFG)
+    assert len(seen) == 3
+    for t, (classes, depth) in enumerate(seen):
+        assert classes.shape == depth.shape == (3, CFG.scan_width)
+        assert classes.dtype == np.int64 and depth.dtype == np.float64
+        for i, r in enumerate(results):
+            assert r.steps[t].observation == ws.Observation(classes[i], depth[i])
+
+
+def test_the_record_keeps_each_tick_of_a_reused_command_buffer():
+    world = ws.spawn_real_world(3, 0.4, cfg=CFG)
+    buffer, want = np.zeros((1, 4)), []
+
+    def act(_flock, _drones, _scans):
+        buffer[0, 0] += 0.1  # one buffer, written again on every tick
+        want.append(buffer[0, 0])
+        return buffer
+
+    (result,) = ws.fly([world], act, 4, CFG)
+    assert [s.action.vx for s in result.steps] == want
+
+
 def test_fly_rejects_a_nonpositive_step_cap():
     world = ws.spawn_fake_world(0, cfg=CFG)
     for bad in (0, -3):
@@ -224,8 +250,9 @@ def _flier(kind: str, cfg, tables):
     ticks = itertools.count()
 
     def act(flock, _drones, scans):
+        _classes, depth = scans
         rows = tables[flock.ids, next(ticks)]
-        rows[:, 3] += 0.5 * np.array([s.depth.mean() for s in scans])
+        rows[:, 3] += 0.5 * np.array([row.mean() for row in depth])
         return rows
 
     return act
@@ -265,10 +292,31 @@ def test_batched_flight_equals_single_flights(dt, v_max, scan_width, radius,
         (alone,) = ws.fly([world], _flier(flier, cfg, tables[i : i + 1]),
                           steps, cfg, done=done)
         assert batch[i] == alone  # scans, commands, states and crash flags
+        assert_record_holds_its_steps(alone)
+        assert alone.steps == list(batch[i].steps)
         for state in [s.state for s in alone.steps] + [alone.final_state]:
             x, y, _ = state.position
             assert ws.point_in_collision(world, x, y, cfg.collision_radius) \
                 == state.crashed
+
+
+def assert_record_holds_its_steps(result):
+    """The flight's record arrays row for row against its materialised
+    steps, with every array's dtype and shape."""
+    rec, steps = result.record, list(result.steps)
+    n, width = len(steps), rec.classes.shape[1]
+    assert rec.offsets.tolist() == [0, n]
+    assert rec.classes.dtype == np.int8 and rec.classes.shape == (n, width)
+    assert rec.depth.shape == (n, width) and rec.actions.shape == (n, 4)
+    assert rec.states.shape == (n, 6)
+    for row, s in enumerate(steps):
+        assert np.array_equal(rec.classes[row], s.observation.classes)
+        assert np.array_equal(rec.depth[row], s.observation.depth)
+        a, st = s.action, s.state
+        assert rec.actions[row].tolist() == [a.vx, a.vy, a.vz, a.yaw_rate]
+        assert rec.states[row].tolist() == [*st.position, st.yaw, st.odometer,
+                                            float(st.crashed)]
+        assert all(type(v) is float for v in (*st.position, st.yaw, a.vx))
 
 
 @pytest.mark.xfail(strict=True, reason="collisions are tested at step ends "

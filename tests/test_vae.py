@@ -8,7 +8,7 @@ from cheatlab import vae as vb
 from cheatlab.container import params_digest
 from cheatlab.errors import ContractError, DimensionError
 from cheatlab.expert import collect_trajectories
-from cheatlab.worldsim import DEFAULT_SIM, Observation
+from cheatlab.worldsim import DEFAULT_SIM, Action, Observation, clamp_action
 
 H = 1e-5
 TOL = 1e-6
@@ -59,6 +59,57 @@ def test_sequence_encode_matches_single_encodes():
         vb.encode(p, [*seq, random_obs(rng, width=9)])
     with pytest.raises(ContractError):
         vb.encode(p, [])
+
+
+def test_encode_reads_a_feature_array_as_its_observations():
+    p = tiny_model()
+    rng = np.random.default_rng(2)
+    seq = [random_obs(rng) for _ in range(5)]
+    rows = np.stack([o.features() for o in seq])
+    for got, want in zip(vb.encode(p, rows), vb.encode(p, seq)):
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(DimensionError):
+        vb.encode(p, rows[:, :-1])
+    with pytest.raises(ContractError):
+        vb.encode(p, rows[:0])
+
+
+def test_inference_builds_no_graph_and_matches_the_graph(monkeypatch):
+    from cheatlab import cheat as ch
+    from cheatlab import evaluation as ev
+
+    rng = np.random.default_rng(3)
+    p = tiny_model()
+    cheat = ch.cheat_init(3, (10, 6), 1, width=8)
+    base = ev.baseline_init((10, 6), 2, width=8)
+    obs = random_obs(rng)
+    x = ad.constant(obs.features())
+    head = ad.dense_stack(p.params, "enc", 3, x).data
+    out = ad.dense_stack(p.params, "dec", 3, ad.constant(head[:3]),
+                         final="sigmoid").data
+    y = ad.dense_stack(base.params, "base", 3, x).data
+    a = clamp_action(Action(*y), DEFAULT_SIM)
+    want = {
+        "mu": head[:3], "logvar": head[3:], "class": out[:8], "depth": out[8:],
+        "cheat": ad.dense_stack(cheat.params, "cheat", 3, x).data,
+        "baseline": np.array([a.vx, a.vy, a.vz, a.yaw_rate]),
+    }
+
+    def no_graph(*_args, **_kwargs):
+        raise AssertionError("inference built a graph node")
+
+    monkeypatch.setattr(ad, "_result", no_graph)
+    mu, logvar = vb.encode(p, obs)
+    belief = vb.decode(p, mu)
+    action = ev.baseline_action(base, obs, DEFAULT_SIM)
+    got = {
+        "mu": mu, "logvar": logvar, "class": belief.class_channel,
+        "depth": belief.depth_channel, "cheat": ch.cheat_encode(cheat, obs),
+        "baseline": np.array([action.vx, action.vy, action.vz,
+                              action.yaw_rate]),
+    }
+    assert {k: v.tobytes() for k, v in got.items()} == \
+        {k: v.tobytes() for k, v in want.items()}
 
 
 def test_reparameterize_zero_eps_returns_mu():

@@ -240,6 +240,27 @@ def test_spawn_real_world_density_and_validity():
         ws.spawn_real_world(0, 1.5, cfg=CFG)
 
 
+def test_room_start_is_clear_by_the_square_crash_rule(tmp_path):
+    # A clearance disc narrower than the square rule's reach off a box
+    # corner (start_clearance < (sqrt(2) - 1) * collision_radius) once let
+    # a box corner cover the start: a 0-step episode that write_dataset
+    # could not write.
+    from cheatlab.config import load_config
+    from cheatlab.expert import collect_trajectories, read_dataset, write_dataset
+
+    cfg = load_config(None, ["world.start_clearance=0",
+                             "world.collision_radius=1.0"]).sim()
+    for seed in range(120):
+        world = ws.spawn_real_world(seed, 1.0, cfg=cfg)
+        sx, sy, _, _ = world.start
+        assert not ws.point_in_collision(world, sx, sy, cfg.collision_radius)
+    data = collect_trajectories("real", 1, 20, seed=15, cfg=cfg,
+                                clutter_density=1.0)
+    assert data.total_steps > 0
+    write_dataset(data, tmp_path / "d.bin")
+    assert read_dataset(tmp_path / "d.bin").episodes == data.episodes
+
+
 def test_spawn_real_world_with_gates_are_passable_and_inside():
     found = 0
     for seed in range(10):
