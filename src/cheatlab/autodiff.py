@@ -336,6 +336,25 @@ def dense_stack(params: ParamSet, prefix: str, n_layers: int,
     return h
 
 
+def dense_rows(params: ParamSet, prefix: str, n_layers: int, x: Array,
+               final: str | None = None) -> Array:
+    """dense_stack on (B, n) rows, each row with the bits dense_stack gives
+    that row alone as a vector.
+
+    Each layer is one np.matvec, a gemv per row like w @ x, where
+    dense_stack's batch form is one gemm (x @ w.T), which rounds
+    differently. This is the form for inputs that fly one per drone.
+    """
+    h = x
+    for i in range(n_layers):
+        h = np.matvec(params[f"{prefix}/w{i}"].data, h)
+        h += params[f"{prefix}/b{i}"].data
+        kind = "tanh" if i < n_layers - 1 else final
+        if kind is not None:
+            h = _FORWARD[kind](h)
+    return h
+
+
 def concat(a: Tensor, b: Tensor) -> Tensor:
     """Concatenate two rank-1 tensors."""
     if a.data.ndim != 1 or b.data.ndim != 1:

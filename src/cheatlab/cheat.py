@@ -33,7 +33,7 @@ from .errors import (
     IntegrityError,
 )
 from .policy import ControllerParams
-from .vae import VaeParams, check_obs_width, encode
+from .vae import VaeParams, encode, feature_rows
 from .worldsim import (
     DEFAULT_SIM,
     DroneState,
@@ -89,10 +89,16 @@ def cheat_init(
     return CheatEncoderParams(params, k, tuple(hidden), width)
 
 
-def cheat_encode(p: CheatEncoderParams, obs: Observation) -> np.ndarray:
-    """Predicted corridor-world latent for a cluttered-room observation."""
-    check_obs_width(p, obs)
-    return ad.dense_stack(p.params, "cheat", len(p.hidden) + 1, obs.features())
+def cheat_encode(p: CheatEncoderParams,
+                 obs: Observation | np.ndarray) -> np.ndarray:
+    """Predicted corridor-world latent for a cluttered-room observation.
+
+    Batch form: B drones' scan features (B, 2W) give (B, k) latents, row b
+    with the bits of drone b's Observation encoded alone (ad.dense_rows);
+    an Observation is its B = 1 case and gives [k].
+    """
+    z = ad.dense_rows(p.params, "cheat", len(p.hidden) + 1, feature_rows(p, obs))
+    return z[0] if isinstance(obs, Observation) else z
 
 
 # ---------------------------------------------------------------------------

@@ -26,16 +26,17 @@ from .cheat import CheatEncoderParams, cheat_encode
 from .errors import ContractError
 from .expert import Dataset
 from .policy import ControllerParams, rollouts
-from .vae import VaeParams, check_obs_width, decode
+from .vae import VaeParams, decode, feature_rows
 from .worldsim import (
     Action,
     DEFAULT_SIM,
     Observation,
+    Record,
     RolloutResult,
     SimConfig,
     _derive_seed,
-    clamp_action,
     fly,
+    scan_features,
     spawn_real_world,
 )
 
@@ -82,12 +83,21 @@ def baseline_init(
 
 
 def baseline_action(
-    p: BaselineParams, obs: Observation, cfg: SimConfig = DEFAULT_SIM
-) -> Action:
-    """Regressed command, clamped to the same envelope as any Action."""
-    check_obs_width(p, obs)
-    y = ad.dense_stack(p.params, "base", len(p.hidden) + 1, obs.features())
-    return clamp_action(Action(y[0], y[1], y[2], y[3]), cfg)
+    p: BaselineParams, obs: Observation | np.ndarray,
+    cfg: SimConfig = DEFAULT_SIM
+) -> Action | np.ndarray:
+    """Regressed command, clamped to the same envelope as any Action.
+
+    Batch form: B drones' scan features (B, 2W) give (B, 4) clamped command
+    rows (vx, vy, vz, yaw_rate), row b with the bits of drone b's
+    Observation alone (ad.dense_rows); an Observation is its B = 1 case
+    and gives an Action.
+    """
+    y = ad.dense_rows(p.params, "base", len(p.hidden) + 1, feature_rows(p, obs))
+    v, w = cfg.v_max, cfg.yaw_rate_max
+    bound = np.array([v, v, v, w])
+    y = np.minimum(np.maximum(y, -bound), bound)
+    return Action(*y[0].tolist()) if isinstance(obs, Observation) else y
 
 
 def train_baseline(
@@ -197,12 +207,8 @@ def eval_mean_distance(
         results = rollouts(worlds, vae, ctrl, max_steps, encoder="cheat",
                            cheat=cheat, cfg=cfg, record=False)
     elif pipeline == "baseline":
-        def act(_flock, _drones, scans):
-            actions = [baseline_action(base, Observation(c, d), cfg)
-                       for c, d in zip(*scans)]
-            return [(a.vx, a.vy, a.vz, a.yaw_rate) for a in actions]
-
-        results = fly(worlds, act, max_steps, cfg, record=False)
+        results = fly(worlds, lambda _f, _d, scans: baseline_action(
+            base, scan_features(*scans), cfg), max_steps, cfg, record=False)
     elif pipeline == "random":
         table = np.stack([_random_commands(seed, max_steps, hold_steps, cfg)
                           for seed in seeds])
@@ -288,36 +294,23 @@ def render_belief_strip(
     channel times its depth channel on the same scale. Returns the bytes
     written; identical inputs produce identical files.
     """
-    steps = trace.steps if isinstance(trace, RolloutResult) else list(trace)
+    record = (trace.record if isinstance(trace, RolloutResult)
+              else Record.of([list(trace)]))
     if stride < 1:
         raise ContractError(f"stride {stride} < 1")
     if band_height < 1:
         raise ContractError(f"band_height {band_height} < 1")
-    if not steps:
+    if not len(record.actions):
         raise ContractError("empty trace")
-    sampled = steps[::stride]
-    width = sampled[0].observation.width
-    top = np.empty((len(sampled), width))
-    bottom = np.empty((len(sampled), width))
-    for i, step in enumerate(sampled):
-        obs = step.observation
-        top[i] = (obs.classes * 0.5) * obs.depth
-        belief = decode(vae, cheat_encode(cheat, obs))
-        bottom[i] = belief.class_channel * belief.depth_channel
-    tiles_top = np.repeat(top, band_height, axis=0).reshape(
-        len(sampled), band_height, width
-    )
-    tiles_bottom = np.repeat(bottom, band_height, axis=0).reshape(
-        len(sampled), band_height, width
-    )
+    # The sampled steps' scans, encoded and decoded as one batch.
+    x = scan_features(record.classes[::stride], record.depth[::stride])
+    n, width = len(x), record.width
+    top = x[:, :width] * x[:, width:]
+    belief = decode(vae, cheat_encode(cheat, x))
+    bottom = belief.class_channel * belief.depth_channel
     # Tiles side by side: rows are the two bands, columns n_tiles * width.
-    img = np.concatenate(
-        [
-            np.concatenate(list(tiles_top), axis=1),
-            np.concatenate(list(tiles_bottom), axis=1),
-        ],
-        axis=0,
-    )
+    img = np.repeat(np.stack([top.reshape(-1), bottom.reshape(-1)]),
+                    band_height, axis=0)
     gray = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
     h, w = gray.shape
     header = (
@@ -325,7 +318,7 @@ def render_belief_strip(
         "# top band: rendered scan, gray = class level (free 0, gate 1/2,\n"
         "# obstacle 1) x depth. bottom band: frozen decoder view of the\n"
         "# substitute encoder's latent, gray = class channel x depth channel.\n"
-        f"# {len(sampled)} tile(s) of width {width}, band height {band_height}.\n"
+        f"# {n} tile(s) of width {width}, band height {band_height}.\n"
         f"{w} {h}\n255\n"
     ).encode("ascii")
     blob = header + gray.tobytes()

@@ -15,12 +15,15 @@ evaluator encode the latent sequences once, since z never depends on the
 genome, pad the episodes to one length, and step every genome through
 every episode together: one batched tick per timestep.
 
-One kernel, _tick, runs the cell and head for one drone (controller_step)
-and for a (genomes, episodes) batch (the evaluator). It works in place:
-the state and every temporary live in _Work buffers allocated once per
-batch shape, so a tick allocates nothing. A population with enough rows
-(genomes x episodes) is scored in contiguous shards, one thread per usable
-core; the shard count never changes a score's bytes.
+One kernel, _tick, runs the cell and head for the live drones of a
+flight (controller_step on an LstmBatch, one drone its B = 1 case) and
+for a (genomes, episodes) batch (the evaluator). It works in place: the
+state and every temporary live in _Work buffers allocated once per batch
+shape, so a tick allocates nothing. Drones tick through np.vecmat, a
+gemv per drone, so each flies bit for bit as it would alone; the
+evaluator keeps its stacked gemm. A population with enough rows
+(genomes x episodes) is scored in contiguous shards, one thread per
+usable core; the shard count never changes a score's bytes.
 """
 
 from __future__ import annotations
@@ -36,15 +39,15 @@ from . import container
 from .autodiff import ParamSet
 from .errors import ContractError, DimensionError, EvolutionError
 from .expert import Dataset
-from .vae import VaeParams, encode
+from .vae import VaeParams, encode, encode_rows
 from .worldsim import (
     Action,
     DEFAULT_SIM,
-    Observation,
     RolloutResult,
     SimConfig,
     WorldSpec,
     fly,
+    scan_features,
 )
 
 INIT_SIGMA = 0.1  # evolution seeds genomes from N(0, INIT_SIGMA^2)
@@ -121,13 +124,15 @@ class _Work:
     with a view of the i/f/o columns and of the g columns; the contiguous
     i/f/o block with a view of each gate; the contiguous g block; and one
     buffer per head layer. h (y's tail) and c are the LSTM state and start
-    at zero.
+    at zero. `mul` is the product _tick runs each layer through: np.matmul
+    (one gemm over a stack of rows) by default, or with rows=True
+    np.vecmat, a gemv per row with the bits of that row's lone product.
     """
 
     __slots__ = ("y", "z", "h", "c", "pre", "pre_ifo", "pre_g",
-                 "ifo", "i", "f", "o", "g", "acts")
+                 "ifo", "i", "f", "o", "g", "acts", "mul")
 
-    def __init__(self, net, lead: tuple[int, ...]):
+    def __init__(self, net, lead: tuple[int, ...], rows: bool = False):
         (gates, _), *head = net
         n = gates.shape[-1] // 4
         self.y = np.zeros(lead + gates.shape[-2:-1])
@@ -140,6 +145,7 @@ class _Work:
                                   for j in range(3))
         self.g = np.empty(lead + (n,))
         self.acts = [np.empty(lead + w.shape[-1:]) for w, _ in head]
+        self.mul = np.vecmat if rows else np.matmul
 
 
 def _tick(net, scale: np.ndarray, z: np.ndarray, work: _Work) -> np.ndarray:
@@ -160,7 +166,7 @@ def _tick(net, scale: np.ndarray, z: np.ndarray, work: _Work) -> np.ndarray:
     (gates, bias), *head = net
     w = work
     w.z[...] = z
-    np.matmul(w.y, gates, out=w.pre)
+    w.mul(w.y, gates, out=w.pre)
     np.add(w.pre, bias, out=w.pre)
     np.negative(w.pre_ifo, out=w.ifo)
     np.exp(w.ifo, out=w.ifo)
@@ -174,7 +180,7 @@ def _tick(net, scale: np.ndarray, z: np.ndarray, work: _Work) -> np.ndarray:
     np.multiply(w.o, w.g, out=w.h)
     x = w.y
     for (weight, b), a in zip(head, w.acts):
-        np.matmul(x, weight, out=a)
+        w.mul(x, weight, out=a)
         np.add(a, b, out=a)
         if a is not w.acts[-1]:
             np.tanh(a, out=a)
@@ -184,40 +190,73 @@ def _tick(net, scale: np.ndarray, z: np.ndarray, work: _Work) -> np.ndarray:
     return np.minimum(x, scale, out=x)
 
 
-def _packed(p: ControllerParams) -> tuple[list, _Work]:
-    """p's weights as _pack fuses them, with work buffers for one drone."""
-    net = _pack({name: t.data for name, t in p.params.items()})
-    return net, _Work(net, ())
+class LstmBatch:
+    """The batch form of LstmState: B drones flying one controller.
+
+    `net` is the controller's weights as _pack fuses them, and `work` the
+    _Work of B rows (rows=True) whose h and c rows are the drones' LSTM
+    states, zero at the start. controller_step advances them in place.
+    """
+
+    __slots__ = ("net", "work")
+
+    def __init__(self, p: ControllerParams, n: int):
+        self.net = _pack({name: t.data for name, t in p.params.items()})
+        self.work = _Work(self.net, (n,), rows=True)
+
+    def __len__(self) -> int:
+        return len(self.work.c)
+
+    def take(self, keep: np.ndarray) -> LstmBatch:
+        """The drones where the boolean mask is set, their states kept."""
+        out = object.__new__(LstmBatch)
+        out.net, out.work = self.net, _Work(self.net, (int(keep.sum()),), True)
+        out.work.h[...], out.work.c[...] = self.work.h[keep], self.work.c[keep]
+        return out
+
+
+def _packed(p: ControllerParams) -> LstmBatch:
+    """p's fused weights with one drone's buffers: the `net` a caller
+    ticking one controller many times passes to controller_step."""
+    return LstmBatch(p, 1)
 
 
 def controller_step(
-    p: ControllerParams, z: np.ndarray, st: LstmState, net=None
-) -> tuple[Action, LstmState]:
+    p: ControllerParams, z: np.ndarray, st: LstmState | LstmBatch, net=None
+) -> tuple[Action, LstmState] | np.ndarray:
     """One control tick: standard LSTM cell, then the dense head.
 
     i, f, o are sigmoid gates and g the tanh candidate; c' = f*c + i*g and
     h' = o * tanh(c'). The head reads concat(z, h') through two tanh
     layers, a linear output scaled by out_scale, then a clamp to the same
-    bounds. All-zero parameters therefore command exactly zero. This is
-    _tick's 1x1 case: st is copied into the work buffers and the new state
-    out of them. `net` is _packed(p), p's fused weights and one drone's
-    buffers; a caller ticking one controller many times builds it once and
-    passes it, else every call packs anew.
+    bounds. All-zero parameters therefore command exactly zero.
+
+    Batch form: z (B, k) holds B drones' latents and st is their
+    LstmBatch, advanced in place; returns the (B, 4) command rows, a view
+    that the next tick overwrites. Each layer is a gemv per drone
+    (np.vecmat), so row b has the bits of drone b ticked alone. A latent
+    [k] with an LstmState is the B = 1 case: st is copied into one
+    drone's buffers and the new state out of them, and the command comes
+    back as an Action. `net` is _packed(p); a caller ticking one
+    controller many times builds it once and passes it, else every call
+    packs anew.
     """
+    batch = isinstance(st, LstmBatch)
     z = np.asarray(z, dtype=np.float64)
-    if z.shape != (p.k,):
+    if z.shape != ((len(st), p.k) if batch else (p.k,)):
         raise DimensionError(f"latent dims {list(z.shape)} do not match k={p.k}")
+    if batch:
+        return _tick(st.net, p.out_scale, z, st.work)
     if st.h.shape != (p.h_dim,) or st.c.shape != (p.h_dim,):
         raise DimensionError(
             f"state dims {list(st.h.shape)}/{list(st.c.shape)} do not match "
             f"h_dim={p.h_dim}"
         )
-    net, work = _packed(p) if net is None else net
-    work.h[...] = st.h
-    work.c[...] = st.c
-    out = _tick(net, p.out_scale, z, work)
+    one = _packed(p) if net is None else net
+    one.work.h[0], one.work.c[0] = st.h, st.c
+    out = _tick(one.net, p.out_scale, z[None], one.work)[0]
     action = Action(float(out[0]), float(out[1]), float(out[2]), float(out[3]))
-    return action, LstmState(work.h.copy(), work.c.copy())
+    return action, LstmState(one.work.h[0].copy(), one.work.c[0].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -482,35 +521,33 @@ def rollouts(
     encoder "vae" feeds the frozen encoder mean and requires corridor
     worlds; encoder "cheat" feeds the substitute encoder (pass its params
     as `cheat`) and requires cluttered worlds. Each drone stops at
-    max_steps or on its first crash. The weights are packed once; every
-    drone keeps its own LSTM state and runs the nets at batch 1, so it
-    flies exactly as it would alone. `record` is fly's.
+    max_steps or on its first crash. Each tick encodes the live drones'
+    scans and steps their LSTM states (an LstmBatch) in one batch call
+    per net, each layer a gemv per drone, so every drone flies bit for bit
+    as it would alone. `record` is fly's.
     """
     if encoder == "vae":
         kind = "fake"
-        see = lambda obs: encode(vae, obs)[0]
+        see = lambda x: encode_rows(vae, x)[0]
     elif encoder == "cheat":
         kind = "real"
         if cheat is None:
             raise ContractError("cheat rollout needs encoder parameters")
         from .cheat import cheat_encode  # local import to avoid a cycle
 
-        see = lambda obs: cheat_encode(cheat, obs)
+        see = lambda x: cheat_encode(cheat, x)
     else:
         raise ContractError(f"unknown encoder {encoder!r}")
     if any(w.kind != kind for w in worlds):
         where = "corridor" if kind == "fake" else "room"
         raise ContractError(f"the {encoder} encoder rolls out in {where} worlds")
-    net = _packed(ctrl)
-    lstm = [zero_state(ctrl) for _ in worlds]
+    lstm, ids = LstmBatch(ctrl, len(worlds)), np.arange(len(worlds))
 
-    def act(flock, _drones, scans) -> list[tuple]:
-        rows = []
-        for i, c, d in zip(flock.ids.tolist(), *scans):
-            a, lstm[i] = controller_step(ctrl, see(Observation(c, d)), lstm[i],
-                                         net)
-            rows.append((a.vx, a.vy, a.vz, a.yaw_rate))
-        return rows
+    def act(flock, _drones, scans) -> np.ndarray:
+        nonlocal lstm, ids
+        if len(flock) < len(ids):  # drones landed: drop their states
+            lstm, ids = lstm.take(np.isin(ids, flock.ids)), flock.ids
+        return controller_step(ctrl, see(scan_features(*scans)), lstm)
 
     return fly(worlds, act, max_steps, cfg, record=record)
 

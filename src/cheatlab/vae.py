@@ -76,6 +76,16 @@ def check_obs_width(p, obs: Observation) -> None:
         )
 
 
+def feature_rows(p, obs: Observation | np.ndarray) -> np.ndarray:
+    """(N, 2W) scan features for model p's width W: an Observation as one
+    row, or an array of rows as it is; any other shape raises."""
+    x = obs.features()[None] if isinstance(obs, Observation) else obs
+    if x.ndim != 2 or x.shape[1] != 2 * p.width:
+        raise DimensionError(f"feature dims {list(x.shape)} do not "
+                             f"match model width {p.width}")
+    return x
+
+
 def encode(
     p: VaeParams, obs: Observation | Sequence[Observation] | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -89,10 +99,7 @@ def encode(
         check_obs_width(p, obs)
         x = obs.features()
     elif isinstance(obs, np.ndarray):
-        if obs.ndim != 2 or obs.shape[1] != 2 * p.width:
-            raise DimensionError(f"feature dims {list(obs.shape)} do not "
-                                 f"match model width {p.width}")
-        x = obs
+        x = feature_rows(p, obs)
     else:
         for o in obs:
             check_obs_width(p, o)
@@ -112,15 +119,32 @@ def _decoder(p: VaeParams, z):
     return ad.dense_stack(p.params, "dec", len(p.hidden) + 1, z, final="sigmoid")
 
 
+def encode_rows(p: VaeParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, logvar), each [B, k], for B drones' scan features (B, 2W).
+
+    Row b has the bits encode gives drone b's Observation alone: each
+    layer is a gemv per row (ad.dense_rows), where encode's dataset batch
+    is one gemm.
+    """
+    head = ad.dense_rows(p.params, "enc", len(p.hidden) + 1,
+                         feature_rows(p, x))
+    return head[:, : p.k], head[:, p.k :]
+
+
 def decode(p: VaeParams, z: np.ndarray) -> Reconstruction:
-    """Decode a latent vector into an observation-shaped belief."""
+    """Decode a latent vector [k] into an observation-shaped belief.
+
+    A stack of latents [B, k] decodes row by row in one call, each row with
+    the bits of its latent decoded alone, into [B, W] channels.
+    """
     z = np.asarray(z, dtype=np.float64)
-    if z.shape != (p.k,):
+    if z.shape[-1:] != (p.k,) or z.ndim > 2:
         raise DimensionError(
             f"latent dims {list(z.shape)} do not match k={p.k}"
         )
-    out = _decoder(p, z)
-    return Reconstruction(out[: p.width].copy(), out[p.width :].copy())
+    out = ad.dense_rows(p.params, "dec", len(p.hidden) + 1, z.reshape(-1, p.k),
+                        final="sigmoid").reshape(z.shape[:-1] + (-1,))
+    return Reconstruction(out[..., : p.width].copy(), out[..., p.width :].copy())
 
 
 def reparameterize(mu, logvar, eps):

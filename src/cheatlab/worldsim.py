@@ -22,15 +22,18 @@ Conventions fixed here and relied on everywhere else:
     box corner the reach is up to collision_radius * sqrt(2)
 
 Every simulator kernel works on a batch: a Flock (B worlds packed into
-NaN-padded box arrays) and Drones (B states as arrays). fly steps one
+NaN-padded box slabs) and Drones (B states as arrays). fly steps one
 drone per world in lock-step, with one render, one collision check and
 one dynamics step per tick for the whole batch. render_observation,
 point_in_collision, step_dynamics and virtual_gate also take a single
 WorldSpec and DroneState: that is the B = 1 case of the same kernel.
 Only operations that round the same at any batch shape are vectorized
-(arithmetic, comparisons, min/max, cos/sin), so a drone flown in a batch
-comes out bit for bit as it would alone. The dynamics integration runs
-per drone on Python floats, and the collision check after it is batched.
+(arithmetic, comparisons, min/max, cos/sin, and for the fliers' nets
+np.matvec and np.vecmat, which run one gemv per row), so a drone flown
+in a batch comes out bit for bit as it would alone. A gemm over the
+stacked rows would not: it rounds differently. The dynamics integration
+runs per drone on Python floats, and the collision check after it is
+batched.
 """
 
 from __future__ import annotations
@@ -246,16 +249,18 @@ def _solid_boxes(world: WorldSpec) -> tuple[np.ndarray, np.ndarray]:
 class Flock:
     """B worlds packed once for a lock-step flight.
 
-    Boxes are box-major, `edges[k, n, b]` for edge k (x0, y0, x1, y1) of
-    box n in world b, so a reduction over boxes runs across whole planes.
-    The first `n_obstacles` rows hold obstacles and the rest gate posts,
-    each block NaN-padded to the largest count in the flock; a NaN pad
-    never stops a ray or a drone. `bounds` is (4, B), and `gates` is
-    (4, G, B), NaN-padded: each gate's center x, y and plane normal x, y.
-    `ids` holds each world's index in the list the flight started from.
+    Boxes are slabs: `slabs[a, s, n, b]` is side s (low, high) along axis
+    a (x, y) of box n in world b. One subtract and one multiply then give
+    a ray's distances to all four edges, and a reduction over boxes runs
+    across whole planes. The first `n_obstacles` boxes are obstacles and
+    the rest gate posts, each block NaN-padded to the largest count in the
+    flock; a NaN pad never stops a ray or a drone. `walls` (2, 2, B) holds
+    the bounds in the same axis and side layout. `gates` is (4, G, B),
+    NaN-padded: each gate's center x, y and plane normal x, y. `ids`
+    holds each world's index in the list the flight started from.
     """
 
-    __slots__ = ("worlds", "ids", "bounds", "edges", "n_obstacles", "gates",
+    __slots__ = ("worlds", "ids", "walls", "slabs", "n_obstacles", "gates",
                  "_reach")
 
     def __init__(self, worlds: Sequence[WorldSpec]):
@@ -272,10 +277,14 @@ class Flock:
             for j, g in enumerate(w.gates):
                 frames[j, b] = (g.center[0], g.center[1],
                                 math.cos(g.yaw), math.sin(g.yaw))
+        # (x0, y0, x1, y1) columns to [axis][side] planes
+        slab = lambda a: np.ascontiguousarray(
+            a[..., [0, 2, 1, 3]].reshape(a.shape[:-1] + (2, 2))
+            .transpose(-2, -1, *range(a.ndim - 1)))
         self.worlds = list(worlds)
         self.ids = np.arange(len(worlds))
-        self.bounds = np.array([w.bounds for w in worlds], dtype=float).T.copy()
-        self.edges = np.ascontiguousarray(boxes.transpose(2, 0, 1))
+        self.walls = slab(np.array([w.bounds for w in worlds], dtype=float))
+        self.slabs = slab(boxes)
         self.n_obstacles = n
         self.gates = np.ascontiguousarray(frames.transpose(2, 0, 1))
         self._reach = {}
@@ -287,8 +296,8 @@ class Flock:
         """The sub-flock of the worlds where the boolean mask is set."""
         out = object.__new__(Flock)
         out.worlds = [w for w, k in zip(self.worlds, keep.tolist()) if k]
-        out.ids, out.bounds = self.ids[keep], self.bounds[:, keep]
-        out.edges, out.gates = self.edges[:, :, keep], self.gates[:, :, keep]
+        out.ids, out.walls = self.ids[keep], self.walls[..., keep]
+        out.slabs, out.gates = self.slabs[..., keep], self.gates[:, :, keep]
         out.n_obstacles, out._reach = self.n_obstacles, {}
         return out
 
@@ -297,8 +306,8 @@ class Flock:
         grown by radius as lows and highs (2, N, B); built once per radius."""
         if radius not in self._reach:
             self._reach[radius] = (
-                self.bounds[:2] + radius, self.bounds[2:] - radius,
-                self.edges[:2] - radius, self.edges[2:] + radius)
+                self.walls[:, 0] + radius, self.walls[:, 1] - radius,
+                self.slabs[:, 0] - radius, self.slabs[:, 1] + radius)
         return self._reach[radius]
 
 
@@ -366,47 +375,45 @@ def _collides(flock: Flock, x: np.ndarray, y: np.ndarray,
     return hit
 
 
-def _cast(bounds, edges, x, y, angles, n_obstacles=None):
-    """Nearest hit along rays at angles (B, R) from points (B,).
+def _cast(walls, slabs, p, angles, n_obstacles=None):
+    """Nearest hit along rays at angles (B, R) from points p (2, B).
 
-    Walls (bounds, (4, B)) and solid boxes (edges, (4, N, B) as in Flock)
-    compete for the nearest hit. Returns the exact distances (B, R), no
-    maximum applied. Given n_obstacles, the box rows past it are gate
-    posts, and the second result (B, R) flags the rays whose nearest hit
-    is a gate post; argmin over obstacle-then-post order picked the same
-    ones, since a tie goes to the obstacle. Every step is elementwise or
-    a min, so a drone's rays come out the same bits at any B.
+    Walls (2, 2, B) and solid boxes (2, 2, N, B), both in Flock's slab
+    layout, compete for the nearest hit. Returns the exact distances
+    (B, R), no maximum applied. Given n_obstacles, the box rows past it
+    are gate posts, and the second result (B, R) flags the rays whose
+    nearest hit is a gate post (else it is None); argmin over
+    obstacle-then-post order picked the same ones, since a tie goes to
+    the obstacle. Every step is elementwise or a min, so a drone's rays
+    come out the same bits at any B.
     """
-    dx = np.cos(angles)
-    dy = np.sin(angles)
+    d = np.empty((2,) + angles.shape)
+    np.cos(angles, out=d[0])
+    np.sin(angles, out=d[1])
     # Guard exact zeros so the slab method stays finite.
-    dx[np.abs(dx) < 1e-12] = 1e-12
-    dy[np.abs(dy) < 1e-12] = 1e-12
-    x, y = x[:, None], y[:, None]
-    bx0, by0, bx1, by1 = bounds[:, :, None]
-    tx = np.where(dx > 0, (bx1 - x) / dx, (bx0 - x) / dx)
-    ty = np.where(dy > 0, (by1 - y) / dy, (by0 - y) / dy)
-    t_wall = np.minimum(tx, ty)
-    if edges.shape[1] == 0:
-        return t_wall, None if n_obstacles is None else np.zeros(t_wall.shape, bool)
+    d[np.abs(d) < 1e-12] = 1e-12
+    p = p[:, :, None]
+    # A ray leaves the walls through the side it heads for, the later of
+    # the two along each axis (the same pick as by the sign of d, since
+    # division keeps order), and through the nearer axis.
+    t_wall = (walls[..., None] - p[:, None]) / d[:, None]
+    t_wall = np.maximum(t_wall[:, 0], t_wall[:, 1], out=t_wall[:, 0])
+    t_wall = np.minimum(t_wall[0], t_wall[1], out=t_wall[0])
+    if slabs.shape[2] == 0:
+        return t_wall, None
 
-    inv_x = 1.0 / dx
-    inv_y = 1.0 / dy
-    x0, y0, x1, y1 = edges[:, :, :, None]
-    t1 = (x0 - x) * inv_x
-    t2 = (x1 - x) * inv_x
-    t_near = np.minimum(t1, t2)
-    t_far = np.maximum(t1, t2, out=t1)
-    t3 = (y0 - y) * inv_y
-    t4 = np.multiply(y1 - y, inv_y, out=t2)
-    np.maximum(t_near, np.minimum(t3, t4), out=t_near)
-    np.minimum(t_far, np.maximum(t3, t4, out=t3), out=t_far)
-    miss = ~((t_near <= t_far) & (t_far > 0.0))  # also every NaN pad
-    np.copyto(t_near, 0.0, where=~(t_near > 0.0))  # rays starting inside
-    np.copyto(t_near, np.inf, where=miss)
+    t = (slabs[..., None] - p[:, None, None]) * (1.0 / d)[:, None, None]
+    near = np.minimum(t[:, 0], t[:, 1])
+    far = np.maximum(t[:, 0], t[:, 1], out=t[:, 0])
+    t_near = np.maximum(near[0], near[1], out=near[0])
+    t_far = np.minimum(far[0], far[1], out=far[0])
+    hit = t_near <= t_far  # never on a NaN pad
+    hit &= t_far > 0.0
+    # A ray starting inside a box hits it at 0; a miss never.
+    np.maximum(t_near, 0.0, out=t_near)
+    np.copyto(t_near, np.inf, where=~hit)
     if n_obstacles is None:
-        t_box = np.minimum.reduce(t_near, axis=0)
-        return np.where(t_box < t_wall, t_box, t_wall), None
+        return np.minimum(np.minimum.reduce(t_near, axis=0), t_wall), None
     t_obstacle = np.minimum.reduce(t_near[:n_obstacles], axis=0, initial=np.inf)
     t_post = np.minimum.reduce(t_near[n_obstacles:], axis=0, initial=np.inf)
     t_box = np.minimum(t_obstacle, t_post)
@@ -440,12 +447,15 @@ def _render(flock: Flock, drones: Drones,
             cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     fov = math.radians(cfg.fov_deg)
     angles = drones.yaw[:, None] + _fan(fov / 2.0, -fov / 2.0, cfg.scan_width)
-    dist, post = _cast(flock.bounds, flock.edges, drones.x, drones.y, angles,
-                       flock.n_obstacles)
+    # Post flags only for a flock that has posts: rooms have none.
+    posts = flock.slabs.shape[2] > flock.n_obstacles
+    dist, post = _cast(flock.walls, flock.slabs, drones.pose[:2], angles,
+                       flock.n_obstacles if posts else None)
     visible = dist < cfg.d_max
-    depth = np.where(visible, np.minimum(np.maximum(1.0 - dist / cfg.d_max, 0.0),
-                                         1.0), 0.0)
-    return np.where(visible, np.where(post, GATE, OBSTACLE), FREE), depth
+    # Where nothing is visible, dist >= d_max, so the clamp at 0 gives 0.
+    depth = np.minimum(np.maximum(1.0 - dist / cfg.d_max, 0.0), 1.0)
+    # GATE is OBSTACLE - 1, so a post hit counts one down from obstacle.
+    return visible * (OBSTACLE if post is None else OBSTACLE - post), depth
 
 
 # ---------------------------------------------------------------------------
@@ -474,10 +484,14 @@ def step_dynamics(world: WorldSpec | Flock, state: DroneState | Drones,
     A crashed state must not be stepped again.
 
     Batch form: a Flock, Drones and (B, 4) command rows (vx, vy, vz,
-    yaw_rate) give the next Drones; a WorldSpec, a DroneState and an
-    Action are its B = 1 case and give the next DroneState.
+    yaw_rate) give the next Drones. It leaves the crash check to its
+    caller: fly lands every crashed drone before the next tick. A
+    WorldSpec, a DroneState and an Action are its B = 1 case and give the
+    next DroneState.
     """
     if isinstance(world, WorldSpec):
+        if state.crashed:
+            raise ContractError("cannot step a crashed state")
         commands = np.array([(action.vx, action.vy, action.vz,
                               action.yaw_rate)], dtype=np.float64)
         return _step(*_one(world, state), commands, dt, cfg).states()[0]
@@ -486,8 +500,6 @@ def step_dynamics(world: WorldSpec | Flock, state: DroneState | Drones,
 
 def _step(flock: Flock, drones: Drones, commands: np.ndarray, dt: float,
           cfg: SimConfig) -> Drones:
-    if drones.crashed.any():
-        raise ContractError("cannot step a crashed state")
     if not (0.0 < dt <= 0.2):
         raise ContractError(f"dt must lie in (0, 0.2], got {dt}")
     # The integration runs per drone on Python floats, as math.hypot has
@@ -655,31 +667,46 @@ class RolloutResult:
         return self.record.episodes()[0]
 
 
+# Ticks of a flight log laid out per block: enough to amortize a block's
+# calls at B = 1, few enough that a block's join stays small at large B.
+_LAY_TICKS = 64
+
+
 def _lay_out(log: list, n_worlds: int, width: int | None) -> Record:
     """The record of a flight from its per-tick log, each world's steps
     contiguous and in tick order.
 
+    Each tick's entry holds the live ids, the classes (as int8) and depth
+    (None when blind), the commands, the poses (B, 5) and the crash flags.
     A drone live at tick t has recorded t steps before it, so its row for
-    tick t is its episode's first row plus t. Each tick's entry is freed
-    once it is laid out.
+    tick t is its episode's first row plus t. Each field is scattered to
+    its rows _LAY_TICKS ticks at a time, each block of tick entries freed
+    once it is laid out, so the flight's steps are never held twice over.
     """
-    ids = [entry[0] for entry in log]
-    lengths = np.bincount(np.concatenate(ids) if ids else np.zeros(0, np.int64),
-                          minlength=n_worlds)
-    offsets = np.concatenate([[0], np.cumsum(lengths)])
-    first, n = offsets[:-1], int(offsets[-1])
-    classes = None if width is None else np.empty((n, width), np.int8)
-    depth = None if width is None else np.empty((n, width))
-    actions, states = np.empty((n, 4)), np.empty((n, 6))
-    for t in range(len(log) - 1, -1, -1):
-        live, scans, commands, drones = log.pop()
-        rows = first[live] + t
-        if scans is not None:
-            classes[rows], depth[rows] = scans
-        actions[rows] = commands
-        states[rows, :5] = drones.pose.T
-        states[rows, 5] = drones.crashed
-    return Record(classes, depth, actions, states, offsets)
+    ids, classes, depth, commands, poses, crashed = (
+        [list(field) for field in zip(*log)] or [[] for _ in range(6)])
+    log.clear()
+    ends = np.cumsum([0] + [len(live) for live in ids])
+    ids = np.concatenate(ids) if ids else np.zeros(0, np.int64)
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(ids,
+                                                         minlength=n_worlds))])
+    rows = offsets[ids] + np.repeat(np.arange(len(ends) - 1), np.diff(ends))
+
+    def lay(parts: list, out: np.ndarray) -> np.ndarray:
+        for t in range(0, len(parts), _LAY_TICKS):
+            block = parts[t : t + _LAY_TICKS]
+            parts[t : t + _LAY_TICKS] = [None] * len(block)
+            out[rows[ends[t] : ends[t + len(block)]]] = np.concatenate(block)
+        return out
+
+    n = len(ids)
+    scans = (None, None) if width is None else (
+        lay(classes, np.empty((n, width), np.int8)),
+        lay(depth, np.empty((n, width))))
+    states = np.empty((n, 6))
+    lay(poses, states[:, :5])
+    lay(crashed, states[:, 5])
+    return Record(*scans, lay(commands, np.empty((n, 4))), states, offsets)
 
 
 def fly(
@@ -706,11 +733,11 @@ def fly(
     after max_steps. One world is the B = 1 case, and every drone flies
     exactly as it would alone.
 
-    A tick is recorded as arrays: the live ids, the scans, the commands
-    and the Drones. When the flight ends they are laid out as one Record,
-    and each result's record is its world's rows of it. With record=False
-    the results keep no steps, only how each flight ended, so a large
-    batch holds no scans past the tick that used them.
+    A tick is recorded as arrays: the live ids, the scans, the commands,
+    the poses and the crash flags. When the flight ends they are laid out
+    as one Record, and each result's record is its world's rows of it.
+    With record=False the results keep no steps, only how each flight
+    ended, so a large batch holds no scans past the tick that used them.
     """
     if max_steps < 1:
         raise ContractError(f"max_steps {max_steps} < 1")
@@ -721,7 +748,7 @@ def fly(
     # A drone whose start pose is already in collision has crashed there.
     drones = Drones(pose, point_in_collision(flock, pose[0], pose[1],
                                              cfg.collision_radius))
-    log = []  # per recorded tick: live ids, scans, commands, Drones
+    log = []  # per recorded tick, the fields _lay_out reads
     final: list[DroneState | None] = [None] * len(worlds)
 
     def land(mask: np.ndarray) -> None:
@@ -743,8 +770,9 @@ def fly(
         # A copy, so a flier may hand back a buffer it writes again.
         commands = np.array(act(flock, drones, scans), dtype=np.float64)
         if record:
-            kept = None if blind else (scans[0].astype(np.int8), scans[1])
-            log.append((flock.ids, kept, commands, drones))
+            log.append((flock.ids, *((None, None) if blind else
+                                     (scans[0].astype(np.int8), scans[1])),
+                        commands, drones.pose.T, drones.crashed))
         drones = step_dynamics(flock, drones, commands, cfg.dt, cfg)
     land(np.ones(len(drones), dtype=bool))
     steps = _lay_out(log, len(worlds), None if blind else cfg.scan_width)
@@ -902,8 +930,8 @@ def spawn_real_world(
                 break
         else:
             continue
-        (g,) = _gap_gates(flock, np.array([px]), np.array([py]),
-                          np.array([pyaw]), cfg)
+        (g,) = _gap_gates(flock, np.array([[px], [py]]), np.array([pyaw]),
+                          cfg)
         if g is None:
             continue
         gx, gy, _ = g.center
@@ -933,9 +961,10 @@ def spawn_real_world(
 _FAN_MARGIN = 1e-6
 
 
-def _gap_gates(flock: Flock, x: np.ndarray, y: np.ndarray, yaw: np.ndarray,
+def _gap_gates(flock: Flock, p: np.ndarray, yaw: np.ndarray,
                cfg: SimConfig) -> list[Gate | None]:
-    """Widest free angular gap in the forward half-plane within d_gate.
+    """Widest free angular gap in the forward half-plane within d_gate,
+    for drones at points p (2, B) heading yaw (B,).
 
     A fan of rays covers [yaw - pi/2, yaw + pi/2]; a direction is free
     when nothing blocks it closer than d_gate. The widest maximal run of
@@ -947,14 +976,16 @@ def _gap_gates(flock: Flock, x: np.ndarray, y: np.ndarray, yaw: np.ndarray,
     rel = _fan(-math.pi / 2.0, math.pi / 2.0, m)
     # A box whose nearest point lies beyond d_gate cannot block a ray
     # closer than d_gate, so dropping it leaves the free mask exact.
-    x0, y0, x1, y1 = flock.edges
-    gx = np.maximum(np.maximum(x0 - x, x - x1), 0.0)
-    gy = np.maximum(np.maximum(y0 - y, y - y1), 0.0)
-    near = gx * gx + gy * gy <= (cfg.d_gate + _FAN_MARGIN) ** 2
+    q = p[:, None]
+    gap = np.maximum(np.maximum(flock.slabs[:, 0] - q, q - flock.slabs[:, 1]),
+                     0.0)
+    near = gap[0] * gap[0] + gap[1] * gap[1] <= (cfg.d_gate + _FAN_MARGIN) ** 2
     order = np.argsort(~near, axis=0, kind="stable")[: near.sum(axis=0).max()]
-    cols = np.arange(len(x))
-    edges = np.where(near[order, cols], flock.edges[:, order, cols], np.nan)
-    dist, _ = _cast(flock.bounds, edges, x, y, yaw[:, None] + rel)
+    cols = np.arange(p.shape[1])
+    # Contiguous, or every plane the cast builds from it would be strided.
+    slabs = np.ascontiguousarray(
+        np.where(near[order, cols], flock.slabs[:, :, order, cols], np.nan))
+    dist, _ = _cast(flock.walls, slabs, p, yaw[:, None] + rel)
     free = dist >= cfg.d_gate
     # run[i] is the length of the free run ending at ray i (0 if blocked);
     # its first maximum ends the widest run, so the first run wins ties.
@@ -964,7 +995,7 @@ def _gap_gates(flock: Flock, x: np.ndarray, y: np.ndarray, yaw: np.ndarray,
     lengths = run[np.arange(len(ends)), ends]
     step = math.pi / (m - 1)
     gates: list[Gate | None] = []
-    for xb, yb, yawb, end, length in zip(x.tolist(), y.tolist(), yaw.tolist(),
+    for xb, yb, yawb, end, length in zip(*p.tolist(), yaw.tolist(),
                                          ends.tolist(), lengths.tolist()):
         width = (length - 1) * step
         chord = 2.0 * cfg.d_gate * math.sin(width / 2.0)
@@ -996,7 +1027,7 @@ def virtual_gate(world: WorldSpec | Flock, state: DroneState | Drones,
         if w.kind != "real":
             raise ContractError(
                 f"virtual gates are for real worlds, not {w.kind!r}")
-    gates = _gap_gates(flock, drones.x, drones.y, drones.yaw, cfg)
+    gates = _gap_gates(flock, drones.pose[:2], drones.yaw, cfg)
     return gates[0] if single else gates
 
 

@@ -435,6 +435,55 @@ def test_dense_stack_on_a_plain_array_matches_the_graph_bit_for_bit(final, shape
     assert plain.tobytes() == graph.data.tobytes()
 
 
+# Widths of every dense layer the package ships (128, 64, 16) and odd
+# ones, drawn with any other width up to 160.
+_WIDTHS = st.one_of(st.sampled_from([1, 3, 5, 9, 16, 64, 128]),
+                    st.integers(1, 160))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(n=_WIDTHS, m=_WIDTHS, batch=st.integers(1, 64),
+       transposed=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_matvec_and_vecmat_rows_round_as_lone_vector_products(
+        n, m, batch, transposed, seed):
+    # Every batched flier promises each drone the bits it gets flown
+    # alone, because np.matvec and np.vecmat run the same gemv per row as
+    # a lone w @ x or x @ w. A numpy or BLAS build that rounds them
+    # differently breaks that promise, and this test says so.
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(batch, n))
+    # A contiguous matrix, or a transposed view as _pack lays out the
+    # controller's weights.
+    w = rng.normal(size=(n, m)).T if transposed else rng.normal(size=(m, n))
+    g = rng.normal(size=(m, n)).T if transposed else rng.normal(size=(n, m))
+    out = np.empty((batch, m))
+    np.vecmat(x, g, out=out)
+    for name, rows, lone in (
+            ("matvec", np.matvec(w, x), [w @ v for v in x]),
+            ("vecmat", np.vecmat(x, g), [v @ g for v in x]),
+            ("vecmat(out=)", out, [v @ g for v in x])):
+        bad = [b for b, want in enumerate(lone)
+               if rows[b].tobytes() != want.tobytes()]
+        assert not bad, (
+            f"np.{name} rows {bad} of a ({batch}, {n}) batch through a "
+            f"{'transposed ' if transposed else ''}{m}-wide layer round "
+            f"unlike the same lone vector products on numpy "
+            f"{np.__version__}: batched flights would not fly bit for bit "
+            f"as lone ones")
+
+
+@pytest.mark.parametrize("final", [None, "sigmoid"])
+def test_dense_rows_gives_each_row_its_lone_vector_bits(final):
+    p = ad.ParamSet()
+    ad.dense_init(p, "net", [5, 9, 6, 3], np.random.default_rng(2))
+    x = np.random.default_rng(3).normal(0, 2, (7, 5))
+    rows = ad.dense_rows(p, "net", 3, x, final=final)
+    assert rows.shape == (7, 3)
+    for row, v in zip(rows, x):
+        assert row.tobytes() == ad.dense_stack(p, "net", 3, v,
+                                               final=final).tobytes()
+
+
 @pytest.mark.parametrize("batch", [False, True])
 def test_affine_skips_the_gradient_of_a_constant_input(batch):
     rng = np.random.default_rng(4)

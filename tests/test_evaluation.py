@@ -1,6 +1,7 @@
 """Evaluation protocol, baseline cloning, reports, and belief strips."""
 
 import csv
+import hashlib
 import io
 
 import numpy as np
@@ -262,6 +263,32 @@ def test_belief_strip_stride_and_digests(tiny_models, tmp_path):
     obs = res.steps[0].observation
     want = np.clip(np.rint(obs.classes * 0.5 * obs.depth * 255), 0, 255)
     assert np.array_equal(img[0, : DEFAULT_SIM.scan_width], want)
+
+
+# sha256 of render_belief_strip's bytes for these flights, computed before
+# the strip encoded and decoded its tiles as one batch.
+PINNED_STRIPS = {
+    (3, 120, 7, 4): "c22c203942b6c0d05f94cc0d29ee4927"
+                    "201acf30a74c42c513a97c77b3946e65",
+    (8, 200, 1, 2): "7ea59fea9d88a09d7265374e686c2bdc"
+                    "35865d01b97e2389f02e8a32a9376f7b",
+}
+
+
+@pytest.mark.parametrize("args", sorted(PINNED_STRIPS))
+def test_belief_strip_bytes_are_pinned(tiny_models, tmp_path, args):
+    seed, steps, stride, band = args
+    res = po.rollout(spawn_real_world(seed, 0.4, with_gates=False),
+                     tiny_models["vae"], tiny_models["controller"], steps,
+                     encoder="cheat", cheat=tiny_models["cheat"])
+    blob = ev.render_belief_strip(res, tiny_models["cheat"],
+                                  tiny_models["vae"], stride,
+                                  tmp_path / "s.pgm", band_height=band)
+    assert hashlib.sha256(blob).hexdigest() == PINNED_STRIPS[args]
+    # A list of steps draws the same strip as the flight it came from.
+    assert ev.render_belief_strip(list(res.steps), tiny_models["cheat"],
+                                  tiny_models["vae"], stride,
+                                  tmp_path / "l.pgm", band_height=band) == blob
 
 
 def test_belief_strip_zero_encoder_constant_bottom(tiny_models, tmp_path):

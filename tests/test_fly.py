@@ -196,16 +196,43 @@ def test_cheat_rollout_matches_per_step_controller(models, seed):
     assert_same_flight(result, steps, final)
 
 
+@pytest.mark.parametrize("encoder", ["vae", "cheat"])
+def test_batched_rollouts_match_per_step_controllers(models, encoder):
+    # One batch of six drones that land at different ticks, so the flier
+    # drops landed drones' LSTM states mid-flight; a bolder controller
+    # than the fixture's makes the room drones crash.
+    vae, cheat = models["vae"], models["cheat"]
+    tmpl = po.controller_template(k=K, h_dim=4, mlp_hidden=(8, 6))
+    ctrl = po.controller_from_genome(
+        np.random.default_rng(7).normal(0, 1.0, po.genome_size(tmpl)), tmpl)
+    if encoder == "vae":
+        worlds = [ws.spawn_fake_world(s, cfg=CFG) for s in range(6)]
+        encode = lambda obs: vb.encode(vae, obs)[0]
+    else:
+        worlds = [ws.spawn_real_world(s, 0.4, cfg=CFG) for s in range(6)]
+        encode = lambda obs: ch.cheat_encode(cheat, obs)
+    results = po.rollouts(worlds, vae, ctrl, 200, encoder=encoder,
+                          cheat=cheat, cfg=CFG)
+    for world, result in zip(worlds, results):
+        steps, final = hand_flight(world, controller_command(ctrl, encode), 200)
+        assert_same_flight(result, steps, final)
+    assert len({len(r.steps) for r in results if r.crashed}) >= 4
+
+
 def test_eval_pipelines_match_hand_loops(models):
-    seeds, max_steps, hold = [0, 1, 2, 3], 150, 20
+    seeds, max_steps, hold = [0, 1, 2, 3, 4], 150, 20
     crashed = []
-    for pipeline in ("baseline", "random", "zero"):
+    for pipeline in ("cheat", "baseline", "random", "zero"):
         report = ev.eval_mean_distance(pipeline, models, seeds, max_steps,
                                        hold_steps=hold, cfg=CFG)
         want = []
         for seed in seeds:
             world = ws.spawn_real_world(seed, 0.4, cfg=CFG, with_gates=False)
-            if pipeline == "baseline":
+            if pipeline == "cheat":
+                command = controller_command(
+                    models["controller"],
+                    lambda obs: ch.cheat_encode(models["cheat"], obs))
+            elif pipeline == "baseline":
                 command = lambda _t, obs: ev.baseline_action(
                     models["baseline"], obs, CFG)
             elif pipeline == "random":
@@ -214,11 +241,37 @@ def test_eval_pipelines_match_hand_loops(models):
             else:
                 command = lambda _t, _obs: ws.ZERO_ACTION
             _, final = hand_flight(world, command, max_steps,
-                                   sees=pipeline == "baseline")
+                                   sees=pipeline in ("cheat", "baseline"))
             want.append((final.odometer, final.crashed))
         assert list(zip(report.odometers, report.crashed)) == want, pipeline
         crashed += report.crashed
     assert any(crashed) and not all(crashed)
+
+
+def test_rollouts_and_evals_build_no_per_step_objects(models, monkeypatch):
+    # The fliers hand the nets (B, .) arrays and keep the LSTM states in
+    # work buffers, so no Observation, Action or LstmState is built while
+    # flying; only indexing a recorded step builds its objects.
+    built = dict.fromkeys(["Observation", "Action", "LstmState"], 0)
+    for cls in (ws.Observation, ws.Action, po.LstmState):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__,
+                    **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    vae, cheat, ctrl = models["vae"], models["cheat"], models["controller"]
+    rooms = [ws.spawn_real_world(s, 0.4, cfg=CFG) for s in range(5)]
+    flights = po.rollouts(rooms, vae, ctrl, 60, encoder="cheat", cheat=cheat,
+                          cfg=CFG)
+    flights += po.rollouts([ws.spawn_fake_world(s, cfg=CFG) for s in range(3)],
+                           vae, ctrl, 60, cfg=CFG)
+    for pipeline in ("cheat", "baseline"):
+        ev.eval_mean_distance(pipeline, models, [0, 1, 2], 60, cfg=CFG)
+    assert sum(len(r.steps) for r in flights) > 400
+    assert built == {"Observation": 0, "Action": 0, "LstmState": 0}
+    flights[0].steps[5]
+    assert built == {"Observation": 1, "Action": 1, "LstmState": 0}
 
 
 def test_corridor_collection_renders_one_scan_per_recorded_step(monkeypatch):

@@ -141,6 +141,36 @@ def test_controller_step_bits_match_the_fused_formula():
             assert st.c.tobytes() == c.tobytes()
 
 
+def test_batched_controller_step_gives_each_drone_its_lone_bits():
+    # The fliers tick every live drone in one LstmBatch; each drone's
+    # commands and state must be the fused formula's for that drone alone,
+    # also after take() drops drones that landed.
+    rng = np.random.default_rng(9)
+    for k, h_dim, mlp in ((8, 16, (32, 16)), (3, 5, (7, 4)), (1, 1, (2, 2))):
+        t = po.controller_template(k=k, h_dim=h_dim, mlp_hidden=mlp)
+        ctrl = po.controller_from_genome(
+            rng.normal(0, 1.0, po.genome_size(t)), t)
+        lstm = po.LstmBatch(ctrl, 7)
+        live = np.arange(7)
+        h, c = np.zeros((7, h_dim)), np.zeros((7, h_dim))
+        for step in range(30):
+            if step in (10, 20):
+                keep = rng.random(len(live)) < 0.7
+                keep[0] = True
+                lstm, live = lstm.take(keep), live[keep]
+            z = rng.normal(0, 2.0, (len(live), k))
+            out = po.controller_step(ctrl, z, lstm)
+            assert out.shape == (len(live), 4) and len(lstm) == len(live)
+            for row, i in enumerate(live):
+                want, h[i], c[i] = fused_tick_reference(ctrl, z[row], h[i], c[i])
+                assert out[row].tobytes() == want.tobytes()
+                assert lstm.work.h[row].tobytes() == h[i].tobytes()
+                assert lstm.work.c[row].tobytes() == c[i].tobytes()
+        assert len(live) < 7
+        with pytest.raises(DimensionError):
+            po.controller_step(ctrl, np.zeros((len(live) + 1, k)), lstm)
+
+
 # ---------------------------------------------------------------------------
 # genome codec
 

@@ -112,6 +112,52 @@ def test_inference_builds_no_graph_and_matches_the_graph(monkeypatch):
         {k: v.tobytes() for k, v in want.items()}
 
 
+def test_drone_batch_forms_give_each_row_its_lone_bits():
+    # The fliers run every net on (B, .) rows of live drones; each row must
+    # be what the single-observation form gives that drone, bit for bit.
+    from cheatlab import cheat as ch
+    from cheatlab import evaluation as ev
+
+    rng = np.random.default_rng(4)
+    p = tiny_model()
+    cheat = ch.cheat_init(3, (10, 6), 1, width=8)
+    base = ev.baseline_init((10, 6), 2, width=8)
+    for params in (cheat.params, base.params):  # commands beyond the clamp
+        for name in params.names():
+            params[name].data[...] *= 3.0
+    obs = [random_obs(rng) for _ in range(9)]
+    x = np.stack([o.features() for o in obs])
+    mu, logvar = vb.encode_rows(p, x)
+    belief = vb.decode(p, mu)
+    cheat_z = ch.cheat_encode(cheat, x)
+    commands = ev.baseline_action(base, x, DEFAULT_SIM)
+    assert belief.class_channel.shape == belief.depth_channel.shape == (9, 8)
+    assert commands.shape == (9, 4)
+    clamped = 0
+    for b, o in enumerate(obs):
+        one_mu, one_logvar = vb.encode(p, o)
+        assert mu[b].tobytes() == one_mu.tobytes()
+        assert logvar[b].tobytes() == one_logvar.tobytes()
+        one = vb.decode(p, one_mu)
+        assert belief.class_channel[b].tobytes() == one.class_channel.tobytes()
+        assert belief.depth_channel[b].tobytes() == one.depth_channel.tobytes()
+        assert cheat_z[b].tobytes() == ch.cheat_encode(cheat, o).tobytes()
+        a = ev.baseline_action(base, o, DEFAULT_SIM)
+        want = np.array([a.vx, a.vy, a.vz, a.yaw_rate])
+        assert commands[b].tobytes() == want.tobytes()
+        clamped += int(np.any(np.abs(want) == [DEFAULT_SIM.v_max] * 3
+                              + [DEFAULT_SIM.yaw_rate_max]))
+    assert clamped  # the clamp was exercised
+    for bad in (x[:, :-1], x[0]):
+        for form in (lambda v: vb.encode_rows(p, v),
+                     lambda v: ch.cheat_encode(cheat, v),
+                     lambda v: ev.baseline_action(base, v)):
+            with pytest.raises(DimensionError):
+                form(bad)
+    with pytest.raises(DimensionError):
+        vb.decode(p, np.zeros((2, 4)))
+
+
 def test_reparameterize_zero_eps_returns_mu():
     rng = np.random.default_rng(1)
     mu = rng.normal(0, 1, 5)
