@@ -43,7 +43,7 @@ print("stage 2: paired supervision in cluttered rooms")
 pairs = build_pairs(real_seed=9, n_poses=300, vae=vae, mode="virtual_gate",
                     density=0.4, cfg=cfg)
 print(f"  {len(pairs)} pairs; first target_mu:",
-      np.round(pairs[0].target_mu[:4], 2), "...")
+      np.round(pairs.target_mu[0, :4], 2), "...")
 
 print("stage 3: fit the substitute encoder against frozen targets")
 cheat, history, digests = train_cheat(

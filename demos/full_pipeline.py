@@ -36,17 +36,18 @@ eval.max_steps = 300
 viz.max_steps = 150
 """
 
-work = pathlib.Path(tempfile.mkdtemp(prefix="cheatlab_demo_"))
-config = work / "toy.cfg"
-config.write_text(TOY.format(out=work / "run"))
+with tempfile.TemporaryDirectory(prefix="cheatlab_demo_") as tmp:
+    work = pathlib.Path(tmp)
+    config = work / "toy.cfg"
+    config.write_text(TOY.format(out=work / "run"))
 
-code = main(["pipeline", "--config", str(config)])
-print("\npipeline exit code:", code)
+    code = main(["pipeline", "--config", str(config)])
+    print("\npipeline exit code:", code)
 
-run = work / "run"
-print("\nartifacts:")
-for p in sorted(run.iterdir()):
-    print(f"  {p.name:28s} {p.stat().st_size:9d} bytes")
+    run = work / "run"
+    print("\nartifacts:")
+    for p in sorted(run.iterdir()):
+        print(f"  {p.name:28s} {p.stat().st_size:9d} bytes")
 
-print("\ncomparison table:")
-print((run / "eval_report.txt").read_text())
+    print("\ncomparison table:")
+    print((run / "eval_report.txt").read_text())

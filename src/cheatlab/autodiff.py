@@ -559,3 +559,14 @@ def fit_minibatch(
             total += loss.item() * len(idx)
         history.append(total / n)
     return history
+
+
+def fit_dense(params: ParamSet, prefix: str, n_layers: int, x: Array,
+              y: Array, cfg, rng: np.random.Generator) -> list[float]:
+    """fit_minibatch on the MSE between the dense stack's outputs for rows
+    of x and the same rows of y; returns the mean loss of each epoch."""
+    def loss_fn(idx, _eps):
+        pred = dense_stack(params, prefix, n_layers, constant(x[idx]))
+        return mse(pred, constant(y[idx]))
+
+    return fit_minibatch(params, loss_fn, len(x), cfg, rng)

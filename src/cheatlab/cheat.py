@@ -15,12 +15,17 @@ cluttered rooms and supervises toward the nearest one ahead, so the gate
 geometry appears in the real rendering. virtual_gate keeps the rooms
 gate-free and aims the target at the widest-gap opening instead, which is
 what lets the transferred policy fly rooms that contain no gates at all.
+
+Pairs are one struct-of-arrays block, Pairs. build_pairs draws rooms in
+waves, each through the batch kernels once (gate, real scans, matched
+scans) and vae.encode_rows, so each pair keeps the bits it has alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,16 +38,22 @@ from .errors import (
     IntegrityError,
 )
 from .policy import ControllerParams
-from .vae import VaeParams, encode, feature_rows
+from .vae import VaeParams, encode_rows, feature_rows
 from .worldsim import (
     DEFAULT_SIM,
+    FREE,
+    GATE,
+    OBSTACLE,
     DroneState,
+    Drones,
+    Flock,
     Gate,
     Observation,
     SimConfig,
     WorldSpec,
     _derive_seed,
     render_observation,
+    scan_features,
     spawn_real_world,
     start_state,
     virtual_gate,
@@ -50,6 +61,10 @@ from .worldsim import (
 )
 
 PAIR_MODES = ("virtual_gate", "gates_visible")
+# Rooms per build_pairs wave at most. The gap fan's arrays grow as boxes
+# x rooms x rays: a wave of 500 rooms peaks 62 MiB above one of 8, and
+# from 8 to 128 rooms build_pairs(..., 500) takes the same time.
+_WAVE_ROOMS = 16
 
 
 @dataclass
@@ -65,18 +80,38 @@ class CheatEncoderParams:
 CheatTrainConfig = ad.DenseTrainConfig
 
 
-@dataclass(frozen=True)
-class PairedSample:
-    """One supervision pair plus the pose and gate it was built from.
+@dataclass(frozen=True, eq=False)
+class Pairs:
+    """Supervision pairs as one struct-of-arrays block, one row per pair.
 
-    pose is (x, y, z, yaw); together with gate it is enough to rebuild
-    the matched scene and recompute target_mu from scratch.
+    `classes` (int8, the codes 0, 1, 2) and `depth` (N, W) hold the real
+    scan; `target_mu` (N, k) the frozen encoder's mean for the matched
+    corridor; `poses` (N, 4) the pose it was taken from (x, y, z, yaw);
+    `gates` (N, 6) the gate it was matched to (center x, y, z, yaw, half
+    width, frame thickness). A pose and its gate are enough to rebuild
+    the matched scene and recompute the target from scratch.
     """
 
-    real_obs: Observation
+    classes: np.ndarray
+    depth: np.ndarray
     target_mu: np.ndarray
-    pose: tuple[float, float, float, float]
-    gate: Gate
+    poses: np.ndarray
+    gates: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.target_mu)
+
+    def __getitem__(self, rows) -> Pairs:
+        """The pairs at a slice or an index array, as a block of their own."""
+        return Pairs(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    def features(self) -> np.ndarray:
+        """Encoder input (N, 2W) of the real scans, as scan_features."""
+        return scan_features(self.classes, self.depth)
+
+    def gate(self, i: int) -> Gate:
+        x, y, z, yaw, half_width, frame_thickness = self.gates[i].tolist()
+        return Gate((x, y, z), yaw, half_width, frame_thickness)
 
 
 def cheat_init(
@@ -106,50 +141,45 @@ def cheat_encode(p: CheatEncoderParams,
 
 
 def matched_fake_observation(
-    gate: Gate, state: DroneState, cfg: SimConfig = DEFAULT_SIM
-) -> Observation:
-    """Render the training corridor the drone would see heading for `gate`.
+    gates: Sequence[Gate], drones: Drones, cfg: SimConfig = DEFAULT_SIM
+) -> tuple[np.ndarray, np.ndarray]:
+    """Render the training corridors the drones would see heading for
+    their gates, drone b for gates[b], as (B, W) class and depth arrays.
 
-    The scene is a corridor like spawn_fake_world's, laid along the gate's
-    facing axis: walls corridor_half_width to either side, the gate itself
-    and n_gates - 1 more behind it every gate_spacing. It is built in the
-    gate's own frame, so the drone keeps its distance and lateral offset
-    from the gate. Its heading error against the corridor axis is clamped
-    to start_yaw_max_deg, the widest a corridor flight starts with. A
-    virtual gate lies straight down that axis, so it then stays inside the
-    scan cone, as the target gate does in nearly every training step; an
-    unclamped error of 60 degrees would show a scan full of side wall,
-    which no corridor flight ever sees. The walls widen only when the drone
-    sits outside them, which placed gates (gates_visible) often cause.
+    Each scene is a corridor like spawn_fake_world's, laid along the
+    gate's facing axis: walls corridor_half_width to either side, the gate
+    itself and n_gates - 1 more behind it every gate_spacing. It is built
+    in the gate's own frame, so the drone keeps its distance and lateral
+    offset from the gate. Its heading error against the corridor axis is
+    clamped to start_yaw_max_deg, the widest a corridor flight starts
+    with. A virtual gate lies straight down that axis, so it then stays
+    inside the scan cone, as the target gate does in nearly every training
+    step; an unclamped error of 60 degrees would show a scan full of side
+    wall, which no corridor flight ever sees. The walls widen only when
+    the drone sits outside them, which placed gates (gates_visible) often
+    cause. All scenes render in one batch, each drone as it would alone.
     """
-    yaw = gate.yaw
-    dx = state.position[0] - gate.center[0]
-    dy = state.position[1] - gate.center[1]
-    along = dx * math.cos(yaw) + dy * math.sin(yaw)
-    lateral = -dx * math.sin(yaw) + dy * math.cos(yaw)
     limit = math.radians(cfg.start_yaw_max_deg)
-    heading = min(max(wrap_angle(state.yaw - yaw), -limit), limit)
-    gates = tuple(
-        Gate((i * cfg.gate_spacing, 0.0, gate.center[2]), 0.0,
-             gate.half_width, gate.frame_thickness)
-        for i in range(cfg.n_gates)
-    )
-    half = max(cfg.corridor_half_width, abs(lateral) + 2.0 * cfg.collision_radius)
-    bounds = (
-        min(along, 0.0) - 4.0,
-        -half,
-        (cfg.n_gates - 1) * cfg.gate_spacing + cfg.d_max + 4.0,
-        half,
-    )
-    scene = WorldSpec(
-        kind="fake",
-        bounds=bounds,
-        obstacles=(),
-        gates=gates,
-        seed=0,
-        start=(along, lateral, state.position[2], heading),
-    )
-    return render_observation(scene, start_state(scene), cfg)
+    scenes = []
+    for gate, (x, y, z, yaw) in zip(gates, drones.pose[:4].T.tolist()):
+        dx = x - gate.center[0]
+        dy = y - gate.center[1]
+        c, s = math.cos(gate.yaw), math.sin(gate.yaw)
+        along = dx * c + dy * s
+        lateral = -dx * s + dy * c
+        heading = min(max(wrap_angle(yaw - gate.yaw), -limit), limit)
+        corridor = tuple(Gate((i * cfg.gate_spacing, 0.0, gate.center[2]),
+                              0.0, gate.half_width, gate.frame_thickness)
+                         for i in range(cfg.n_gates))
+        half = max(cfg.corridor_half_width,
+                   abs(lateral) + 2.0 * cfg.collision_radius)
+        bounds = (min(along, 0.0) - 4.0, -half,
+                  (cfg.n_gates - 1) * cfg.gate_spacing + cfg.d_max + 4.0, half)
+        scenes.append(WorldSpec(kind="fake", bounds=bounds, obstacles=(),
+                                gates=corridor, seed=0,
+                                start=(along, lateral, z, heading)))
+    return render_observation(
+        Flock(scenes), Drones.of([start_state(w) for w in scenes]), cfg)
 
 
 def _nearest_forward_gate(
@@ -178,7 +208,7 @@ def build_pairs(
     mode: str = "virtual_gate",
     density: float = 0.4,
     cfg: SimConfig = DEFAULT_SIM,
-) -> list[PairedSample]:
+) -> Pairs:
     """Collect supervision pairs from seeded cluttered rooms.
 
     Each pose is the collision-free start of its own seeded room, so the
@@ -191,52 +221,63 @@ def build_pairs(
         raise ContractError(f"n_poses {n_poses} < 1")
     if mode not in PAIR_MODES:
         raise ContractError(f"unknown pairing mode {mode!r}")
-    pairs: list[PairedSample] = []
-    attempts = 0
+    parts = []
+    found = attempts = 0
     cap = 10 * n_poses
-    while len(pairs) < n_poses:
+    while found < n_poses:
         if attempts >= cap:
             raise GenerationError(
                 f"rejected too many poses ({attempts} attempts for "
-                f"{len(pairs)}/{n_poses} pairs in mode {mode!r})"
+                f"{found}/{n_poses} pairs in mode {mode!r})"
             )
-        world_seed = _derive_seed(real_seed, "pair-world", attempts)
-        attempts += 1
-        world = spawn_real_world(
-            world_seed, density, cfg=cfg, with_gates=(mode == "gates_visible")
-        )
-        state = start_state(world)
+        # A wave tries no more rooms than pairs are still missing, so it
+        # can never keep too many; kept in attempt order, its pairs and
+        # rejections are the ones room-by-room pairing would make.
+        wave = range(attempts, min(attempts + n_poses - found, cap,
+                                   attempts + _WAVE_ROOMS))
+        attempts = wave.stop
+        worlds = [spawn_real_world(_derive_seed(real_seed, "pair-world", a),
+                                   density, cfg=cfg,
+                                   with_gates=(mode == "gates_visible"))
+                  for a in wave]
+        flock = Flock(worlds)
+        drones = Drones.of([start_state(w) for w in worlds])
         if mode == "virtual_gate":
-            gate = virtual_gate(world, state, cfg)
+            gates = virtual_gate(flock, drones, cfg)
         else:
-            gate = _nearest_forward_gate(world, state, cfg)
-        if gate is None:
+            gates = [_nearest_forward_gate(w, start_state(w), cfg)
+                     for w in worlds]
+        keep = np.array([g is not None for g in gates])
+        if not keep.any():
             continue
-        real_obs = render_observation(world, state, cfg)
-        mu, _ = encode(vae, matched_fake_observation(gate, state, cfg))
+        gates = [g for g in gates if g is not None]
+        flock, drones = flock.take(keep), drones.take(keep)
+        classes, depth = render_observation(flock, drones, cfg)
+        mu, _ = encode_rows(vae, scan_features(
+            *matched_fake_observation(gates, drones, cfg)))
         if not np.all(np.isfinite(mu)):
             raise GenerationError("frozen encoder produced a non-finite target")
-        pose = (state.position[0], state.position[1], state.position[2], state.yaw)
-        pairs.append(PairedSample(real_obs, mu, pose, gate))
-    return pairs
+        parts.append((classes.astype(np.int8), depth, mu, drones.pose[:4].T,
+                      np.array([(*g.center, g.yaw, g.half_width,
+                                 g.frame_thickness) for g in gates])))
+        found += len(gates)
+    return Pairs(*(np.concatenate(field) for field in zip(*parts)))
 
 
 # ---------------------------------------------------------------------------
 # training
 
 
-def cheat_loss(p: CheatEncoderParams, pairs: list[PairedSample]) -> float:
-    """Mean squared latent error over a pair list (the training objective)."""
-    if not pairs:
+def cheat_loss(p: CheatEncoderParams, pairs: Pairs) -> float:
+    """Mean squared latent error over a pair block (the training objective)."""
+    if not len(pairs):
         raise ContractError("no pairs to evaluate")
-    x = np.stack([s.real_obs.features() for s in pairs])
-    y = np.stack([s.target_mu for s in pairs])
-    pred = ad.dense_stack(p.params, "cheat", len(p.hidden) + 1, x)
-    return float(np.mean((pred - y) ** 2))
+    pred = ad.dense_stack(p.params, "cheat", len(p.hidden) + 1, pairs.features())
+    return float(np.mean((pred - pairs.target_mu) ** 2))
 
 
 def train_cheat(
-    pairs: list[PairedSample],
+    pairs: Pairs,
     frozen: tuple[VaeParams, ControllerParams],
     cfg: CheatTrainConfig = CheatTrainConfig(),
 ) -> tuple[CheatEncoderParams, list[float], dict[str, str]]:
@@ -247,32 +288,21 @@ def train_cheat(
     policy" into a checkable claim. Returns (params, per-epoch mean loss,
     frozen digests).
     """
-    if not pairs:
-        raise ContractError("cannot train on an empty pair list")
+    if not len(pairs):
+        raise ContractError("cannot train on an empty pair block")
     vae, ctrl = frozen
-    digests = {
-        "vae": container.params_digest(vae.params),
-        "controller": container.params_digest(ctrl.params),
-    }
-    width = pairs[0].real_obs.width
-    for s in pairs:
-        if s.real_obs.width != width or s.target_mu.shape != (vae.k,):
-            raise ContractError("pair list mixes widths or latent sizes")
-    x_all = np.stack([s.real_obs.features() for s in pairs])
-    y_all = np.stack([s.target_mu for s in pairs])
-    p = cheat_init(vae.k, cfg.hidden, cfg.seed, width)
+    frozen_digests = lambda: {"vae": container.params_digest(vae.params),
+                              "controller": container.params_digest(ctrl.params)}
+    digests = frozen_digests()
+    if pairs.target_mu.shape[1:] != (vae.k,):
+        raise ContractError(
+            f"pair targets of dims {list(pairs.target_mu.shape)} do not "
+            f"match the frozen encoder's k={vae.k}")
+    p = cheat_init(vae.k, cfg.hidden, cfg.seed, pairs.classes.shape[1])
     rng = np.random.default_rng(_derive_seed(cfg.seed, "cheat-train"))
-
-    def loss_fn(idx, _eps):
-        x = ad.constant(x_all[idx])
-        pred = ad.dense_stack(p.params, "cheat", len(p.hidden) + 1, x)
-        return ad.mse(pred, ad.constant(y_all[idx]))
-
-    history = ad.fit_minibatch(p.params, loss_fn, len(x_all), cfg, rng)
-    after = {
-        "vae": container.params_digest(vae.params),
-        "controller": container.params_digest(ctrl.params),
-    }
+    history = ad.fit_dense(p.params, "cheat", len(p.hidden) + 1,
+                           pairs.features(), pairs.target_mu, cfg, rng)
+    after = frozen_digests()
     if after != digests:
         raise FrozenWeightError(
             "frozen parameters changed during encoder training: "
@@ -285,68 +315,44 @@ def train_cheat(
 # persistence
 
 
-def write_pairs(path, pairs: list[PairedSample], meta: dict | None = None) -> str:
-    """Persist a pair list; arrays are stacked across samples."""
-    if not pairs:
-        raise ContractError("refusing to write an empty pair list")
-    k = pairs[0].target_mu.shape[0]
-    records = {
-        "classes": np.stack([s.real_obs.classes for s in pairs]).astype(np.float64),
-        "depth": np.stack([s.real_obs.depth for s in pairs]),
-        "target_mu": np.stack([s.target_mu for s in pairs]),
-        "poses": np.array([s.pose for s in pairs], dtype=np.float64),
-        "gates": np.array(
-            [
-                (*s.gate.center, s.gate.yaw, s.gate.half_width, s.gate.frame_thickness)
-                for s in pairs
-            ],
-            dtype=np.float64,
-        ),
-    }
+_FIELDS = ("classes", "depth", "target_mu", "poses", "gates")  # a Pairs block's
+
+
+def write_pairs(path, pairs: Pairs, meta: dict | None = None) -> None:
+    """Persist a pair block, one record per field."""
+    if not len(pairs):
+        raise ContractError("refusing to write an empty pair block")
     info = {
         "kind": "pairs",
         "count": len(pairs),
-        "width": pairs[0].real_obs.width,
-        "k": k,
+        "width": pairs.classes.shape[1],
+        "k": pairs.target_mu.shape[1],
     }
     info.update(meta or {})
-    return container.write_container(path, records, info)
+    container.write_container(
+        path, {name: getattr(pairs, name) for name in _FIELDS}, info)
 
 
-def read_pairs(path) -> tuple[list[PairedSample], dict]:
+def read_pairs(path) -> tuple[Pairs, dict]:
+    """Inverse of write_pairs; checks every record's dims against the
+    manifest's count, width and k, and the class codes."""
     records, meta = container.read_container(path)
     if meta.get("kind") != "pairs":
         raise IntegrityError(f"not a pair container: kind={meta.get('kind')!r}")
-    needed = ("classes", "depth", "target_mu", "poses", "gates")
-    if any(name not in records for name in needed):
-        raise IntegrityError("pair container is missing arrays")
-    classes = records["classes"]
-    count = int(meta.get("count", -1))
-    if classes.shape[0] != count:
+    try:
+        arrays = [records[name] for name in _FIELDS]
+    except KeyError as err:
+        raise IntegrityError(f"pair container missing record {err}") from err
+    count, width, k = (meta.get(key) for key in ("count", "width", "k"))
+    want = [(count, width), (count, width), (count, k), (count, 4), (count, 6)]
+    if [a.shape for a in arrays] != want:
         raise IntegrityError(
-            f"pair count {classes.shape[0]} does not match manifest {count}"
-        )
-    pairs = []
-    for i in range(count):
-        obs = Observation(
-            classes[i].astype(np.int64), records["depth"][i].copy()
-        )
-        g = records["gates"][i]
-        gate = Gate(
-            center=(g[0], g[1], g[2]),
-            yaw=g[3],
-            half_width=g[4],
-            frame_thickness=g[5],
-        )
-        pairs.append(
-            PairedSample(
-                obs,
-                records["target_mu"][i].copy(),
-                tuple(records["poses"][i]),
-                gate,
-            )
-        )
-    return pairs, meta
+            f"pair records of dims {[list(a.shape) for a in arrays]} do not "
+            f"hold {count} pairs of {width}-wide scans, {k} latents, 4 pose "
+            "and 6 gate values")
+    if not np.isin(arrays[0], (FREE, GATE, OBSTACLE)).all():
+        raise IntegrityError("pair class codes outside 0, 1, 2")
+    return Pairs(arrays[0].astype(np.int8), *arrays[1:]), meta
 
 
 def save_cheat(

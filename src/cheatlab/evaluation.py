@@ -111,17 +111,11 @@ def train_baseline(
         )
     if not real_data.total_steps:
         raise ContractError("dataset holds no steps")
-    x_all = real_data.record.features()
-    y_all = real_data.record.actions
     p = baseline_init(cfg.hidden, cfg.seed, width=real_data.record.width)
     rng = np.random.default_rng(_derive_seed(cfg.seed, "baseline-train"))
-
-    def loss_fn(idx, _eps):
-        x = ad.constant(x_all[idx])
-        pred = ad.dense_stack(p.params, "base", len(p.hidden) + 1, x)
-        return ad.mse(pred, ad.constant(y_all[idx]))
-
-    history = ad.fit_minibatch(p.params, loss_fn, len(x_all), cfg, rng)
+    history = ad.fit_dense(p.params, "base", len(p.hidden) + 1,
+                           real_data.record.features(),
+                           real_data.record.actions, cfg, rng)
     return p, history
 
 

@@ -15,7 +15,6 @@ collapses to zero, which defeats every downstream consumer of mu.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -68,14 +67,6 @@ def vae_init(
     return VaeParams(params, k, tuple(hidden), width)
 
 
-def check_obs_width(p, obs: Observation) -> None:
-    """Reject an observation whose scan width differs from model p's."""
-    if obs.width != p.width:
-        raise DimensionError(
-            f"observation width {obs.width} does not match model width {p.width}"
-        )
-
-
 def feature_rows(p, obs: Observation | np.ndarray) -> np.ndarray:
     """(N, 2W) scan features for model p's width W: an Observation as one
     row, or an array of rows as it is; any other shape raises."""
@@ -87,26 +78,18 @@ def feature_rows(p, obs: Observation | np.ndarray) -> np.ndarray:
 
 
 def encode(
-    p: VaeParams, obs: Observation | Sequence[Observation] | np.ndarray
+    p: VaeParams, obs: Observation | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior parameters (mu, logvar) for one observation, each [k].
 
-    A sequence of N observations, or their features as one (N, 2W) array
-    (Record.features), is encoded as one batch and gives two [N, k]
-    arrays. Inference runs on plain arrays and builds no graph.
+    N observations' features as one (N, 2W) array (Record.features) are
+    encoded as one batch, one gemm per layer, and give two [N, k] arrays.
+    Inference runs on plain arrays and builds no graph.
     """
-    if isinstance(obs, Observation):
-        check_obs_width(p, obs)
-        x = obs.features()
-    elif isinstance(obs, np.ndarray):
-        x = feature_rows(p, obs)
-    else:
-        for o in obs:
-            check_obs_width(p, o)
-        x = [o.features() for o in obs]
+    x = feature_rows(p, obs)
     if not len(x):
         raise ContractError("encode needs at least one observation")
-    head = _encoder(p, np.asarray(x))
+    head = _encoder(p, x[0] if isinstance(obs, Observation) else x)
     return head[..., : p.k].copy(), head[..., p.k :].copy()
 
 
@@ -181,11 +164,11 @@ def elbo_loss(
     eps must hold k standard-normal draws; passing the same eps reproduces
     the same loss bit for bit.
     """
-    check_obs_width(p, obs)
+    x = feature_rows(p, obs)[0]
     eps = np.asarray(eps, dtype=np.float64)
     if eps.shape != (p.k,):
         raise DimensionError(f"eps dims {list(eps.shape)} do not match k={p.k}")
-    return _elbo_graph(p, ad.constant(obs.features()), eps, beta)
+    return _elbo_graph(p, ad.constant(x), eps, beta)
 
 
 def train_vae(data: Dataset, cfg: VaeTrainConfig) -> tuple[VaeParams, list[float]]:

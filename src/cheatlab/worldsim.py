@@ -654,13 +654,14 @@ class Record:
 
 @dataclass
 class RolloutResult:
-    """One flight: its recorded steps as a one-episode Record, and how it
-    ended."""
+    """One flight: its recorded steps as a one-episode Record, and the
+    state it ended in, which odometer and crashed read."""
 
     record: Record
     final_state: DroneState
-    odometer: float
-    crashed: bool
+
+    odometer = property(lambda self: self.final_state.odometer)
+    crashed = property(lambda self: self.final_state.crashed)
 
     @property
     def steps(self) -> View:
@@ -776,8 +777,7 @@ def fly(
         drones = step_dynamics(flock, drones, commands, cfg.dt, cfg)
     land(np.ones(len(drones), dtype=bool))
     steps = _lay_out(log, len(worlds), None if blind else cfg.scan_width)
-    return [RolloutResult(steps.episode(i), f, f.odometer, f.crashed)
-            for i, f in enumerate(final)]
+    return [RolloutResult(steps.episode(i), f) for i, f in enumerate(final)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Substitute-encoder tests: pairing, frozen-weight contract, training."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,12 @@ import pytest
 from cheatlab import cheat as ch
 from cheatlab import policy as po
 from cheatlab import vae as vb
-from cheatlab.container import load_checkpoint, params_digest
+from cheatlab.container import (
+    load_checkpoint,
+    params_digest,
+    read_container,
+    write_container,
+)
 from cheatlab.errors import (
     ContractError,
     DimensionError,
@@ -19,9 +25,16 @@ from cheatlab.errors import (
 from cheatlab.worldsim import (
     DEFAULT_SIM,
     DroneState,
+    Drones,
     Gate,
+    Observation,
+    WorldSpec,
     _derive_seed,
+    render_observation,
     spawn_real_world,
+    start_state,
+    virtual_gate,
+    wrap_angle,
 )
 
 
@@ -46,8 +59,6 @@ def test_zero_encoder_predicts_zero(frozen_vae):
 
 
 def spawn_and_render(seed):
-    from cheatlab.worldsim import render_observation, start_state
-
     world = spawn_real_world(seed, 0.4)
     return render_observation(world, start_state(world))
 
@@ -65,24 +76,122 @@ def test_encode_shape_and_width_check():
 # pair construction
 
 
+def matched_fake_reference(gate, state, cfg=DEFAULT_SIM):
+    """The matched corridor scan, one pose at a time: a scene per gate,
+    rendered alone as one Observation."""
+    yaw = gate.yaw
+    dx = state.position[0] - gate.center[0]
+    dy = state.position[1] - gate.center[1]
+    along = dx * math.cos(yaw) + dy * math.sin(yaw)
+    lateral = -dx * math.sin(yaw) + dy * math.cos(yaw)
+    limit = math.radians(cfg.start_yaw_max_deg)
+    heading = min(max(wrap_angle(state.yaw - yaw), -limit), limit)
+    gates = tuple(
+        Gate((i * cfg.gate_spacing, 0.0, gate.center[2]), 0.0,
+             gate.half_width, gate.frame_thickness)
+        for i in range(cfg.n_gates)
+    )
+    half = max(cfg.corridor_half_width, abs(lateral) + 2.0 * cfg.collision_radius)
+    bounds = (
+        min(along, 0.0) - 4.0,
+        -half,
+        (cfg.n_gates - 1) * cfg.gate_spacing + cfg.d_max + 4.0,
+        half,
+    )
+    scene = WorldSpec(
+        kind="fake",
+        bounds=bounds,
+        obstacles=(),
+        gates=gates,
+        seed=0,
+        start=(along, lateral, state.position[2], heading),
+    )
+    return render_observation(scene, start_state(scene), cfg)
+
+
+def reference_pairs(real_seed, n_poses, vae, mode, density, cfg=DEFAULT_SIM):
+    """build_pairs one pose at a time: each room spawned, gated, rendered
+    and encoded alone (B = 1 kernels, the lone encode). Returns the pairs
+    as a Pairs block and the number of rooms tried."""
+    pairs = []
+    attempts = 0
+    cap = 10 * n_poses
+    while len(pairs) < n_poses:
+        if attempts >= cap:
+            raise GenerationError(
+                f"rejected too many poses ({attempts} attempts for "
+                f"{len(pairs)}/{n_poses} pairs in mode {mode!r})"
+            )
+        world_seed = _derive_seed(real_seed, "pair-world", attempts)
+        attempts += 1
+        world = spawn_real_world(
+            world_seed, density, cfg=cfg, with_gates=(mode == "gates_visible")
+        )
+        state = start_state(world)
+        if mode == "virtual_gate":
+            gate = virtual_gate(world, state, cfg)
+        else:
+            gate = ch._nearest_forward_gate(world, state, cfg)
+        if gate is None:
+            continue
+        real_obs = render_observation(world, state, cfg)
+        mu, _ = vb.encode(vae, matched_fake_reference(gate, state, cfg))
+        pose = (*state.position, state.yaw)
+        pairs.append((real_obs.classes.astype(np.int8), real_obs.depth, mu,
+                      pose, (*gate.center, gate.yaw, gate.half_width,
+                             gate.frame_thickness)))
+    return ch.Pairs(*(np.array(f) for f in zip(*pairs))), attempts
+
+
+def assert_same_pairs(got, want):
+    for name in ("classes", "depth", "target_mu", "poses", "gates"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+# Each case spans more than one wave of at most ch._WAVE_ROOMS rooms.
+@pytest.mark.parametrize("mode, seed, n, density, size, rejects", [
+    ("virtual_gate", 5, 30, 0.4, 20.0, False),
+    ("virtual_gate", 0, 4, 0.0, 7.0, True),
+    ("gates_visible", 11, 20, 0.25, 20.0, True),
+])
+def test_build_pairs_matches_the_per_pose_reference(frozen_vae, monkeypatch,
+                                                    mode, seed, n, density,
+                                                    size, rejects):
+    cfg = replace(DEFAULT_SIM, room_size=size)
+    want, attempts = reference_pairs(seed, n, frozen_vae, mode, density, cfg)
+    assert (attempts > n) == rejects
+    spawned = [0]
+
+    def counted(*args, _spawn=ch.spawn_real_world, **kwargs):
+        spawned[0] += 1
+        return _spawn(*args, **kwargs)
+
+    monkeypatch.setattr(ch, "spawn_real_world", counted)
+    got = ch.build_pairs(seed, n, frozen_vae, mode=mode, density=density,
+                         cfg=cfg)
+    assert spawned[0] == attempts
+    assert_same_pairs(got, want)
+
+
 def test_pair_targets_recompute_exactly(frozen_vae, pair_bank):
-    for s in pair_bank[:20]:
-        state = DroneState(tuple(s.pose[:3]), s.pose[3], 0.0, False)
-        fake_obs = ch.matched_fake_observation(s.gate, state)
-        mu, _ = vb.encode(frozen_vae, fake_obs)
-        assert np.array_equal(mu, s.target_mu)
-        assert np.all(np.isfinite(s.target_mu))
-        assert s.target_mu.shape == (frozen_vae.k,)
+    for i in range(20):
+        x, y, z, yaw = pair_bank.poses[i].tolist()
+        state = DroneState((x, y, z), yaw, 0.0, False)
+        classes, depth = ch.matched_fake_observation(
+            [pair_bank.gate(i)], Drones.of([state]))
+        mu, _ = vb.encode(frozen_vae, Observation(classes[0], depth[0]))
+        assert np.array_equal(mu, pair_bank.target_mu[i])
+        assert np.all(np.isfinite(pair_bank.target_mu[i]))
+        assert pair_bank.target_mu[i].shape == (frozen_vae.k,)
 
 
 def test_build_pairs_deterministic(frozen_vae):
     a = ch.build_pairs(9, 12, frozen_vae, mode="virtual_gate", density=0.3)
     b = ch.build_pairs(9, 12, frozen_vae, mode="virtual_gate", density=0.3)
     assert len(a) == len(b) == 12
-    for s, t in zip(a, b):
-        assert s.real_obs == t.real_obs
-        assert np.array_equal(s.target_mu, t.target_mu)
-        assert s.pose == t.pose and s.gate == t.gate
+    assert_same_pairs(a, b)
 
 
 def test_empty_room_pair_targets_centered_gate(frozen_vae):
@@ -92,8 +201,8 @@ def test_empty_room_pair_targets_centered_gate(frozen_vae):
     cfg = replace(DEFAULT_SIM, room_size=60.0)
     pairs = ch.build_pairs(3, 3, frozen_vae, mode="virtual_gate",
                            density=0.0, cfg=cfg)
-    for s in pairs:
-        x, y, z, yaw = s.pose
+    for i in range(len(pairs)):
+        x, y, z, yaw = pairs.poses[i].tolist()
         gate = Gate(
             center=(
                 x + cfg.d_gate * np.cos(yaw),
@@ -104,30 +213,30 @@ def test_empty_room_pair_targets_centered_gate(frozen_vae):
             half_width=cfg.gate_half_width,
             frame_thickness=cfg.frame_thickness,
         )
-        assert s.gate == gate
+        assert pairs.gate(i) == gate
         state = DroneState((x, y, z), yaw, 0.0, False)
-        mu, _ = vb.encode(frozen_vae, ch.matched_fake_observation(gate, state, cfg))
-        assert np.array_equal(mu, s.target_mu)
+        mu, _ = vb.encode(frozen_vae, matched_fake_reference(gate, state, cfg))
+        assert np.array_equal(mu, pairs.target_mu[i])
         # The virtual gate never shows up in the real rendering: the room
         # holds no gate geometry, only walls and clutter.
-        assert np.all(s.real_obs.classes != 1)
+        assert np.all(pairs.classes[i] != 1)
 
 
 def test_gates_visible_mode_picks_scan_cone_gates(frozen_vae):
     pairs = ch.build_pairs(11, 10, frozen_vae, mode="gates_visible", density=0.25)
     half_fov = np.deg2rad(DEFAULT_SIM.fov_deg) / 2
-    for s in pairs:
-        dx = s.gate.center[0] - s.pose[0]
-        dy = s.gate.center[1] - s.pose[1]
-        bearing = np.arctan2(dy, dx) - s.pose[3]
+    for i in range(len(pairs)):
+        x, y, z, yaw = pairs.poses[i].tolist()
+        gate = pairs.gate(i)
+        dx = gate.center[0] - x
+        dy = gate.center[1] - y
+        bearing = np.arctan2(dy, dx) - yaw
         bearing = (bearing + np.pi) % (2 * np.pi) - np.pi
         assert np.hypot(dx, dy) <= DEFAULT_SIM.d_max + 1e-12
         assert abs(bearing) <= half_fov + 1e-12
-        state = DroneState(tuple(s.pose[:3]), s.pose[3], 0.0, False)
-        mu, _ = vb.encode(
-            frozen_vae, ch.matched_fake_observation(s.gate, state)
-        )
-        assert np.array_equal(mu, s.target_mu)
+        state = DroneState((x, y, z), yaw, 0.0, False)
+        mu, _ = vb.encode(frozen_vae, matched_fake_reference(gate, state))
+        assert np.array_equal(mu, pairs.target_mu[i])
 
 
 def test_build_pairs_argument_checks(frozen_vae):
@@ -144,6 +253,17 @@ def test_build_pairs_rejection_cap(frozen_vae):
     with pytest.raises(GenerationError):
         ch.build_pairs(0, 2, frozen_vae, mode="virtual_gate",
                        density=0.0, cfg=cramped)
+    # In a 6.5 m room a few gaps qualify: the cap trips with 3 of 5 pairs
+    # found, at the same attempt as one room at a time.
+    tight = replace(DEFAULT_SIM, room_size=6.5)
+    for cfg, n in ((cramped, 2), (tight, 5)):
+        with pytest.raises(GenerationError) as want:
+            reference_pairs(0, n, frozen_vae, "virtual_gate", 0.0, cfg)
+        with pytest.raises(GenerationError) as got:
+            ch.build_pairs(0, n, frozen_vae, mode="virtual_gate",
+                           density=0.0, cfg=cfg)
+        assert str(got.value) == str(want.value)
+    assert "(50 attempts for 3/5 pairs" in str(got.value)
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +330,9 @@ def test_training_halves_held_out_error(frozen_vae, pair_bank):
 def test_train_rejects_empty_or_mixed_pairs(frozen_vae, pair_bank):
     frozen = make_frozen(frozen_vae)
     with pytest.raises(ContractError):
-        ch.train_cheat([], frozen)
-    bad = pair_bank[:2] + [
-        ch.PairedSample(
-            pair_bank[0].real_obs,
-            np.zeros(frozen_vae.k + 1),
-            pair_bank[0].pose,
-            pair_bank[0].gate,
-        )
-    ]
+        ch.train_cheat(pair_bank[:0], frozen)
+    few = pair_bank[:3]
+    bad = replace(few, target_mu=np.zeros((3, frozen_vae.k + 1)))
     with pytest.raises(ContractError):
         ch.train_cheat(bad, frozen, ch.CheatTrainConfig(epochs=1))
 
@@ -231,13 +345,14 @@ def test_frozen_weight_guardrail_fires_on_mutation(frozen_vae, pair_bank):
         frozen[0].params.copy(), frozen[0].k, frozen[0].hidden, frozen[0].width
     )
 
-    class EvilList(list):
-        def __iter__(self):
+    class EvilPairs(ch.Pairs):
+        def features(self):
             vae_copy.params["enc/w0"].data[0, 0] += 1.0
-            return super().__iter__()
+            return super().features()
 
-    pairs = list(pair_bank[:4])
-    evil = EvilList(pairs)
+    few = pair_bank[:4]
+    evil = EvilPairs(few.classes, few.depth, few.target_mu, few.poses,
+                     few.gates)
     with pytest.raises(FrozenWeightError):
         ch.train_cheat(evil, (vae_copy, frozen[1]),
                        ch.CheatTrainConfig(epochs=1, hidden=(8, 4)))
@@ -266,12 +381,9 @@ def test_pairs_roundtrip_and_byte_stability(pair_bank, tmp_path):
     assert path_a.read_bytes() == path_b.read_bytes()
     back, meta = ch.read_pairs(path_a)
     assert meta["mode"] == "virtual_gate" and meta["count"] == 15
-    for s, t in zip(subset, back):
-        assert s.real_obs == t.real_obs
-        assert np.array_equal(s.target_mu, t.target_mu)
-        assert s.pose == t.pose and s.gate == t.gate
+    assert_same_pairs(back, subset)
     with pytest.raises(ContractError):
-        ch.write_pairs(tmp_path / "c.bin", [])
+        ch.write_pairs(tmp_path / "c.bin", pair_bank[:0])
 
 
 def test_read_pairs_rejects_wrong_kind(frozen_vae, tmp_path):
@@ -279,6 +391,75 @@ def test_read_pairs_rejects_wrong_kind(frozen_vae, tmp_path):
     vb.save_vae(frozen_vae, path)
     with pytest.raises(IntegrityError):
         ch.read_pairs(path)
+
+
+@pytest.mark.parametrize("edit", [
+    "target_mu 3 rows short",
+    "gates cut to 4 columns",
+    "poses cut to 3 columns",
+    "class code 7",
+    "depth missing",
+    "width not an integer",
+])
+def test_read_pairs_rejects_malformed_records(pair_bank, tmp_path, edit):
+    # Each file is rewritten with a valid checksum, so only read_pairs'
+    # own checks stand between it and the trainer.
+    good = tmp_path / "good.bin"
+    ch.write_pairs(good, pair_bank[:10])
+    records, meta = read_container(good)
+    if edit == "target_mu 3 rows short":
+        records["target_mu"] = records["target_mu"][:-3]
+    elif edit == "gates cut to 4 columns":
+        records["gates"] = records["gates"][:, :4]
+    elif edit == "poses cut to 3 columns":
+        records["poses"] = records["poses"][:, :3]
+    elif edit == "class code 7":
+        records["classes"][2, 5] = 7.0
+    elif edit == "depth missing":
+        del records["depth"]
+    else:
+        meta["width"] = 64.5
+    path = tmp_path / "bad.bin"
+    write_container(path, records, meta)
+    with pytest.raises(IntegrityError):
+        ch.read_pairs(path)
+
+
+def test_train_cheat_on_malformed_pairs_exits_three(pair_bank, tmp_path,
+                                                     capsys):
+    from cheatlab import cli
+
+    ch.write_pairs(tmp_path / "good.bin", pair_bank[:10])
+    records, meta = read_container(tmp_path / "good.bin")
+    records["target_mu"] = records["target_mu"][:-3]
+    write_container(tmp_path / "pairs.bin", records, meta)
+    # train-cheat reads the pairs before either checkpoint.
+    for name in ("vae.ckpt", "controller.ckpt"):
+        (tmp_path / name).write_bytes(b"unread")
+    code = cli.main(["train-cheat", "--set", f"out_dir={tmp_path}"])
+    assert code == 3
+    assert "train-cheat:" in capsys.readouterr().err
+
+
+def test_pair_path_builds_no_observation(frozen_vae, pair_bank, tmp_path,
+                                         monkeypatch):
+    # Pairs are built, written, read and trained on as arrays.
+    built = [0]
+
+    def counted(self, *args, _init=Observation.__init__, **kwargs):
+        built[0] += 1
+        _init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Observation, "__init__", counted)
+    for mode in ("virtual_gate", "gates_visible"):
+        pairs = ch.build_pairs(11, 10, frozen_vae, mode=mode, density=0.25)
+    ch.write_pairs(tmp_path / "pairs.bin", pairs)
+    back, _ = ch.read_pairs(tmp_path / "pairs.bin")
+    ch.train_cheat(back, make_frozen(frozen_vae),
+                   ch.CheatTrainConfig(epochs=2, hidden=(8, 4)))
+    assert built[0] == 0
+    Observation(back.classes[0], back.depth[0])
+    assert built[0] == 1
 
 
 def test_cheat_checkpoint_roundtrip(frozen_vae, pair_bank, tmp_path):

@@ -8,7 +8,13 @@ from cheatlab import vae as vb
 from cheatlab.container import params_digest
 from cheatlab.errors import ContractError, DimensionError
 from cheatlab.expert import collect_trajectories
-from cheatlab.worldsim import DEFAULT_SIM, Action, Observation, clamp_action
+from cheatlab.worldsim import (
+    DEFAULT_SIM,
+    Action,
+    Observation,
+    Record,
+    clamp_action,
+)
 
 H = 1e-5
 TOL = 1e-6
@@ -43,30 +49,38 @@ def test_encode_shapes_and_width_check():
     assert np.all(np.isfinite(mu)) and np.all(np.isfinite(logvar))
     with pytest.raises(DimensionError):
         vb.encode(p, random_obs(rng, width=9))
+    with pytest.raises(DimensionError):
+        vb.elbo_loss(p, random_obs(rng, width=9), np.zeros(3))
 
 
 def test_sequence_encode_matches_single_encodes():
     p = tiny_model()
     rng = np.random.default_rng(1)
     seq = [random_obs(rng) for _ in range(6)]
-    mu, logvar = vb.encode(p, seq)
+    mu, logvar = vb.encode(p, np.stack([o.features() for o in seq]))
     assert mu.shape == (6, 3) and logvar.shape == (6, 3)
     for i, obs in enumerate(seq):
         one_mu, one_logvar = vb.encode(p, obs)
         assert np.allclose(mu[i], one_mu, rtol=1e-12, atol=1e-15)
         assert np.allclose(logvar[i], one_logvar, rtol=1e-12, atol=1e-15)
+    wide = np.stack([random_obs(rng, width=9).features() for _ in range(2)])
     with pytest.raises(DimensionError):
-        vb.encode(p, [*seq, random_obs(rng, width=9)])
+        vb.encode(p, wide)
     with pytest.raises(ContractError):
-        vb.encode(p, [])
+        vb.encode(p, np.zeros((0, 16)))
 
 
 def test_encode_reads_a_feature_array_as_its_observations():
+    # A Record's feature rows lay each scan out as Observation.features
+    # does, so encoding them is encoding those observations' rows.
     p = tiny_model()
     rng = np.random.default_rng(2)
     seq = [random_obs(rng) for _ in range(5)]
+    rec = Record(np.array([o.classes for o in seq], np.int8),
+                 np.array([o.depth for o in seq]), np.zeros((5, 4)),
+                 np.zeros((5, 6)))
     rows = np.stack([o.features() for o in seq])
-    for got, want in zip(vb.encode(p, rows), vb.encode(p, seq)):
+    for got, want in zip(vb.encode(p, rec.features()), vb.encode(p, rows)):
         assert got.tobytes() == want.tobytes()
     with pytest.raises(DimensionError):
         vb.encode(p, rows[:, :-1])
