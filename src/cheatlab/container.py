@@ -89,11 +89,11 @@ def write_container(
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
+    def __init__(self, blob: memoryview):
         self.blob = blob
         self.at = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.at + n > len(self.blob):
             raise FormatError(
                 f"file ended unexpectedly at byte {self.at} "
@@ -111,9 +111,13 @@ class _Reader:
 
 
 def read_container(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a container; returns (records, metadata) after verification."""
+    """Read a container; returns (records, metadata) after verification.
+
+    The file is read once and parsed through a memoryview of it, so each
+    record is copied once, into its own array.
+    """
     with open(path, "rb") as f:
-        blob = f.read()
+        blob = memoryview(f.read())
     if len(blob) < 32:
         raise FormatError(f"file too short ({len(blob)} bytes)")
     payload, stored = blob[:-32], blob[-32:]
@@ -129,7 +133,7 @@ def read_container(path) -> tuple[dict[str, np.ndarray], dict]:
     return records, meta
 
 
-def _parse(payload: bytes) -> tuple[dict[str, np.ndarray], dict]:
+def _parse(payload: memoryview) -> tuple[dict[str, np.ndarray], dict]:
     r = _Reader(payload)
     if r.take(4) != MAGIC:
         raise FormatError(f"bad magic; expected {MAGIC!r}")
@@ -142,7 +146,7 @@ def _parse(payload: bytes) -> tuple[dict[str, np.ndarray], dict]:
         name_len = r.u32()
         if name_len > _MAX_NAME:
             raise FormatError(f"record name length {name_len} out of bounds")
-        name = r.take(name_len).decode("utf-8")
+        name = str(r.take(name_len), "utf-8")
         rank = r.u32()
         if rank > _MAX_RANK:
             raise FormatError(f"record {name!r} rank {rank} out of bounds")
@@ -155,7 +159,7 @@ def _parse(payload: bytes) -> tuple[dict[str, np.ndarray], dict]:
             raise FormatError(f"duplicate record name {name!r}")
         records[name] = data.astype(np.float64)
     meta_len = r.u64()
-    meta = json.loads(r.take(meta_len).decode("utf-8"))
+    meta = json.loads(str(r.take(meta_len), "utf-8"))
     if r.at != len(payload):
         raise FormatError(f"{len(payload) - r.at} trailing bytes after trailer")
     return records, meta

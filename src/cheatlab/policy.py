@@ -21,16 +21,20 @@ for a (genomes, episodes) batch (the evaluator). It works in place: the
 state and every temporary live in _Work buffers allocated once per batch
 shape, so a tick allocates nothing. Drones tick through np.vecmat, a
 gemv per drone, so each flies bit for bit as it would alone; the
-evaluator keeps its stacked gemm. A population with enough rows
-(genomes x episodes) is scored in contiguous shards, one thread per
-usable core; the shard count never changes a score's bytes.
+evaluator keeps its stacked gemm. _pack stores the i/f/o gate columns
+negated, so the tick takes exp of the gate product directly. A population
+with enough rows (genomes x episodes) is scored in contiguous shards, one
+per usable core, every shard but the first in a forked child process; the
+shard count never changes a score's bytes.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import signal
+import sys
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +109,11 @@ def _pack(w) -> list[tuple[np.ndarray, np.ndarray]]:
     the LSTM's [W_g | U_g] for gates i, f, o, g stacked to (..., k+H, 4H);
     the other three are the dense head's weights transposed to
     (..., n_in, n_out). Biases keep their shape (..., n_out).
+
+    The i, f and o columns of the gate weight and bias are stored negated,
+    so the gate product yields -x for the sigmoids' exp(-x) directly.
+    Negation commutes exactly with every product and sum, so the bits are
+    those of negating the product afterwards.
     """
     gates = np.concatenate(
         [np.concatenate([w[f"lstm/{m}{g}"] for g in _GATES], axis=-2)
@@ -112,6 +121,9 @@ def _pack(w) -> list[tuple[np.ndarray, np.ndarray]]:
         axis=-1,
     )
     bias = np.concatenate([w[f"lstm/b{g}"] for g in _GATES], axis=-1)
+    n = gates.shape[-2] // 4
+    np.negative(gates[..., : 3 * n, :], out=gates[..., : 3 * n, :])
+    np.negative(bias[..., : 3 * n], out=bias[..., : 3 * n])
     return [(gates.swapaxes(-1, -2), bias)] + [
         (w[f"mlp/w{i}"].swapaxes(-1, -2), w[f"mlp/b{i}"]) for i in range(3)
     ]
@@ -121,12 +133,13 @@ class _Work:
     """_tick's buffers for one batch shape `lead`, allocated once.
 
     y = concat(z, h) with a view of each part; c; the gate pre-activations
-    with a view of the i/f/o columns and of the g columns; the contiguous
-    i/f/o block with a view of each gate; the contiguous g block; and one
-    buffer per head layer. h (y's tail) and c are the LSTM state and start
-    at zero. `mul` is the product _tick runs each layer through: np.matmul
-    (one gemm over a stack of rows) by default, or with rows=True
-    np.vecmat, a gemv per row with the bits of that row's lone product.
+    (i/f/o negated, as _pack stores them) with a view of the i/f/o columns
+    and of the g columns; the contiguous i/f/o block with a view of each
+    gate; the contiguous g block; and one buffer per head layer. h (y's
+    tail) and c are the LSTM state and start at zero. `mul` is the
+    product _tick runs each layer through: np.matmul (one gemm over a
+    stack of rows) by default, or with rows=True np.vecmat, a gemv per
+    row with the bits of that row's lone product.
     """
 
     __slots__ = ("y", "z", "h", "c", "pre", "pre_ifo", "pre_g",
@@ -159,17 +172,17 @@ def _tick(net, scale: np.ndarray, z: np.ndarray, work: _Work) -> np.ndarray:
     so a tick allocates no array. The one gate product's i/f/o and g
     columns are read into contiguous blocks, so the sigmoid, the tanh and
     the cell update run on whole blocks. The arithmetic and its order are
-    the written-out cell's: sigmoid as 1/(1+exp(-x)), c' = f*c + i*g,
-    h' = o*tanh(c'). Returns the clamped commands (..., 4), a view of the
-    last head buffer that the next tick overwrites.
+    the written-out cell's: sigmoid as 1/(1+exp(-x)), with -x the negated
+    columns' product, c' = f*c + i*g, h' = o*tanh(c'). Returns the clamped
+    commands (..., 4), a view of the last head buffer that the next tick
+    overwrites.
     """
     (gates, bias), *head = net
     w = work
     w.z[...] = z
     w.mul(w.y, gates, out=w.pre)
     np.add(w.pre, bias, out=w.pre)
-    np.negative(w.pre_ifo, out=w.ifo)
-    np.exp(w.ifo, out=w.ifo)
+    np.exp(w.pre_ifo, out=w.ifo)
     np.add(w.ifo, 1.0, out=w.ifo)
     np.divide(1.0, w.ifo, out=w.ifo)
     np.tanh(w.pre_g, out=w.g)
@@ -304,10 +317,23 @@ def controller_from_genome(
 
 
 # A shard must hold about this many rows (genomes x episodes) before its
-# own thread pays for itself. On a 2-core box with 56 children, threads
-# ran at 0.94x the serial kernel at 336 rows per shard and 1.16x at 392,
-# and at 0.66x with 2 episodes per genome.
-_SHARD_ROWS = 384
+# own child process pays for itself. A fork costs about 2 ms, and the
+# copy-on-write faults that follow it a few more. On a 2-core box, with
+# episodes of about 500 steps, two forked shards ran at 0.72x to 1.54x
+# the serial kernel at 96 rows per shard, 0.78x to 1.80x at 128, 1.59x to
+# 1.80x at 192, and 1.75x to 1.9x at the shipped 56 x 24 children. The rule
+# counts rows, not steps, so much shorter episodes would want more rows.
+_SHARD_ROWS = 192
+
+
+def _receive(fd: int, n: int) -> np.ndarray:
+    """The n float64 scores a shard's child writes to the pipe `fd`."""
+    data = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
+    if len(data) != 8 * n:
+        raise EvolutionError(
+            f"a shard process sent {len(data)} of {8 * n} score bytes"
+        )
+    return np.frombuffer(data, np.float64)
 
 
 def _usable_cores() -> int:
@@ -335,12 +361,15 @@ class ImitationEvaluator:
     arrays with a (T, E) validity mask, so scoring makes T batched ticks
     over (genomes, episodes) instead of one tick per recorded step. A call
     splits the population into _shards over the usable cores. Each shard
-    runs the whole time loop on its own thread, with its own packed
-    weights and _Work buffers, and the first shard runs on the calling
-    thread. numpy releases the interpreter lock inside its ufunc and matmul
-    loops, so the shards run in parallel. A genome's arithmetic never
-    mixes with another genome's (each has its own gemm and its own error
-    rows), so the scores do not depend on the shard count, bit for bit.
+    runs the whole time loop with its own packed weights and _Work
+    buffers: the first in the calling process, every other one in a child
+    forked for the call, which sends its scores back through a pipe. The
+    shards share no interpreter lock, so they run in parallel. A short
+    read from a child raises EvolutionError, and every child is reaped
+    before the call returns or raises. One shard never forks. A genome's
+    arithmetic never mixes with another genome's (each has its own gemm
+    and its own error rows), so the scores do not depend on the shard
+    count, bit for bit.
     """
 
     def __init__(self, vae: VaeParams, data: Dataset,
@@ -367,7 +396,8 @@ class ImitationEvaluator:
         self.total_count = 4 * sum(len(a) for _, a in self.episodes)
 
     def shards(self, pop: int) -> list[tuple[int, int]]:
-        """The genome ranges a call on `pop` genomes scores, one per thread."""
+        """The genome ranges a call on `pop` genomes scores, the first in
+        this process and each other one in a child process."""
         return _shards(pop, self.zs.shape[1], _usable_cores())
 
     def __call__(self, genomes: list[np.ndarray]) -> np.ndarray:
@@ -378,11 +408,50 @@ class ImitationEvaluator:
                 f"count {genome_size(self.template)}"
             )
         (lo, hi), *rest = self.shards(len(flat))
-        with ThreadPoolExecutor(max(len(rest), 1)) as pool:
-            others = [pool.submit(self._score, flat[a:b]) for a, b in rest]
+        children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+        try:
+            for a, b in rest:
+                children.append(self._fork(flat[a:b]))
             scores = [self._score(flat[lo:hi])]
-            scores += [f.result() for f in others]
+            scores += [_receive(fd, b - a)
+                       for (_, fd), (a, b) in zip(children, rest)]
+        finally:
+            # Every child is reaped. One still scoring when the call fails
+            # is killed, not waited for; one that has sent its scores is
+            # already leaving, and the kill finds it gone or a zombie.
+            for pid, fd in children:
+                os.close(fd)
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
         return np.concatenate(scores)
+
+    def _fork(self, flat: np.ndarray) -> tuple[int, int]:
+        """Start a child process that scores `flat`, writes the float64
+        scores to a pipe and leaves with os._exit; returns its pid and the
+        pipe's read end. The child inherits the evaluator and the genomes,
+        so nothing is sent to it."""
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+            raise
+        if pid:
+            os.close(w)
+            return pid, r
+        status = 1
+        try:
+            os.close(r)
+            out = memoryview(self._score(flat)).cast("B")
+            while out:
+                out = out[os.write(w, out):]
+            status = 0
+        except Exception:
+            traceback.print_exc()
+            sys.stderr.flush()
+        finally:
+            os._exit(status)
 
     def _score(self, flat: np.ndarray) -> np.ndarray:
         """Scores of a (pop, dim) genome stack over every episode."""

@@ -556,6 +556,22 @@ class View(Sequence):
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
+def _tiled(arrays: Sequence[np.ndarray]) -> np.ndarray | None:
+    """The array that `arrays` are consecutive row blocks of, in order and
+    with no row left over, or None if they are not."""
+    whole = arrays[0].base
+    if (whole is None or not whole.flags.c_contiguous
+            or whole.dtype != arrays[0].dtype
+            or whole.shape[1:] != arrays[0].shape[1:]):
+        return None
+    at = whole.ctypes.data
+    for a in arrays:
+        if a.base is not whole or a.ctypes.data != at or not a.flags.c_contiguous:
+            return None
+        at += a.nbytes
+    return whole if at == whole.ctypes.data + whole.nbytes else None
+
+
 class Record:
     """Recorded steps as one struct-of-arrays block, episode after episode.
 
@@ -579,16 +595,25 @@ class Record:
 
     @classmethod
     def join(cls, parts: Sequence[Record]) -> Record:
-        """One block holding every part's episodes, in order."""
+        """One block holding every part's episodes, in order.
+
+        Parts that tile one block's arrays in order, such as every episode
+        of a flight, give that block back without a copy.
+        """
         if not parts:
             return cls(np.zeros((0, 0), np.int8), np.zeros((0, 0)),
                        np.zeros((0, 4)), np.zeros((0, 6)), np.zeros(1, np.int64))
         base = np.cumsum([0] + [len(p.actions) for p in parts])
-        cat = lambda arrays: (None if arrays[0] is None
-                              else np.concatenate(arrays))
-        return cls(cat([p.classes for p in parts]), cat([p.depth for p in parts]),
-                   cat([p.actions for p in parts]), cat([p.states for p in parts]),
-                   cat([[0]] + [p.offsets[1:] + b for p, b in zip(parts, base)]))
+        offsets = np.concatenate([[0]] + [p.offsets[1:] + b
+                                          for p, b in zip(parts, base)])
+        fields = [[getattr(p, k) for p in parts]
+                  for k in ("classes", "depth", "actions", "states")]
+        blocks = [None if arrays[0] is None else _tiled(arrays)
+                  for arrays in fields]
+        if any(b is None and f[0] is not None for b, f in zip(blocks, fields)):
+            blocks = [None if arrays[0] is None else np.concatenate(arrays)
+                      for arrays in fields]
+        return cls(*blocks, offsets)
 
     @classmethod
     def of(cls, episodes: Sequence[Sequence[TrajectoryStep]]) -> Record:

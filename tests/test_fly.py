@@ -104,6 +104,24 @@ def test_the_record_keeps_each_tick_of_a_reused_command_buffer():
     assert [s.action.vx for s in result.steps] == want
 
 
+def test_joining_a_whole_flight_gives_its_block_without_a_copy():
+    worlds = [ws.spawn_real_world(s, 0.4, cfg=CFG) for s in range(4)]
+    act = lambda flock, drones, _scans: expert_action(flock, drones, CFG)
+    parts = [r.record for r in ws.fly(worlds, act, 30, CFG)]
+    copies = [ws.Record(p.classes.copy(), p.depth.copy(), p.actions.copy(),
+                        p.states.copy()) for p in parts]
+    whole = ws.Record.join(parts)
+    assert whole == ws.Record.join(copies)
+    for name in ("classes", "depth", "actions", "states"):
+        assert getattr(whole, name).base is None
+        assert np.shares_memory(getattr(whole, name), getattr(parts[0], name))
+    # Anything but every episode in order is copied, and still joins right.
+    for some in (parts[1:], parts[::-1], parts[:2] + parts[3:], parts[:1]):
+        joined = ws.Record.join(some)
+        assert not any(np.shares_memory(joined.actions, p.actions) for p in parts)
+        assert joined == ws.Record.join([copies[parts.index(p)] for p in some])
+
+
 def test_fly_rejects_a_nonpositive_step_cap():
     world = ws.spawn_fake_world(0, cfg=CFG)
     for bad in (0, -3):

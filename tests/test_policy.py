@@ -1,6 +1,11 @@
 """Controller, genome codec, fitness, and evolution tests."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,6 +174,58 @@ def test_batched_controller_step_gives_each_drone_its_lone_bits():
         assert len(live) < 7
         with pytest.raises(DimensionError):
             po.controller_step(ctrl, np.zeros((len(live) + 1, k)), lstm)
+
+
+def negating_tick_reference(t, flat, z, h, c):
+    """The evaluator's cell-plus-head over a (genomes, episodes) batch,
+    written out over fresh arrays from the un-negated gate weights: one
+    stacked gate product, np.negative over its i/f/o columns, then
+    1/(1+exp(.)). Weights are contiguous and biases gain an episode axis,
+    as in the evaluator, so both run the same gemm."""
+    w = t.params.views(flat)
+    gates = np.ascontiguousarray(np.concatenate(
+        [np.concatenate([w[f"lstm/{m}{g}"] for g in "ifog"], axis=-2)
+         for m in "wu"],
+        axis=-1,
+    ).swapaxes(-1, -2))
+    bias = np.concatenate([w[f"lstm/b{g}"] for g in "ifog"], axis=-1)[:, None]
+    n = h.shape[-1]
+    y = np.concatenate([np.broadcast_to(z, h.shape[:-1] + z.shape[-1:]), h],
+                       axis=-1)
+    pre = np.matmul(y, gates) + bias
+    ifo = 1.0 / (1.0 + np.exp(np.negative(pre[..., : 3 * n])))
+    c = ifo[..., n : 2 * n] * c + ifo[..., :n] * np.tanh(pre[..., 3 * n :])
+    h = ifo[..., 2 * n :] * np.tanh(c)
+    y[..., -n:] = h
+    for i in range(3):
+        weight = np.ascontiguousarray(w[f"mlp/w{i}"].swapaxes(-1, -2))
+        y = np.matmul(y, weight) + w[f"mlp/b{i}"][:, None]
+        if i < 2:
+            y = np.tanh(y)
+    scale = t.out_scale
+    return np.minimum(np.maximum(y * scale, -scale), scale), h, c
+
+
+def test_evaluator_tick_with_the_negated_pack_keeps_the_negating_bits():
+    # _pack stores the i/f/o gate columns negated and _tick takes exp of
+    # the product directly; each (genome, episode) row must keep the bits
+    # of the written-out cell that negates the product, over many ticks.
+    rng = np.random.default_rng(10)
+    for k, h_dim, mlp, pop, eps in ((8, 16, (32, 16), 5, 7),
+                                    (3, 5, (7, 4), 3, 2), (1, 1, (2, 2), 4, 1)):
+        t = po.controller_template(k=k, h_dim=h_dim, mlp_hidden=mlp)
+        flat = rng.normal(0, 1.0, (pop, po.genome_size(t)))
+        net = [(np.ascontiguousarray(w), b[:, None])
+               for w, b in po._pack(t.params.views(flat))]
+        work = po._Work(net, (pop, eps))
+        h, c = np.zeros((pop, eps, h_dim)), np.zeros((pop, eps, h_dim))
+        for _ in range(25):
+            z = rng.normal(0, 2.0, (eps, k))
+            want, h, c = negating_tick_reference(t, flat, z, h, c)
+            out = po._tick(net, t.out_scale, z, work)
+            assert out.tobytes() == want.tobytes()
+            assert work.h.tobytes() == h.tobytes()
+            assert work.c.tobytes() == c.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +412,8 @@ def test_scores_do_not_depend_on_how_the_population_is_split(
     bounds = sorted({0, pop, *(int(c * pop) for c in cuts)})
     parts = [ev(genomes[a:b]) for a, b in zip(bounds, bounds[1:])]
     assert np.array_equal(np.concatenate(parts), whole)
-    # Three threads whatever the box, down to one genome per shard.
+    # Three shards, two of them in forked children, whatever the box, down
+    # to one genome per shard.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(po, "_SHARD_ROWS", 1)
         mp.setattr(po, "_usable_cores", lambda: 3)
@@ -368,9 +426,120 @@ def test_shard_rule_reads_the_cores_and_the_rows():
     assert po._shards(64, 2, cores=2) == [(0, 64)]  # the pipeline configs' E=2
     assert po._shards(56, 24, cores=2) == [(0, 28), (28, 56)]
     assert po._shards(7, 10_000, cores=16) == [(j, j + 1) for j in range(7)]
+    # The break-even: two shards from 2 * _SHARD_ROWS rows, so the pipeline
+    # configs' children (56 x 2) never fork.
+    assert po._SHARD_ROWS == 192
+    assert po._shards(16, 24, cores=2) == [(0, 8), (8, 16)]
+    assert po._shards(15, 24, cores=2) == [(0, 15)]
+    assert po._shards(56, 2, cores=2) == [(0, 56)]
     if po._usable_cores() < 2:
         pytest.skip("one usable core: every population is one shard")
     assert len(po._shards(64, 24, po._usable_cores())) > 1
+
+
+def shard_evaluator(rng, pop):
+    """A small evaluator over 3 episodes and `pop` genomes for it."""
+    model = vb.vae_init(3, (6, 4), 0, width=8)
+    t = po.controller_template(k=3, h_dim=4, mlp_hidden=(5, 3))
+    ev = po.ImitationEvaluator(model, random_corridor_dataset(rng, [7, 12, 4]), t)
+    return ev, list(rng.normal(0, 0.5, (pop, po.genome_size(t))))
+
+
+def force_three_shards(mp):
+    mp.setattr(po, "_SHARD_ROWS", 1)
+    mp.setattr(po, "_usable_cores", lambda: 3)
+
+
+def test_forked_shards_leave_no_child(monkeypatch):
+    ev, genomes = shard_evaluator(np.random.default_rng(20), 6)
+    whole = ev(genomes)
+    force_three_shards(monkeypatch)
+    assert ev.shards(6) == [(0, 2), (2, 4), (4, 6)]
+    assert np.array_equal(ev(genomes), whole)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failing_shard_process_raises_and_is_reaped(monkeypatch, capfd):
+    ev, genomes = shard_evaluator(np.random.default_rng(21), 6)
+    force_three_shards(monkeypatch)
+    parent, score = os.getpid(), ev._score
+
+    def fail_in(where):
+        def scored(flat):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise RuntimeError(f"shard failure in the {where}")
+            return score(flat)
+        return scored
+
+    monkeypatch.setattr(ev, "_score", fail_in("child"))
+    with pytest.raises(EvolutionError, match="sent 0 of 16 score bytes"):
+        ev(genomes)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert "shard failure in the child" in capfd.readouterr().err
+    # The parent's own shard failing stops and reaps the children as well.
+    monkeypatch.setattr(ev, "_score", fail_in("parent"))
+    with pytest.raises(RuntimeError, match="in the parent"):
+        ev(genomes)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_population_below_the_break_even_never_forks(monkeypatch):
+    ev, genomes = shard_evaluator(np.random.default_rng(22), 128)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(po.os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(po, "_usable_cores", lambda: 2)
+    below = ev(genomes[:127])  # 381 rows, under 2 * _SHARD_ROWS
+    assert forks == []
+    assert np.array_equal(ev(genomes)[:127], below)  # 384 rows: one child
+    assert forks == [1]
+    monkeypatch.setattr(po, "_usable_cores", lambda: 1)
+    ev(genomes)
+    assert forks == [1]
+
+
+LIVE_POOL_RUN = """
+import hashlib, json, os, sys
+sys.path.insert(0, {src!r})
+import numpy as np
+from cheatlab import policy as po, vae as vb
+from cheatlab.expert import collect_trajectories
+from cheatlab.worldsim import DEFAULT_SIM
+
+data = collect_trajectories("fake", 4, 150, seed=6, cfg=DEFAULT_SIM)
+model = vb.vae_init(8, (16, 8), 2, width=DEFAULT_SIM.scan_width)
+t = po.controller_template(k=8, h_dim=5, mlp_hidden=(6, 4))
+ev = po.ImitationEvaluator(model, data, t)
+genomes = list(np.random.default_rng(7).normal(0, 0.3, (9, po.genome_size(t))))
+cfg = po.EvolutionConfig(population=9, elites=2, generations=4, seed=8)
+out = {{"tasks": len(os.listdir("/proc/self/task"))}}
+for name, rows, cores in (("one", 10**9, 1), ("forked", 1, 3)):
+    po._SHARD_ROWS, po._usable_cores = rows, lambda: cores
+    best, history = po.evolve(cfg, ev, po.genome_size(t))
+    h = hashlib.sha256(ev(genomes).tobytes())
+    h.update(best.values.tobytes())
+    h.update(repr([(s.best, s.mean) for s in history]).encode())
+    out[name] = [len(ev.shards(9)), h.hexdigest()]
+print(json.dumps(out))
+"""
+
+
+def test_forked_shards_keep_the_bits_under_a_live_blas_pool():
+    # Two BLAS threads, so each fork happens with OpenBLAS's worker threads
+    # running; the scores and an evolve's genome and history must keep the
+    # bits of one shard.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+    proc = subprocess.run(
+        [sys.executable, "-c", LIVE_POOL_RUN.format(src=str(root / "src"))],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["tasks"] >= 2  # the BLAS pool is live
+    assert out["one"][0] == 1 and out["forked"][0] == 3
+    assert out["forked"][1] == out["one"][1]
 
 
 # ---------------------------------------------------------------------------
