@@ -1,13 +1,15 @@
 """Pipeline orchestrator: one subcommand per stage, plus `pipeline`.
 
-Stages read and write artifacts in the configured output directory, and
-every stage drops a JSON summary recording the sha256 digest of each
-input and output file alongside its headline metrics. Chaining those
+`STAGE_TABLE` declares each stage once, in pipeline order: its function,
+the artifacts it reads and writes in the output directory, and its help
+text. Every stage drops a JSON summary recording the sha256 digest of
+each input and output file alongside its headline metrics. Chaining those
 digests makes a full run auditable: a stage's recorded input digest must
 equal the digest recorded by whichever earlier stage produced the file.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 missing
-prerequisite artifact, 3 any error during stage execution.
+Exit codes: 0 success, 1 usage or configuration error (an unreadable
+config file included), 2 missing prerequisite artifact, 3 any error
+during stage execution.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import cheat as ch
 from . import evaluation as ev
@@ -27,60 +30,37 @@ from .errors import CheatLabError, ConfigError, DependencyError
 from .expert import collect_trajectories, read_dataset, write_dataset
 from .worldsim import _derive_seed, spawn_real_world
 
-STAGES = (
-    "gen-fake-data",
-    "train-vae",
-    "gen-expert",
-    "train-policy",
-    "build-pairs",
-    "train-cheat",
-    "gen-real-data",
-    "train-baseline",
-    "eval",
-    "viz",
-)
 
-# stage -> (input artifacts, output artifacts), all relative to out_dir.
-STAGE_IO: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "gen-fake-data": ((), ("fake_data.bin",)),
-    "train-vae": (("fake_data.bin",), ("vae.ckpt",)),
-    "gen-expert": ((), ("expert_data.bin",)),
-    "train-policy": (
-        ("vae.ckpt", "expert_data.bin"),
-        ("controller.ckpt", "evolution_history.csv"),
-    ),
-    "build-pairs": (("vae.ckpt",), ("pairs.bin",)),
-    "train-cheat": (
-        ("pairs.bin", "vae.ckpt", "controller.ckpt"),
-        ("cheat.ckpt",),
-    ),
-    "gen-real-data": ((), ("real_data.bin",)),
-    "train-baseline": (("real_data.bin",), ("baseline.ckpt",)),
-    "eval": (
-        ("vae.ckpt", "controller.ckpt", "cheat.ckpt", "baseline.ckpt"),
-        ("eval_report.csv", "eval_report.txt"),
-    ),
-    "viz": (
-        ("vae.ckpt", "controller.ckpt", "cheat.ckpt"),
-        ("belief_strip.pgm",),
-    ),
-}
+class Stage(NamedTuple):
+    """One pipeline stage: run(cfg, out_dir, seed) returns its metrics."""
+
+    run: Callable[[RunConfig, Path, int], dict]
+    inputs: tuple[str, ...]
+    outputs: tuple[str, ...]
+    help: str
 
 
 def _stage_seed(cfg: RunConfig, *parts) -> int:
     return int(_derive_seed(cfg["seed"], *parts))
 
 
-def _stage_gen_fake_data(cfg: RunConfig, out: Path) -> dict:
-    data = collect_trajectories(
-        "fake",
-        cfg["data.vae_episodes"],
-        cfg["data.vae_max_steps"],
-        seed=_stage_seed(cfg, "gen-fake-data"),
-        cfg=cfg.sim(),
-    )
-    write_dataset(data, out / "fake_data.bin")
-    return {"episodes": len(data.episodes), "total_steps": data.total_steps}
+def _collect(kind: str, prefix: str, artifact: str, text: str) -> Stage:
+    """The stage that flies the expert through `kind` worlds into
+    `artifact`, sized by the data.<prefix>_episodes and _max_steps keys."""
+
+    def run(cfg: RunConfig, out: Path, seed: int) -> dict:
+        data = collect_trajectories(
+            kind,
+            cfg[f"data.{prefix}_episodes"],
+            cfg[f"data.{prefix}_max_steps"],
+            seed=seed,
+            cfg=cfg.sim(),
+            clutter_density=cfg["data.clutter_density"],
+        )
+        write_dataset(data, out / artifact)
+        return {"episodes": len(data.episodes), "total_steps": data.total_steps}
+
+    return Stage(run, (), (artifact,), text)
 
 
 def _loss_metrics(history: list[float]) -> dict:
@@ -92,59 +72,30 @@ def _loss_metrics(history: list[float]) -> dict:
     }
 
 
-def _stage_train_vae(cfg: RunConfig, out: Path) -> dict:
+def _stage_train_vae(cfg: RunConfig, out: Path, seed: int) -> dict:
     data = read_dataset(out / "fake_data.bin")
-    vcfg = vb.VaeTrainConfig(
-        k=cfg["vae.k"],
-        hidden=cfg["vae.hidden"],
-        beta=cfg["vae.beta"],
-        epochs=cfg["vae.epochs"],
-        batch=cfg["vae.batch"],
-        lr=cfg["vae.lr"],
-        seed=_stage_seed(cfg, "train-vae"),
+    model, history = vb.train_vae(
+        data, cfg.section("vae", vb.VaeTrainConfig, seed=seed)
     )
-    model, history = vb.train_vae(data, vcfg)
-    vb.save_vae(model, out / "vae.ckpt", extra_meta={"seed": vcfg.seed})
+    vb.save_vae(model, out / "vae.ckpt", extra_meta={"seed": seed})
     return _loss_metrics(history)
 
 
-def _stage_gen_expert(cfg: RunConfig, out: Path) -> dict:
-    data = collect_trajectories(
-        "fake",
-        cfg["data.expert_episodes"],
-        cfg["data.expert_max_steps"],
-        seed=_stage_seed(cfg, "gen-expert"),
-        cfg=cfg.sim(),
-    )
-    write_dataset(data, out / "expert_data.bin")
-    return {"episodes": len(data.episodes), "total_steps": data.total_steps}
-
-
-def _stage_train_policy(cfg: RunConfig, out: Path) -> dict:
-    sim = cfg.sim()
+def _stage_train_policy(cfg: RunConfig, out: Path, seed: int) -> dict:
     model = vb.load_vae(out / "vae.ckpt")
     data = read_dataset(out / "expert_data.bin")
-    template = po.controller_template(
-        k=model.k,
-        h_dim=cfg["policy.h_dim"],
-        mlp_hidden=cfg["policy.mlp_hidden"],
-        cfg=sim,
+    template = cfg.section("policy", po.controller_template, k=model.k, cfg=cfg.sim())
+    best, history = po.evolve(
+        cfg.section("evolve", po.EvolutionConfig, seed=seed),
+        po.ImitationEvaluator(model, data, template),
+        po.genome_size(template),
     )
-    ecfg = po.EvolutionConfig(
-        population=cfg["evolve.population"],
-        elites=cfg["evolve.elites"],
-        mutation_sigma=cfg["evolve.mutation_sigma"],
-        generations=cfg["evolve.generations"],
-        seed=_stage_seed(cfg, "train-policy"),
-    )
-    best, history = po.evolve(ecfg, po.ImitationEvaluator(model, data, template),
-                              po.genome_size(template))
     ctrl = po.controller_from_genome(best.values, template)
     po.save_controller(
         ctrl,
         out / "controller.ckpt",
         extra_meta={
-            "seed": ecfg.seed,
+            "seed": seed,
             "best_fitness": best.fitness,
             "generations": len(history),
         },
@@ -156,100 +107,59 @@ def _stage_train_policy(cfg: RunConfig, out: Path) -> dict:
     return {"best_fitness": best.fitness, "generations": len(history)}
 
 
-def _stage_build_pairs(cfg: RunConfig, out: Path) -> dict:
+def _stage_build_pairs(cfg: RunConfig, out: Path, seed: int) -> dict:
     model = vb.load_vae(out / "vae.ckpt")
-    real_seed = _stage_seed(cfg, "build-pairs")
-    pairs = ch.build_pairs(
-        real_seed,
-        cfg["cheat.n_poses"],
-        model,
-        mode=cfg["cheat.mode"],
-        density=cfg["cheat.density"],
-        cfg=cfg.sim(),
-    )
+    pairs = cfg.section("cheat", ch.build_pairs, real_seed=seed, vae=model,
+                        cfg=cfg.sim())
     ch.write_pairs(
         out / "pairs.bin",
         pairs,
         {
             "mode": cfg["cheat.mode"],
-            "real_seed": real_seed,
+            "real_seed": seed,
             "density": cfg["cheat.density"],
         },
     )
     return {"pairs": len(pairs), "mode": cfg["cheat.mode"]}
 
 
-def _stage_train_cheat(cfg: RunConfig, out: Path) -> dict:
+def _stage_train_cheat(cfg: RunConfig, out: Path, seed: int) -> dict:
     pairs, _meta = ch.read_pairs(out / "pairs.bin")
     model = vb.load_vae(out / "vae.ckpt")
     ctrl = po.load_controller(out / "controller.ckpt")
-    ccfg = ch.CheatTrainConfig(
-        epochs=cfg["cheat.epochs"],
-        batch=cfg["cheat.batch"],
-        lr=cfg["cheat.lr"],
-        hidden=cfg["cheat.hidden"],
-        seed=_stage_seed(cfg, "train-cheat"),
+    encoder, history, digests = ch.train_cheat(
+        pairs, (model, ctrl), cfg.section("cheat", ch.CheatTrainConfig, seed=seed)
     )
-    encoder, history, digests = ch.train_cheat(pairs, (model, ctrl), ccfg)
     ch.save_cheat(
-        encoder, out / "cheat.ckpt", digests, extra_meta={"seed": ccfg.seed}
+        encoder, out / "cheat.ckpt", digests, extra_meta={"seed": seed}
     )
     return {**_loss_metrics(history), "frozen": digests}
 
 
-def _stage_gen_real_data(cfg: RunConfig, out: Path) -> dict:
-    data = collect_trajectories(
-        "real",
-        cfg["data.real_episodes"],
-        cfg["data.real_max_steps"],
-        seed=_stage_seed(cfg, "gen-real-data"),
-        cfg=cfg.sim(),
-        clutter_density=cfg["data.clutter_density"],
-    )
-    write_dataset(data, out / "real_data.bin")
-    return {"episodes": len(data.episodes), "total_steps": data.total_steps}
-
-
-def _stage_train_baseline(cfg: RunConfig, out: Path) -> dict:
+def _stage_train_baseline(cfg: RunConfig, out: Path, seed: int) -> dict:
     data = read_dataset(out / "real_data.bin")
-    bcfg = ev.BaselineTrainConfig(
-        epochs=cfg["baseline.epochs"],
-        batch=cfg["baseline.batch"],
-        lr=cfg["baseline.lr"],
-        hidden=cfg["baseline.hidden"],
-        seed=_stage_seed(cfg, "train-baseline"),
+    params, history = ev.train_baseline(
+        data, cfg.section("baseline", ev.BaselineTrainConfig, seed=seed)
     )
-    params, history = ev.train_baseline(data, bcfg)
-    ev.save_baseline(params, out / "baseline.ckpt", extra_meta={"seed": bcfg.seed})
+    ev.save_baseline(params, out / "baseline.ckpt", extra_meta={"seed": seed})
     return _loss_metrics(history)
 
 
-def _eval_models(out: Path) -> dict:
-    return {
+def _stage_eval(cfg: RunConfig, out: Path, _seed: int) -> dict:
+    sim = cfg.sim()
+    models = {
         "vae": vb.load_vae(out / "vae.ckpt"),
         "controller": po.load_controller(out / "controller.ckpt"),
         "cheat": ch.load_cheat(out / "cheat.ckpt"),
         "baseline": ev.load_baseline(out / "baseline.ckpt"),
     }
-
-
-def _stage_eval(cfg: RunConfig, out: Path) -> dict:
-    sim = cfg.sim()
-    models = _eval_models(out)
     seeds = [
         _stage_seed(cfg, "eval", i) for i in range(cfg["eval.episodes"])
     ]
     reports = [
-        ev.eval_mean_distance(
-            pipeline,
-            models,
-            seeds,
-            max_steps=cfg["eval.max_steps"],
-            density=cfg["eval.density"],
-            hold_steps=cfg["eval.hold_steps"],
-            cfg=sim,
-        )
-        for pipeline in ("cheat", "baseline", "random", "zero")
+        cfg.section("eval", ev.eval_mean_distance, pipeline=pipeline,
+                    models=models, seeds=seeds, cfg=sim)
+        for pipeline in ev.PIPELINES
     ]
     text, csv_blob = ev.comparison_report(reports)
     (out / "eval_report.csv").write_text(csv_blob, encoding="utf-8")
@@ -262,26 +172,20 @@ def _stage_eval(cfg: RunConfig, out: Path) -> dict:
     }
 
 
-def _stage_viz(cfg: RunConfig, out: Path) -> dict:
+def _stage_viz(cfg: RunConfig, out: Path, seed: int) -> dict:
     sim = cfg.sim()
     model = vb.load_vae(out / "vae.ckpt")
     ctrl = po.load_controller(out / "controller.ckpt")
     encoder = ch.load_cheat(out / "cheat.ckpt")
     world = spawn_real_world(
-        _stage_seed(cfg, "viz"), cfg["eval.density"], cfg=sim, with_gates=False
+        seed, cfg["eval.density"], cfg=sim, with_gates=False
     )
     result = po.rollout(
         world, model, ctrl, cfg["viz.max_steps"], encoder="cheat",
         cheat=encoder, cfg=sim,
     )
-    ev.render_belief_strip(
-        result,
-        encoder,
-        model,
-        cfg["viz.stride"],
-        out / "belief_strip.pgm",
-        band_height=cfg["viz.band_height"],
-    )
+    cfg.section("viz", ev.render_belief_strip, trace=result, cheat=encoder,
+                vae=model, path=out / "belief_strip.pgm")
     return {
         "steps": len(result.steps),
         "tiles": len(result.steps[:: cfg["viz.stride"]]),
@@ -290,28 +194,51 @@ def _stage_viz(cfg: RunConfig, out: Path) -> dict:
     }
 
 
-_STAGE_FN = {
-    "gen-fake-data": _stage_gen_fake_data,
-    "train-vae": _stage_train_vae,
-    "gen-expert": _stage_gen_expert,
-    "train-policy": _stage_train_policy,
-    "build-pairs": _stage_build_pairs,
-    "train-cheat": _stage_train_cheat,
-    "gen-real-data": _stage_gen_real_data,
-    "train-baseline": _stage_train_baseline,
-    "eval": _stage_eval,
-    "viz": _stage_viz,
+STAGE_TABLE: dict[str, Stage] = {
+    "gen-fake-data": _collect(
+        "fake", "vae", "fake_data.bin",
+        "collect corridor expert data for the autoencoder"),
+    "train-vae": Stage(
+        _stage_train_vae, ("fake_data.bin",), ("vae.ckpt",),
+        "train the scanline autoencoder on corridor data"),
+    "gen-expert": _collect(
+        "fake", "expert", "expert_data.bin",
+        "collect corridor expert data for imitation"),
+    "train-policy": Stage(
+        _stage_train_policy, ("vae.ckpt", "expert_data.bin"),
+        ("controller.ckpt", "evolution_history.csv"),
+        "evolve the recurrent controller on frozen latents"),
+    "build-pairs": Stage(
+        _stage_build_pairs, ("vae.ckpt",), ("pairs.bin",),
+        "pair cluttered-room scans with corridor latents"),
+    "train-cheat": Stage(
+        _stage_train_cheat, ("pairs.bin", "vae.ckpt", "controller.ckpt"),
+        ("cheat.ckpt",),
+        "train the substitute encoder; policy stays frozen"),
+    "gen-real-data": _collect(
+        "real", "real", "real_data.bin", "collect cluttered-room expert data"),
+    "train-baseline": Stage(
+        _stage_train_baseline, ("real_data.bin",), ("baseline.ckpt",),
+        "behavioral-cloning regression baseline"),
+    "eval": Stage(
+        _stage_eval,
+        ("vae.ckpt", "controller.ckpt", "cheat.ckpt", "baseline.ckpt"),
+        ("eval_report.csv", "eval_report.txt"),
+        "mean distance before crash across all methods"),
+    "viz": Stage(
+        _stage_viz, ("vae.ckpt", "controller.ckpt", "cheat.ckpt"),
+        ("belief_strip.pgm",),
+        "render a seen-vs-believed belief strip"),
 }
-
-
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return list(value)
-    return value
+STAGES = tuple(STAGE_TABLE)
 
 
 def run_command(name: str, cfg: RunConfig) -> dict:
-    """Execute one stage (or the whole pipeline) and return its summary."""
+    """Execute one stage (or the whole pipeline) and return its summary.
+
+    `pipeline` runs each stage through this module-level name, so a
+    wrapper bound to it sees every stage.
+    """
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     if name == "pipeline":
@@ -323,30 +250,30 @@ def run_command(name: str, cfg: RunConfig) -> dict:
         }
         _write_summary(out, "pipeline", summary)
         return summary
-    if name not in _STAGE_FN:
+    if name not in STAGE_TABLE:
         raise ConfigError(f"unknown command {name!r}")
-    inputs, outputs = STAGE_IO[name]
-    missing = [art for art in inputs if not (out / art).exists()]
+    stage = STAGE_TABLE[name]
+    missing = [art for art in stage.inputs if not (out / art).exists()]
     if missing:
         raise DependencyError(
             f"{name}: missing artifact(s) {', '.join(missing)} in {out}; "
             "run the producing stage(s) first"
         )
-    in_digests = {art: file_digest(out / art) for art in inputs}
+    in_digests = {art: file_digest(out / art) for art in stage.inputs}
     try:
-        metrics = _STAGE_FN[name](cfg, out)
+        metrics = stage.run(cfg, out, _stage_seed(cfg, name))
     except DependencyError:
         raise
     except CheatLabError as err:
         raise type(err)(f"{name}: {err}") from err
-    out_digests = {art: file_digest(out / art) for art in outputs}
+    out_digests = {art: file_digest(out / art) for art in stage.outputs}
     summary = {
         "stage": name,
         "seed": cfg["seed"],
         "inputs": in_digests,
         "outputs": out_digests,
         "metrics": metrics,
-        "config": {k: _jsonable(v) for k, v in cfg.values.items()},
+        "config": dict(cfg.values),
     }
     _write_summary(out, name, summary)
     return summary
@@ -375,16 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     descriptions = {
-        "gen-fake-data": "collect corridor expert data for the autoencoder",
-        "train-vae": "train the scanline autoencoder on corridor data",
-        "gen-expert": "collect corridor expert data for imitation",
-        "train-policy": "evolve the recurrent controller on frozen latents",
-        "build-pairs": "pair cluttered-room scans with corridor latents",
-        "train-cheat": "train the substitute encoder; policy stays frozen",
-        "gen-real-data": "collect cluttered-room expert data",
-        "train-baseline": "behavioral-cloning regression baseline",
-        "eval": "mean distance before crash across all methods",
-        "viz": "render a seen-vs-believed belief strip",
+        **{name: stage.help for name, stage in STAGE_TABLE.items()},
         "pipeline": "run every stage in order",
         "print-config": "dump the merged configuration and exit",
     }

@@ -3,16 +3,22 @@
 One dotted key per tunable default, line-oriented `key = value` files
 with '#' comments, and later-wins precedence: built-in defaults, then the
 config file, then --set overrides. Validation is total; no stage starts
-with a half-checked configuration.
+with a half-checked configuration. A key that sets a dataclass field
+takes the field's default, and `RunConfig.section` builds the dataclass
+from its keys.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import inspect
+import math
+from dataclasses import dataclass
 from typing import Callable
 
+from .autodiff import DenseTrainConfig
 from .errors import ConfigError
 from .policy import EvolutionConfig
+from .vae import VaeTrainConfig
 from .worldsim import DEFAULT_SIM, SimConfig
 
 
@@ -31,8 +37,8 @@ def _int(lo=None, hi=None):
 def _float(lo=None, hi=None, lo_open=False):
     def parse(text: str) -> float:
         value = float(text)
-        if value != value:
-            raise ValueError("nan")
+        if not math.isfinite(value):
+            raise ValueError(f"{value} is not finite")
         if lo is not None and (value <= lo if lo_open else value < lo):
             raise ValueError(f"{value} {'<=' if lo_open else '<'} {lo}")
         if hi is not None and value > hi:
@@ -73,7 +79,7 @@ class _Key:
     parse: Callable[[str], object]
 
 
-_S = DEFAULT_SIM
+_S, _V, _E, _D = DEFAULT_SIM, VaeTrainConfig, EvolutionConfig, DenseTrainConfig
 
 # Every tunable default in the package, one flat key each.
 KEYS: dict[str, _Key] = {
@@ -114,35 +120,33 @@ KEYS: dict[str, _Key] = {
     "data.real_max_steps": _Key(400, _int(1)),
     "data.clutter_density": _Key(0.4, _float(0, 1)),
     # autoencoder
-    "vae.k": _Key(8, _int(1)),
-    "vae.hidden": _Key((128, 64), _int_list()),
-    "vae.beta": _Key(1e-3, _float(0)),
-    "vae.epochs": _Key(200, _int(0)),
-    "vae.batch": _Key(64, _int(1)),
-    "vae.lr": _Key(1e-3, _float(0, lo_open=True)),
+    "vae.k": _Key(_V.k, _int(1)),
+    "vae.hidden": _Key(_V.hidden, _int_list()),
+    "vae.beta": _Key(_V.beta, _float(0)),
+    "vae.epochs": _Key(_V.epochs, _int(0)),
+    "vae.batch": _Key(_V.batch, _int(1)),
+    "vae.lr": _Key(_V.lr, _float(0, lo_open=True)),
     # controller architecture
     "policy.h_dim": _Key(16, _int(1)),
     "policy.mlp_hidden": _Key((32, 16), _int_list(2)),
     # evolution
-    "evolve.population": _Key(64, _int(2)),
-    "evolve.elites": _Key(8, _int(1)),
-    "evolve.mutation_sigma": _Key(
-        EvolutionConfig.mutation_sigma, _float(0, lo_open=True)
-    ),
-    "evolve.generations": _Key(150, _int(1)),
+    "evolve.population": _Key(_E.population, _int(2)),
+    "evolve.elites": _Key(_E.elites, _int(1)),
+    "evolve.mutation_sigma": _Key(_E.mutation_sigma, _float(0, lo_open=True)),
+    "evolve.generations": _Key(_E.generations, _int(1)),
     # substitute encoder
     "cheat.n_poses": _Key(2000, _int(1)),
     "cheat.mode": _Key("virtual_gate", _choice("virtual_gate", "gates_visible")),
     "cheat.density": _Key(0.4, _float(0, 1)),
-    "cheat.hidden": _Key((128, 64), _int_list()),
-    "cheat.epochs": _Key(200, _int(0)),
-    "cheat.batch": _Key(64, _int(1)),
-    "cheat.lr": _Key(1e-3, _float(0, lo_open=True)),
+    "cheat.hidden": _Key(_D.hidden, _int_list()),
+    "cheat.epochs": _Key(_D.epochs, _int(0)),
+    "cheat.batch": _Key(_D.batch, _int(1)),
+    "cheat.lr": _Key(_D.lr, _float(0, lo_open=True)),
     # regression baseline
-    "baseline.hidden": _Key((128, 64), _int_list()),
-    "baseline.epochs": _Key(200, _int(0)),
-    "baseline.batch": _Key(64, _int(1)),
-    "baseline.lr": _Key(1e-3, _float(0, lo_open=True)),
+    "baseline.hidden": _Key(_D.hidden, _int_list()),
+    "baseline.epochs": _Key(_D.epochs, _int(0)),
+    "baseline.batch": _Key(_D.batch, _int(1)),
+    "baseline.lr": _Key(_D.lr, _float(0, lo_open=True)),
     # evaluation suite
     "eval.episodes": _Key(50, _int(1)),
     "eval.density": _Key(0.4, _float(0, 1)),
@@ -164,14 +168,17 @@ class RunConfig:
     def __getitem__(self, key: str):
         return self.values[key]
 
+    def section(self, prefix: str, cls, **given):
+        """cls called with every `prefix.<name>` key that names one of its
+        parameters, plus the given arguments (a stage's seed, say)."""
+        keys = {name: self.values[f"{prefix}.{name}"]
+                for name in inspect.signature(cls).parameters
+                if f"{prefix}.{name}" in self.values}
+        return cls(**keys, **given)
+
     def sim(self) -> SimConfig:
         """The SimConfig described by the world.* keys."""
-        fields = {
-            key.split(".", 1)[1]: self.values[key]
-            for key in KEYS
-            if key.startswith("world.")
-        }
-        return replace(DEFAULT_SIM, **fields)
+        return self.section("world", SimConfig)
 
     def dump(self) -> str:
         """Reparseable `key = value` text, one line per key."""
@@ -234,17 +241,21 @@ def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
     """
     values = {key: spec.default for key, spec in KEYS.items()}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw_line in enumerate(fh, start=1):
-                line = raw_line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(
-                        f"expected 'key = value' (line {lineno}): {line!r}"
-                    )
-                key, raw = (part.strip() for part in line.split("=", 1))
-                _apply(values, key, raw, f"line {lineno}")
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except (OSError, UnicodeDecodeError) as err:
+            raise ConfigError(f"cannot read config file {path}: {err}") from err
+        for lineno, raw_line in enumerate(lines, start=1):
+            line = raw_line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(
+                    f"expected 'key = value' (line {lineno}): {line!r}"
+                )
+            key, raw = (part.strip() for part in line.split("=", 1))
+            _apply(values, key, raw, f"line {lineno}")
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not key=value")

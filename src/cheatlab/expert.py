@@ -68,8 +68,6 @@ def expert_action(
     world: WorldSpec | Flock,
     state: DroneState | Drones,
     cfg: SimConfig = DEFAULT_SIM,
-    k_omega: float = K_OMEGA,
-    v_nom: float = V_NOM,
 ):
     """Pure pursuit toward the current target gate center.
 
@@ -108,8 +106,8 @@ def expert_action(
         # math.atan2 per drone: np.arctan2 rounds differently.
         bearing = math.atan2(target[1] - y, target[0] - x)
         err = wrap_angle(bearing - yaw)
-        row[0] = min(max(v_nom * math.cos(err), 0.0), cfg.v_max)
-        row[3] = min(max(k_omega * err, -cfg.yaw_rate_max), cfg.yaw_rate_max)
+        row[0] = min(max(V_NOM * math.cos(err), 0.0), cfg.v_max)
+        row[3] = min(max(K_OMEGA * err, -cfg.yaw_rate_max), cfg.yaw_rate_max)
     return Action(*out[0].tolist()) if single else out
 
 
@@ -155,7 +153,6 @@ def collect_trajectories(
     seed: int,
     cfg: SimConfig = DEFAULT_SIM,
     clutter_density: float = 0.4,
-    n_gates: int | None = None,
 ) -> Dataset:
     """Fly the expert through seeded worlds and record every step.
 
@@ -174,7 +171,7 @@ def collect_trajectories(
             f"{n_episodes}, {max_steps}"
         )
     if kind == "fake":
-        spawn = lambda s: spawn_fake_world(s, n_gates, cfg)
+        spawn = lambda s: spawn_fake_world(s, cfg)
         done = lambda flock, drones: next_gate_index(flock, drones) < 0
     else:
         spawn = lambda s: spawn_real_world(s, clutter_density, False, cfg)
@@ -212,9 +209,7 @@ def collect_trajectories(
         "total_steps": sum(lengths),
         "scan_width": cfg.scan_width,
         "clutter_density": clutter_density if kind == "real" else None,
-        "n_gates": (n_gates if n_gates is not None else cfg.n_gates)
-        if kind == "fake"
-        else None,
+        "n_gates": cfg.n_gates if kind == "fake" else None,
     }
     return Dataset(record, kind, int(seed), manifest)
 

@@ -228,14 +228,8 @@ class LstmBatch:
         return out
 
 
-def _packed(p: ControllerParams) -> LstmBatch:
-    """p's fused weights with one drone's buffers: the `net` a caller
-    ticking one controller many times passes to controller_step."""
-    return LstmBatch(p, 1)
-
-
 def controller_step(
-    p: ControllerParams, z: np.ndarray, st: LstmState | LstmBatch, net=None
+    p: ControllerParams, z: np.ndarray, st: LstmState | LstmBatch
 ) -> tuple[Action, LstmState] | np.ndarray:
     """One control tick: standard LSTM cell, then the dense head.
 
@@ -250,9 +244,7 @@ def controller_step(
     (np.vecmat), so row b has the bits of drone b ticked alone. A latent
     [k] with an LstmState is the B = 1 case: st is copied into one
     drone's buffers and the new state out of them, and the command comes
-    back as an Action. `net` is _packed(p); a caller ticking one
-    controller many times builds it once and passes it, else every call
-    packs anew.
+    back as an Action; every such call packs p anew.
     """
     batch = isinstance(st, LstmBatch)
     z = np.asarray(z, dtype=np.float64)
@@ -265,7 +257,7 @@ def controller_step(
             f"state dims {list(st.h.shape)}/{list(st.c.shape)} do not match "
             f"h_dim={p.h_dim}"
         )
-    one = _packed(p) if net is None else net
+    one = LstmBatch(p, 1)
     one.work.h[0], one.work.c[0] = st.h, st.c
     out = _tick(one.net, p.out_scale, z[None], one.work)[0]
     action = Action(float(out[0]), float(out[1]), float(out[2]), float(out[3]))

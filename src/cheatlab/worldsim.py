@@ -821,9 +821,7 @@ def _derive_seed(*parts: int | str) -> int:
     return int(ss.generate_state(1, np.uint64)[0] >> 1)
 
 
-def spawn_fake_world(
-    seed: int, n_gates: int | None = None, cfg: SimConfig = DEFAULT_SIM
-) -> WorldSpec:
+def spawn_fake_world(seed: int, cfg: SimConfig = DEFAULT_SIM) -> WorldSpec:
     """Corridor along +x with evenly spaced gates at seeded offsets.
 
     Gate i sits at x = (i + 2) * gate_spacing with a lateral offset within
@@ -836,8 +834,7 @@ def spawn_fake_world(
     wall sits a full sensor range past the last gate and therefore never
     shows up in the scan before the corridor is done.
     """
-    if n_gates is None:
-        n_gates = cfg.n_gates
+    n_gates = cfg.n_gates
     if n_gates < 1:
         raise ContractError(f"need at least one gate, got {n_gates}")
     rng = np.random.default_rng(seed)

@@ -280,12 +280,7 @@ def vae_stack():
         seed=_derive_seed(CFG["seed"], "gen-fake-data"), cfg=SIM,
     )
     data = _first_n_observations(raw, 2000)
-    model, history = train_vae(
-        data,
-        VaeTrainConfig(k=8, hidden=CFG["vae.hidden"], beta=CFG["vae.beta"],
-                       epochs=200, batch=CFG["vae.batch"], lr=CFG["vae.lr"],
-                       seed=0),
-    )
+    model, history = train_vae(data, CFG.section("vae", VaeTrainConfig, seed=0))
     return {
         "data": data,
         "model": model,
@@ -328,18 +323,14 @@ def controller_stack(vae_stack):
         "fake", CFG["data.expert_episodes"], CFG["data.expert_max_steps"],
         seed=_derive_seed(CFG["seed"], "gen-expert"), cfg=SIM,
     )
-    template = controller_template(k=model.k, cfg=SIM)
+    template = CFG.section("policy", controller_template, k=model.k, cfg=SIM)
     evaluator = ImitationEvaluator(model, expert_data, template)
     dim = genome_size(template)
     zero_error = -float(evaluator([np.zeros(dim)])[0])
     t_evolve = time.perf_counter()
     best, history = evolve(
-        EvolutionConfig(
-            population=64, elites=8,
-            mutation_sigma=CFG["evolve.mutation_sigma"],
-            generations=150,
-            seed=_derive_seed(CFG["seed"], "train-policy"),
-        ),
+        CFG.section("evolve", EvolutionConfig,
+                    seed=_derive_seed(CFG["seed"], "train-policy")),
         evaluator, dim,
     )
     evolve_seconds = time.perf_counter() - t_evolve
@@ -415,11 +406,8 @@ def transfer_stack(vae_stack, controller_stack):
     )
     cheat, cheat_history, digests = train_cheat(
         pairs, frozen=(model, ctrl),
-        cfg=CheatTrainConfig(
-            epochs=CFG["cheat.epochs"], batch=CFG["cheat.batch"],
-            lr=CFG["cheat.lr"], hidden=CFG["cheat.hidden"],
-            seed=_derive_seed(CFG["seed"], "train-cheat"),
-        ),
+        cfg=CFG.section("cheat", CheatTrainConfig,
+                        seed=_derive_seed(CFG["seed"], "train-cheat")),
     )
     real_data = collect_trajectories(
         "real", CFG["data.real_episodes"], CFG["data.real_max_steps"],
@@ -428,11 +416,8 @@ def transfer_stack(vae_stack, controller_stack):
     )
     baseline, _ = train_baseline(
         real_data,
-        BaselineTrainConfig(
-            epochs=CFG["baseline.epochs"], batch=CFG["baseline.batch"],
-            lr=CFG["baseline.lr"], hidden=CFG["baseline.hidden"],
-            seed=_derive_seed(CFG["seed"], "train-baseline"),
-        ),
+        CFG.section("baseline", BaselineTrainConfig,
+                    seed=_derive_seed(CFG["seed"], "train-baseline")),
     )
     seconds_train = time.perf_counter() - t0
 

@@ -70,7 +70,7 @@ def test_pipeline_writes_every_artifact_and_summary(pipeline_run):
         summary_path = pipeline_run / f"{stage.replace('-', '_')}_summary.json"
         summary = json.loads(summary_path.read_text())
         assert summary["stage"] == stage
-        assert set(summary["outputs"]) == set(cli.STAGE_IO[stage][1])
+        assert set(summary["outputs"]) == set(cli.STAGE_TABLE[stage].outputs)
         for digest in {**summary["inputs"], **summary["outputs"]}.values():
             assert len(digest) == 64
     pipe = json.loads((pipeline_run / "pipeline_summary.json").read_text())
@@ -143,6 +143,47 @@ def test_usage_and_config_errors_exit_one(capsys):
     assert cli.main(["eval", "--set", "popsize=3"]) == 1
     assert "popsize" in capsys.readouterr().err
     assert cli.main(["eval", "--set", "world.dt=7"]) == 1
+
+
+def test_unreadable_or_non_finite_config_exits_one(tmp_path, capsys):
+    assert cli.main(["print-config", "--config", str(tmp_path / "nope.cfg")]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"seed = 3 # \xe9\n")
+    assert cli.main(["print-config", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert cli.main(["gen-real-data", "--set", "world.room_size=inf"]) == 1
+    assert "world.room_size" in capsys.readouterr().err
+
+
+def test_help_lists_every_stage_with_its_table_text(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as done:
+        cli.main(["--help"])
+    assert done.value.code == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    for name, stage in cli.STAGE_TABLE.items():
+        assert [name, *stage.help.split()] in lines
+
+
+def test_pipeline_runs_each_stage_through_run_command(tmp_path, monkeypatch):
+    # The benchmark times each stage by rebinding cli.run_command, as
+    # perfbench/tracing.py's StageClock does, and reads the summaries it
+    # returns; pipeline must call every stage through that name.
+    calls, orig = [], cli.run_command
+
+    def run_command(name, cfg):
+        summary = orig(name, cfg)
+        calls.append((name, summary))
+        return summary
+
+    monkeypatch.setattr(cli, "run_command", run_command)
+    assert cli.main(["pipeline", *tiny_args(tmp_path / "run")]) == 0
+    assert [name for name, _ in calls] == [*cli.STAGES, "pipeline"]
+    by = dict(calls)
+    assert by["gen-expert"]["metrics"]["total_steps"] > 0
+    assert by["train-policy"]["config"]["evolve.population"] == 6
+    assert len(by["train-cheat"]["metrics"]["frozen"]) == 2
 
 
 def test_missing_prerequisite_exits_two(tmp_path, capsys):

@@ -1,10 +1,31 @@
 """Run-configuration parsing, precedence, and validation."""
 
+import dataclasses
+import inspect
+
 import pytest
 
+from cheatlab.autodiff import DenseTrainConfig
+from cheatlab.cheat import build_pairs
 from cheatlab.config import KEYS, load_config
 from cheatlab.errors import ConfigError
-from cheatlab.worldsim import DEFAULT_SIM
+from cheatlab.evaluation import eval_mean_distance, render_belief_strip
+from cheatlab.policy import EvolutionConfig, controller_template
+from cheatlab.vae import VaeTrainConfig
+from cheatlab.worldsim import DEFAULT_SIM, SimConfig
+
+# What RunConfig.section builds or calls from each prefix's keys.
+SECTIONS = {
+    "world": (SimConfig,),
+    "vae": (VaeTrainConfig,),
+    "policy": (controller_template,),
+    "evolve": (EvolutionConfig,),
+    "cheat": (DenseTrainConfig, build_pairs),
+    "baseline": (DenseTrainConfig,),
+    "eval": (eval_mean_distance,),
+    "viz": (render_belief_strip,),
+}
+READ_BY_KEY = {"eval.episodes", "viz.max_steps"}  # stage code reads these
 
 
 def test_no_sources_yields_all_defaults():
@@ -117,3 +138,56 @@ def test_sim_reflects_world_keys():
     assert sim.scan_width == 32
     assert sim.v_max == 1.5
     assert sim.d_max == DEFAULT_SIM.d_max
+
+
+@pytest.mark.parametrize("raw", ["inf", "-inf", "1e999", "nan"])
+def test_non_finite_floats_rejected(raw):
+    with pytest.raises(ConfigError, match="world.room_size"):
+        load_config(None, [f"world.room_size={raw}"])
+    with pytest.raises(ConfigError, match="not finite"):
+        load_config(None, [f"vae.beta={raw}"])
+
+
+def test_unreadable_config_file_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="no-such.cfg"):
+        load_config(tmp_path / "no-such.cfg")
+    with pytest.raises(ConfigError, match="cannot read config file"):
+        load_config(tmp_path)  # a directory
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("# r\xe9glage\nseed = 3\n".encode("latin-1"))
+    with pytest.raises(ConfigError, match="latin1.cfg"):
+        load_config(path)
+
+
+def _keys(prefix: str) -> dict:
+    return {key.split(".", 1)[1]: spec.default for key, spec in KEYS.items()
+            if key.startswith(prefix + ".") and key not in READ_BY_KEY}
+
+
+@pytest.mark.parametrize("prefix", ["world", "vae", "evolve", "cheat", "baseline"])
+def test_each_dataclass_field_but_the_seed_has_a_key(prefix):
+    cls = SECTIONS[prefix][0]
+    names = {f.name for f in dataclasses.fields(cls)} - {"seed"}
+    assert names <= set(_keys(prefix))
+    if prefix == "cheat":
+        assert set(_keys(prefix)) - names == {"n_poses", "mode", "density"}
+
+
+@pytest.mark.parametrize("prefix", sorted(SECTIONS))
+def test_each_key_fills_a_parameter_and_shares_its_default(prefix):
+    params = {}
+    for fill in SECTIONS[prefix]:
+        params.update(inspect.signature(fill).parameters)
+    for name, default in _keys(prefix).items():
+        assert name in params, f"{prefix}.{name}"
+        if params[name].default is not inspect.Parameter.empty:
+            assert default == params[name].default, f"{prefix}.{name}"
+
+
+def test_section_builds_the_dataclass_from_its_keys():
+    cfg = load_config(None, ["vae.k=5", "cheat.epochs=7", "baseline.lr=0.5"])
+    assert cfg.section("vae", VaeTrainConfig, seed=9) == VaeTrainConfig(k=5, seed=9)
+    assert cfg.section("cheat", DenseTrainConfig, seed=1) == DenseTrainConfig(
+        epochs=7, seed=1)
+    assert cfg.section("baseline", DenseTrainConfig) == DenseTrainConfig(lr=0.5)
+    assert load_config().section("evolve", EvolutionConfig) == EvolutionConfig()

@@ -134,12 +134,12 @@ def test_controller_step_bits_match_the_fused_formula():
         t = po.controller_template(k=k, h_dim=h_dim, mlp_hidden=mlp)
         ctrl = po.controller_from_genome(
             rng.normal(0, sigma, po.genome_size(t)), t)
-        st, net = po.zero_state(ctrl), po._packed(ctrl)
+        st = po.zero_state(ctrl)
         h, c = st.h, st.c
-        for step in range(40):
+        for _ in range(40):
             z = rng.normal(0, 2.0, k)
             want, h, c = fused_tick_reference(ctrl, z, h, c)
-            act, st = po.controller_step(ctrl, z, st, net if step % 2 else None)
+            act, st = po.controller_step(ctrl, z, st)
             got = np.array([act.vx, act.vy, act.vz, act.yaw_rate])
             assert got.tobytes() == want.tobytes()
             assert st.h.tobytes() == h.tobytes()
