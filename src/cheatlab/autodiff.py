@@ -1,9 +1,14 @@
 """Reverse-mode automatic differentiation on float64 numpy arrays.
 
-A forward pass builds a fresh graph of Tensor nodes; Tape.trace linearizes
-the nodes reachable from a scalar loss into topological order and backward()
-sweeps it once in reverse, accumulating adjoints. There is no graph reuse
+A forward pass builds a fresh graph of Tensor nodes; backward() puts the
+nodes reachable from a scalar loss into topological order (_trace) and
+sweeps them once in reverse, accumulating adjoints. There is no graph reuse
 and no global state: independent graphs never interact.
+
+Every parameter trains. A ParamSet holds one net's weights in one flat
+buffer and Adam updates all of it; a weight that must stay fixed lives in
+a set that no optimizer steps, as the frozen VAE and controller do while
+the substitute encoder trains.
 
 Primitives are deliberately few: the dense affine map, elementwise
 activations, rank-1 concatenation / slicing, elementwise add / mul, scalar
@@ -28,9 +33,10 @@ Array = np.ndarray
 class Tensor:
     """A float64 array node in a computation graph.
 
-    Leaf tensors (parameters, constants) have no parents. Tensors returned
-    by primitives carry the closure that maps the output adjoint to the
-    input adjoints.
+    Leaf tensors (parameters, constants) have no parents; `trainable` is
+    True on a parameter, which is how affine tells it from a constant
+    input. Tensors returned by primitives carry the closure that maps the
+    output adjoint to the input adjoints.
     """
 
     __slots__ = ("data", "name", "trainable", "_parents", "_grad_fn")
@@ -45,10 +51,6 @@ class Tensor:
     @property
     def dims(self) -> list[int]:
         return list(self.data.shape)
-
-    @property
-    def is_leaf(self) -> bool:
-        return self._grad_fn is None
 
     def item(self) -> float:
         return float(self.data)
@@ -80,9 +82,11 @@ class ParamSet:
     in insertion order, each row-major. Every tensor's `.data` is a
     C-contiguous view of `flat`, so writing through a tensor writes the
     buffer and the reverse. This one layout is the serialization, genome
-    and gradient layout downstream. `add` re-lays the buffer into a new
-    array and re-points every tensor at it, so an array taken from `flat`
-    or from a `.data` before an `add` is stale.
+    and gradient layout downstream; read or write `flat` for the whole
+    vector, and use `copy(values)` for a set over another vector. `add`
+    re-lays the buffer into a new array and re-points every tensor at it,
+    so an array taken from `flat` or from a `.data` before an `add` is
+    stale.
     """
 
     def __init__(self) -> None:
@@ -90,10 +94,10 @@ class ParamSet:
         self._tensors: dict[str, Tensor] = {}
         self._layout: dict[str, tuple[int, tuple[int, ...]]] = {}
 
-    def add(self, name: str, data, trainable: bool = True) -> Tensor:
+    def add(self, name: str, data) -> Tensor:
         if name in self._tensors:
             raise ContractError(f"duplicate parameter name {name!r}")
-        t = Tensor(data, name=name, trainable=trainable)
+        t = Tensor(data, name=name, trainable=True)
         at = self.flat.size
         flat = np.empty(at + t.data.size)
         flat[:at] = self.flat
@@ -142,34 +146,16 @@ class ParamSet:
         return iter(self._tensors.items())
 
     def copy(self, values: Array | None = None) -> "ParamSet":
-        """A new set with this layout and these trainable flags over a copy
-        of `values` (this set's own by default); it shares no memory."""
+        """A new set with this layout over a copy of `values` (this set's
+        own by default); it shares no memory."""
         flat = np.array(self.flat if values is None else values, dtype=np.float64)
         self._check(flat.shape)
         out = ParamSet()
         out._layout = dict(self._layout)
-        out._tensors = {name: Tensor((), name, t.trainable)
-                        for name, t in self.items()}
+        out._tensors = {name: Tensor((), name, trainable=True)
+                        for name in self._tensors}
         out._point(flat)
         return out
-
-    def total_size(self) -> int:
-        return self.flat.size
-
-    def flatten(self) -> Array:
-        """A copy of `flat`: every tensor in insertion order, row-major."""
-        return self.flat.copy()
-
-    def set_flat(self, values: Array) -> None:
-        """Write a flat vector laid out like `flat` into the buffer."""
-        values = np.asarray(values, dtype=np.float64)
-        self._check(values.shape)
-        self.flat[...] = values
-
-    def trainable_mask(self) -> Array:
-        """Boolean mask over `flat`: True on the entries of trainable tensors."""
-        flags = np.array([t.trainable for t in self._tensors.values()], bool)
-        return np.repeat(flags, [t.data.size for t in self._tensors.values()])
 
 
 def dense_init(params: ParamSet, prefix: str, sizes: list[int],
@@ -187,30 +173,25 @@ def dense_init(params: ParamSet, prefix: str, sizes: list[int],
         params.add(f"{prefix}/b{i}", np.zeros(n_out))
 
 
-class Tape:
-    """Topologically ordered list of the nodes reachable from a root."""
-
-    def __init__(self, nodes: list[Tensor]):
-        self.nodes = nodes
-
-    @classmethod
-    def trace(cls, root: Tensor) -> "Tape":
-        order: list[Tensor] = []
-        done: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if id(node) in done:
-                continue
-            if expanded:
-                done.add(id(node))
-                order.append(node)
-            else:
-                stack.append((node, True))
-                for parent in node._parents:
-                    if id(parent) not in done:
-                        stack.append((parent, False))
-        return cls(order)
+def _trace(root: Tensor) -> list[Tensor]:
+    """The nodes reachable from root, each once, every node after its
+    parents."""
+    order: list[Tensor] = []
+    done: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if id(node) in done:
+            continue
+        if expanded:
+            done.add(id(node))
+            order.append(node)
+        else:
+            stack.append((node, True))
+            for parent in node._parents:
+                if id(parent) not in done:
+                    stack.append((parent, False))
+    return order
 
 
 def backward(loss: Tensor, params: ParamSet,
@@ -219,18 +200,18 @@ def backward(loss: Tensor, params: ParamSet,
     parameter as one set with params' layout, so `grads.flat` is the whole
     gradient and `grads[name].data` each parameter's view of it.
 
-    Parameters that do not influence the loss get a zero gradient. Each
-    graph node is visited exactly once. Passing `grads` (a `params.copy()`)
-    writes every adjoint into it in place and returns it, so a training
-    loop reuses one buffer; without it the gradient is a new set.
+    Parameters that do not influence the loss get a zero gradient. The
+    sweep walks _trace(loss) backwards, so each graph node is visited
+    exactly once. Passing `grads` (a `params.copy()`) writes every adjoint
+    into it in place and returns it, so a training loop reuses one
+    buffer; without it the gradient is a new set.
     """
     if loss.data.shape != ():
         raise ContractError(
             f"backward expects a scalar loss, got dims {loss.dims}"
         )
-    tape = Tape.trace(loss)
     adjoint: dict[int, Array] = {id(loss): np.ones(())}
-    for node in reversed(tape.nodes):
+    for node in reversed(_trace(loss)):
         grad = adjoint.get(id(node))
         if grad is None or node._grad_fn is None:
             continue
@@ -461,62 +442,55 @@ def gaussian_kl(mu: Tensor, logvar: Tensor) -> Tensor:
 # optimizer
 
 
-@dataclass(frozen=True)
-class AdamConfig:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+# Kingma & Ba's defaults (arXiv:1412.6980); every net here trains with them.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
     """Adam with bias correction over a parameter set's flat buffer.
 
     The first and second moments are one buffer each, laid out like
-    `params.flat`, and step() updates `params.flat` in place. Every ufunc
-    writes into work buffers kept here: fresh temporaries of a whole
+    `params.flat`, and step() updates all of `params.flat` in place with
+    the learning rate `lr` and the module's BETA1, BETA2 and EPS. Every
+    ufunc writes into work buffers kept here: fresh temporaries of a whole
     net's size sit above the allocator's mmap threshold and would be
-    page-faulted in again on every step. The entries of non-trainable
-    tensors are left untouched; their mask is built with the buffers, on
-    the first step. One optimizer serves one parameter set.
+    page-faulted in again on every step. One optimizer serves one
+    parameter set.
     """
 
-    def __init__(self, cfg: AdamConfig | None = None):
-        self.cfg = cfg or AdamConfig()
+    def __init__(self, lr: float):
+        self.lr = lr
         self.t = 0
         self._bufs: tuple[Array, ...] = ()  # m, v and two work buffers
-        self._trainable = np.zeros(0, bool)  # params.trainable_mask()
 
     def step(self, params: ParamSet, grads: ParamSet) -> ParamSet:
         """Apply one update in place; grads must have params' layout."""
-        c = self.cfg
         if grads._layout != params._layout:
             raise ContractError(f"gradient layout {grads._layout} does not "
                                 f"match parameters {params._layout}")
         if not self._bufs:
             self._bufs = tuple(np.zeros_like(params.flat) for _ in range(4))
-            self._trainable = params.trainable_mask()
         self.t += 1
-        bc1 = 1.0 - c.beta1**self.t
-        bc2 = 1.0 - c.beta2**self.t
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         g, (m, v, a, b) = grads.flat, self._bufs
         # m = beta1 * m + (1 - beta1) * g
-        np.multiply(m, c.beta1, out=m)
-        np.multiply(g, 1.0 - c.beta1, out=a)
+        np.multiply(m, BETA1, out=m)
+        np.multiply(g, 1.0 - BETA1, out=a)
         np.add(m, a, out=m)
         # v = beta2 * v + (1 - beta2) * (g * g)
-        np.multiply(v, c.beta2, out=v)
+        np.multiply(v, BETA2, out=v)
         np.multiply(g, g, out=a)
-        np.multiply(a, 1.0 - c.beta2, out=a)
+        np.multiply(a, 1.0 - BETA2, out=a)
         np.add(v, a, out=v)
-        # flat -= lr * (m / bc1) / (sqrt(v / bc2) + eps) where trainable
+        # flat -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
         np.divide(v, bc2, out=a)
         np.sqrt(a, out=a)
-        np.add(a, c.eps, out=a)
+        np.add(a, EPS, out=a)
         np.divide(m, bc1, out=b)
-        np.multiply(b, c.lr, out=b)
+        np.multiply(b, self.lr, out=b)
         np.divide(b, a, out=b)
-        np.subtract(params.flat, b, out=params.flat, where=self._trainable)
+        np.subtract(params.flat, b, out=params.flat)
         return params
 
 
@@ -545,7 +519,7 @@ def fit_minibatch(
     an (n, noise_dim) standard-normal array right after its shuffle and eps
     holds its rows idx; otherwise eps is None.
     """
-    opt = Adam(AdamConfig(lr=cfg.lr))
+    opt = Adam(cfg.lr)
     grads = params.copy()
     history: list[float] = []
     for _epoch in range(cfg.epochs):

@@ -16,6 +16,11 @@ garbage) raise FormatError; checksum or digest disagreements raise
 IntegrityError. A record name or trailer that fails to decode raises
 IntegrityError when the checksum disagrees, else FormatError. Writing is
 deterministic: identical content yields identical bytes.
+
+A checkpoint's trailer carries a "trainable" map, {name: true} for every
+tensor. Every parameter trains, so the map says nothing; it is kept so
+that checkpoint files keep their bytes, and a map holding any other value
+is rejected with FormatError rather than read as a frozen tensor.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ def params_digest(params: ParamSet) -> str:
 
     The byte stream is, per tensor in insertion order: name length (u32),
     utf-8 name, rank (u32), dims (u32 each), then the float64 payload in
-    row-major little-endian order. Trainable flags do not participate.
+    row-major little-endian order.
     """
     h = hashlib.sha256()
     for name, t in params.items():
@@ -181,14 +186,14 @@ def save_checkpoint(path, stage: str, params: ParamSet, metadata: Mapping,
     """Persist a ParamSet; returns the embedded parameter digest.
 
     extra_meta entries are merged over metadata before the stage, digest
-    and trainable flags are added.
+    and the all-true trainable map are added.
     """
     digest = params_digest(params)
     meta = dict(metadata)
     meta.update(extra_meta or {})
     meta["stage"] = stage
     meta["params_digest"] = digest
-    meta["trainable"] = {name: t.trainable for name, t in params.items()}
+    meta["trainable"] = {name: True for name in params.names()}
     records = {name: t.data for name, t in params.items()}
     write_container(path, records, meta)
     return digest
@@ -230,6 +235,10 @@ def load_checkpoint(path, stage: str | None = None,
     for key in ("stage", "params_digest", "trainable"):
         if key not in meta:
             raise FormatError(f"checkpoint metadata missing {key!r}")
+    flags = meta["trainable"]
+    if not isinstance(flags, dict) or any(v is not True for v in flags.values()):
+        raise FormatError("checkpoint metadata 'trainable' must map every "
+                          "name to true: no parameter is frozen")
     if stage is not None and meta["stage"] != stage:
         raise FormatError(f"expected a {stage} checkpoint, got {meta['stage']!r}")
     for key, convert in (keys or {}).items():
@@ -242,9 +251,8 @@ def load_checkpoint(path, stage: str | None = None,
                 f"{meta['stage']} checkpoint metadata {key!r}: {err}"
             ) from None
     params = ParamSet()
-    flags = meta["trainable"]
     for name, arr in records.items():
-        params.add(name, arr, trainable=bool(flags.get(name, True)))
+        params.add(name, arr)
     digest = params_digest(params)
     if digest != meta["params_digest"]:
         raise IntegrityError(

@@ -275,13 +275,13 @@ class Genome:
 
 
 def genome_size(p: ControllerParams) -> int:
-    return p.params.total_size()
+    return p.params.flat.size
 
 
 def genome_from_controller(p: ControllerParams) -> np.ndarray:
     """A copy of the controller's flat parameter buffer: the tensors in
     ParamSet insertion order, row-major each."""
-    return p.params.flatten()
+    return p.params.flat.copy()
 
 
 def controller_from_genome(

@@ -871,9 +871,9 @@ def spawn_fake_world(seed: int, cfg: SimConfig = DEFAULT_SIM) -> WorldSpec:
 
 
 def _disc_overlaps_box(cx, cy, r, box) -> bool:
-    qx = min(max(cx, box[0]), box[2])
-    qy = min(max(cy, box[1]), box[3])
-    return (qx - cx) ** 2 + (qy - cy) ** 2 <= r * r
+    dx = min(max(cx, box[0]), box[2]) - cx
+    dy = min(max(cy, box[1]), box[3]) - cy
+    return dx * dx + dy * dy <= r * r  # a far box overflows to inf, not raises
 
 
 def _blocks_start(sx, sy, clearance, radius, box) -> bool:

@@ -9,7 +9,8 @@ import pytest
 
 from cheatlab import cli
 from cheatlab.config import KEYS, load_config
-from cheatlab.container import file_digest, load_checkpoint, save_checkpoint
+from cheatlab.container import (file_digest, load_checkpoint, read_container,
+                                save_checkpoint, write_container)
 
 TINY = {
     "data.vae_episodes": "1",
@@ -228,6 +229,35 @@ def test_mistyped_checkpoint_metadata_exits_three(tmp_path, capsys):
     assert cli.main(["train-policy", *tiny_args(out)]) == 3
     err = capsys.readouterr().err
     assert "train-policy:" in err and "'k'" in err
+
+
+def test_checkpoint_that_freezes_a_tensor_exits_three(tmp_path, capsys):
+    out = tmp_path / "frozen"
+    for stage in ("gen-fake-data", "train-vae", "gen-expert"):
+        assert cli.main([stage, *tiny_args(out)]) == 0
+    records, meta = read_container(out / "vae.ckpt")
+    first = next(iter(records))
+    write_container(out / "vae.ckpt", records,
+                    {**meta, "trainable": {**meta["trainable"], first: False}})
+    capsys.readouterr()
+    assert cli.main(["train-policy", *tiny_args(out)]) == 3
+    err = capsys.readouterr().err
+    assert "train-policy:" in err and "'trainable'" in err
+
+
+@pytest.mark.parametrize("size", ["1e200", "1e308"])
+def test_a_huge_room_runs_without_a_traceback(tmp_path, size):
+    # Squared distances past the float range become inf; they must not
+    # raise OverflowError out of the room spawner.
+    out = tmp_path / "huge"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cheatlab.cli", "gen-real-data",
+         *tiny_args(out, **{"world.room_size": size})],
+        capture_output=True, text=True,
+    )
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "real_data.bin").exists()
 
 
 def test_artifacts_identical_across_blas_thread_counts(tmp_path):

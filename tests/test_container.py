@@ -17,7 +17,7 @@ def sample_params(seed=0):
     p = ParamSet()
     p.add("enc/w0", rng.normal(0, 1, (4, 6)))
     p.add("enc/b0", rng.normal(0, 1, 4))
-    p.add("scalarish", np.asarray(rng.normal()), trainable=False)
+    p.add("scalarish", np.asarray(rng.normal()))
     return p
 
 
@@ -33,7 +33,23 @@ def test_roundtrip_bit_exact(tmp_path):
         got = loaded.params[name]
         assert got.data.shape == t.data.shape
         assert np.array_equal(got.data, t.data)  # bit-exact float64
-        assert got.trainable == t.trainable
+
+
+@pytest.mark.parametrize("flags", [
+    {"enc/w0": True, "enc/b0": False, "scalarish": True},
+    {"enc/w0": 1},
+    {"scalarish": None},
+    ["enc/w0", "enc/b0", "scalarish"],
+])
+def test_a_checkpoint_that_freezes_a_tensor_is_format_error(tmp_path, flags):
+    path = tmp_path / "x.ckpt"
+    ct.save_checkpoint(path, "vae", sample_params(), {"k": 8})
+    records, meta = ct.read_container(path)
+    assert meta["trainable"] == dict.fromkeys(sample_params().names(), True)
+    # Re-written with a valid checksum and digest: only the map is wrong.
+    ct.write_container(path, records, {**meta, "trainable": flags})
+    with pytest.raises(FormatError, match="'trainable'"):
+        ct.load_checkpoint(path)
 
 
 def test_save_is_deterministic(tmp_path):
@@ -50,7 +66,7 @@ def test_digest_is_64_hex_and_order_sensitive():
     assert ct.params_digest(sample_params()) == d
     q = ParamSet()
     for name, t in reversed(list(p.items())):
-        q.add(name, t.data.copy(), trainable=t.trainable)
+        q.add(name, t.data.copy())
     assert ct.params_digest(q) != d
 
 

@@ -78,3 +78,26 @@ def test_a_tiny_pipeline_calls_every_traced_name(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result == {"code": 0, "uncalled": []}
+
+
+SIZING_ROWS = (
+    "corridor expert set", "evaluator construction",
+    "one generation (64 genomes)", "room expert, per step",
+    "8 repeats of that collection", "cheated stack, per step",
+    "render_observation, per call", "virtual_gate, per call",
+    "point_in_collision, per call", "_solid_boxes, per call",
+    "_solid_boxes calls, room expert", "square vs disc collision rule",
+)
+
+
+def test_perfbench_sizing_prints_its_table():
+    # sizing.py calls the single-world simulator functions,
+    # worldsim._solid_boxes, policy.rollout and the model loaders directly,
+    # so a change to those must fail here, not first when someone sizes
+    # the benchmark.
+    proc = subprocess.run([sys.executable, "perfbench/sizing.py"],
+                          cwd=TRACING.parents[1], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    labels = [line[:48].rstrip() for line in proc.stdout.splitlines()]
+    assert labels == list(SIZING_ROWS)

@@ -242,7 +242,7 @@ def test_genome_roundtrip_and_size():
     want = 4 * (20 + 25 + 5) + (63 + 7) + (42 + 6) + (24 + 4)
     assert po.genome_size(t) == want
     # Template stays zero after decoding.
-    assert np.all(t.params.flatten() == 0.0)
+    assert np.all(t.params.flat == 0.0)
     with pytest.raises(ContractError):
         po.controller_from_genome(vec[:-1], t)
 
