@@ -43,14 +43,15 @@ print("episode ended:", "crashed" if state.crashed else "corridor complete",
 # 30 corridors fly blind in one lock-step batch, and each flight ends once
 # its drone has passed every gate
 worlds = [spawn_fake_world(seed, cfg=cfg) for seed in range(30)]
-flights = fly(worlds, lambda flock, drones, _scans: expert_action(flock, drones, cfg),
-              2000, cfg, blind=True,
-              done=lambda flock, drones: next_gate_index(flock, drones) < 0)
+expert = lambda flock, drones, _scans: expert_action(flock, drones, cfg)
+record, ends = fly(worlds, expert, 2000, cfg, blind=True,
+                   done=lambda flock, drones: next_gate_index(flock, drones) < 0)
 crashes, gates = 0, []
-for w, flight in zip(worlds, flights):
-    states = [s.state for s in flight.steps] + [flight.final_state]
-    crashes += int(flight.crashed)
-    gates.append(count_gates_passed(w, [st.position[:2] for st in states]))
+for w, (lo, hi), end in zip(worlds, record.spans(), ends):
+    # each recorded state's x, y, then where the drone ended
+    path = record.states[lo:hi, :2].tolist() + [end.position[:2]]
+    crashes += int(end.crashed)
+    gates.append(count_gates_passed(w, path))
 print(f"\n30 seeds: crashes={crashes}, gates passed mean={np.mean(gates):.2f} "
       f"of {cfg.n_gates}")
 

@@ -12,10 +12,11 @@ Layout, all integers little-endian:
     checksum 32 bytes sha256 over every preceding byte
 
 Structural violations (bad magic, unknown version, truncation, trailing
-garbage) raise FormatError; checksum or digest disagreements raise
-IntegrityError. A record name or trailer that fails to decode raises
-IntegrityError when the checksum disagrees, else FormatError. Writing is
-deterministic: identical content yields identical bytes.
+garbage, a trailer that is not a JSON object) raise FormatError; checksum
+or digest disagreements raise IntegrityError. A record name or trailer
+that fails to decode raises IntegrityError when the checksum disagrees,
+else FormatError. Writing is deterministic: identical content yields
+identical bytes.
 
 A checkpoint's trailer carries a "trainable" map, {name: true} for every
 tensor. Every parameter trains, so the map says nothing; it is kept so
@@ -165,6 +166,8 @@ def _parse(payload: memoryview) -> tuple[dict[str, np.ndarray], dict]:
         records[name] = data.astype(np.float64)
     meta_len = r.u64()
     meta = json.loads(str(r.take(meta_len), "utf-8"))
+    if not isinstance(meta, dict):
+        raise FormatError("metadata trailer is not a JSON object")
     if r.at != len(payload):
         raise FormatError(f"{len(payload) - r.at} trailing bytes after trailer")
     return records, meta

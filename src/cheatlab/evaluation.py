@@ -25,14 +25,12 @@ from . import container
 from .cheat import CheatEncoderParams, cheat_encode
 from .errors import ContractError
 from .expert import Dataset
-from .policy import ControllerParams, rollouts
+from .policy import ControllerParams, RolloutResult, rollouts
 from .vae import VaeParams, decode, feature_rows
 from .worldsim import (
     Action,
     DEFAULT_SIM,
     Observation,
-    Record,
-    RolloutResult,
     SimConfig,
     _derive_seed,
     fly,
@@ -198,22 +196,23 @@ def eval_mean_distance(
     worlds = [spawn_real_world(seed, density, cfg=cfg, with_gates=False)
               for seed in seeds]
     if pipeline == "cheat":
-        results = rollouts(worlds, vae, ctrl, max_steps, encoder="cheat",
-                           cheat=cheat, cfg=cfg, record=False)
+        ends = [r.final_state for r in rollouts(
+            worlds, vae, ctrl, max_steps, encoder="cheat", cheat=cheat,
+            cfg=cfg, record=False)]
     elif pipeline == "baseline":
-        results = fly(worlds, lambda _f, _d, scans: baseline_action(
+        _, ends = fly(worlds, lambda _f, _d, scans: baseline_action(
             base, scan_features(*scans), cfg), max_steps, cfg, record=False)
     elif pipeline == "random":
         table = np.stack([_random_commands(seed, max_steps, hold_steps, cfg)
                           for seed in seeds])
         ticks = itertools.count()
-        results = fly(worlds, lambda flock, _d, _s: table[flock.ids, next(ticks)],
+        _, ends = fly(worlds, lambda flock, _d, _s: table[flock.ids, next(ticks)],
                       max_steps, cfg, blind=True, record=False)
     else:
-        results = fly(worlds, lambda flock, _d, _s: np.zeros((len(flock), 4)),
+        _, ends = fly(worlds, lambda flock, _d, _s: np.zeros((len(flock), 4)),
                       max_steps, cfg, blind=True, record=False)
-    odometers = [r.odometer for r in results]
-    crashes = [r.crashed for r in results]
+    odometers = [end.odometer for end in ends]
+    crashes = [end.crashed for end in ends]
     config = {"max_steps": max_steps, "density": density}
     if pipeline == "random":
         config["hold_steps"] = hold_steps
@@ -272,7 +271,7 @@ def comparison_report(reports: list[EvalReport]) -> tuple[str, str]:
 
 
 def render_belief_strip(
-    trace,
+    trace: RolloutResult,
     cheat: CheatEncoderParams,
     vae: VaeParams,
     stride: int,
@@ -281,15 +280,14 @@ def render_belief_strip(
 ) -> bytes:
     """Write a PGM strip: what was seen on top, what is believed below.
 
-    Every stride-th step contributes one tile of the scan width. The top
-    band encodes the real observation as class level (0, 1/2, 1 for free,
-    gate, obstacle) times depth; the bottom band decodes the substitute
-    encoder's latent through the frozen decoder and shows its class
-    channel times its depth channel on the same scale. Returns the bytes
-    written; identical inputs produce identical files.
+    Every stride-th step of the flight contributes one tile of the scan
+    width. The top band encodes the real observation as class level (0,
+    1/2, 1 for free, gate, obstacle) times depth; the bottom band decodes
+    the substitute encoder's latent through the frozen decoder and shows
+    its class channel times its depth channel on the same scale. Returns
+    the bytes written; identical inputs produce identical files.
     """
-    record = (trace.record if isinstance(trace, RolloutResult)
-              else Record.of([list(trace)]))
+    record = trace.record
     if stride < 1:
         raise ContractError(f"stride {stride} < 1")
     if band_height < 1:

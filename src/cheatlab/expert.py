@@ -28,7 +28,6 @@ from .worldsim import (
     Observation,
     Record,
     SimConfig,
-    TrajectoryStep,  # noqa: F401  (Dataset.episodes yields these)
     View,
     WorldSpec,
     _derive_seed,
@@ -119,19 +118,14 @@ def expert_action(
 class Dataset:
     """Recorded episodes as one Record block, plus their provenance.
 
-    `record` may be given as episodes of steps (lists or views), which are
-    packed into one block once. `episodes` reads the block as
-    TrajectorySteps, each built only when it is indexed.
+    `episodes` reads the block as TrajectorySteps, each built only when it
+    is indexed.
     """
 
     record: Record
     world_kind: str
     generator_seed: int
     manifest: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not isinstance(self.record, Record):
-            self.record = Record.of(self.record)
 
     @property
     def episodes(self) -> View:
@@ -162,6 +156,10 @@ def collect_trajectories(
     episodes keep their crashes, since crashing is part of that
     distribution. Worlds are seeded per attempt from (seed, attempt), so
     the same arguments always reproduce the same dataset.
+
+    A first wave that keeps every flight is the dataset's record as it
+    flew, with no copy; otherwise the kept episodes are joined in attempt
+    order.
     """
     if kind not in ("fake", "real"):
         raise ContractError(f"unknown world kind {kind!r}")
@@ -187,17 +185,18 @@ def collect_trajectories(
         wave = range(attempt, attempt + n_episodes - len(kept))
         attempt = wave.stop
         worlds = [spawn(_derive_seed(seed, a)) for a in wave]
-        for flight in fly(worlds, act, max_steps, cfg, done=done):
+        flight, ends = fly(worlds, act, max_steps, cfg, done=done)
+        for e, end in enumerate(ends):
             if rejections > 10 * n_episodes:
                 raise GenerationError(
                     f"rejected {rejections} crashed corridor episodes "
                     f"(budget 10 * {n_episodes}); geometry is too hostile"
                 )
-            if kind == "fake" and flight.crashed:
+            if kind == "fake" and end.crashed:
                 rejections += 1
             else:
-                kept.append(flight.record)
-    record = Record.join(kept)
+                kept.append(flight.episode(e))
+    record = flight if not rejections else Record.join(kept)
     lengths = np.diff(record.offsets).tolist()
     manifest = {
         "version": 1,
@@ -215,6 +214,14 @@ def collect_trajectories(
 
 
 _FIELDS = ("classes", "depth", "actions", "states")  # a Record's, per episode
+
+# The manifest fields read_dataset reads, each with its type check.
+_MANIFEST = {
+    "world_kind": lambda v: isinstance(v, str),
+    "generator_seed": lambda v: type(v) is int,
+    "episode_lengths": lambda v: isinstance(v, list) and all(
+        type(n) is int and n >= 0 for n in v),
+}
 
 
 def write_dataset(dataset: Dataset, path) -> None:
@@ -234,13 +241,18 @@ def write_dataset(dataset: Dataset, path) -> None:
 
 
 def read_dataset(path) -> Dataset:
-    """Inverse of write_dataset; verifies the manifest against the records."""
+    """Inverse of write_dataset; checks that the manifest holds its fields
+    with their types, then verifies it against the records."""
     records, meta = container.read_container(path)
     if meta.get("kind") != "dataset":
         raise IntegrityError(f"not a dataset container: kind={meta.get('kind')!r}")
-    lengths = meta.get("episode_lengths")
-    if lengths is None:
-        raise IntegrityError("dataset manifest missing episode_lengths")
+    for key, ok in _MANIFEST.items():
+        if key not in meta:
+            raise IntegrityError(f"dataset manifest missing {key}")
+        if not ok(meta[key]):
+            raise IntegrityError(
+                f"dataset manifest {key} is ill-typed: {meta[key]!r:.80}")
+    lengths = meta["episode_lengths"]
     episodes: list[Record] = []
     width = None
     for i, want in enumerate(lengths):

@@ -47,8 +47,10 @@ from .vae import VaeParams, encode, encode_rows
 from .worldsim import (
     Action,
     DEFAULT_SIM,
-    RolloutResult,
+    DroneState,
+    Record,
     SimConfig,
+    View,
     WorldSpec,
     fly,
     scan_features,
@@ -566,6 +568,22 @@ def evolve(
 # closed-loop rollout
 
 
+@dataclass
+class RolloutResult:
+    """One flight: its recorded steps as a one-episode Record, and the
+    state it ended in, which odometer and crashed read."""
+
+    record: Record
+    final_state: DroneState
+
+    odometer = property(lambda self: self.final_state.odometer)
+    crashed = property(lambda self: self.final_state.crashed)
+
+    @property
+    def steps(self) -> View:
+        return self.record.episodes()[0]
+
+
 def rollouts(
     worlds: list[WorldSpec],
     vae: VaeParams,
@@ -610,7 +628,8 @@ def rollouts(
             lstm, ids = lstm.take(np.isin(ids, flock.ids)), flock.ids
         return controller_step(ctrl, see(scan_features(*scans)), lstm)
 
-    return fly(worlds, act, max_steps, cfg, record=record)
+    flight, ends = fly(worlds, act, max_steps, cfg, record=record)
+    return [RolloutResult(flight.episode(i), end) for i, end in enumerate(ends)]
 
 
 def rollout(

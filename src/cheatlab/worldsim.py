@@ -393,16 +393,19 @@ def _cast(walls, slabs, p, angles, n_obstacles=None):
     # Guard exact zeros so the slab method stays finite.
     d[np.abs(d) < 1e-12] = 1e-12
     p = p[:, :, None]
-    # A ray leaves the walls through the side it heads for, the later of
-    # the two along each axis (the same pick as by the sign of d, since
-    # division keeps order), and through the nearer axis.
-    t_wall = (walls[..., None] - p[:, None]) / d[:, None]
-    t_wall = np.maximum(t_wall[:, 0], t_wall[:, 1], out=t_wall[:, 0])
-    t_wall = np.minimum(t_wall[0], t_wall[1], out=t_wall[0])
-    if slabs.shape[2] == 0:
-        return t_wall, None
+    # In a huge room the quotients and products can overflow to inf, which
+    # still orders right, so the overflow goes unreported.
+    with np.errstate(over="ignore"):
+        # A ray leaves the walls through the side it heads for, the later
+        # of the two along each axis (the same pick as by the sign of d,
+        # since division keeps order), and through the nearer axis.
+        t_wall = (walls[..., None] - p[:, None]) / d[:, None]
+        t_wall = np.maximum(t_wall[:, 0], t_wall[:, 1], out=t_wall[:, 0])
+        t_wall = np.minimum(t_wall[0], t_wall[1], out=t_wall[0])
+        if slabs.shape[2] == 0:
+            return t_wall, None
+        t = (slabs[..., None] - p[:, None, None]) * (1.0 / d)[:, None, None]
 
-    t = (slabs[..., None] - p[:, None, None]) * (1.0 / d)[:, None, None]
     near = np.minimum(t[:, 0], t[:, 1])
     far = np.maximum(t[:, 0], t[:, 1], out=t[:, 0])
     t_near = np.maximum(near[0], near[1], out=near[0])
@@ -556,22 +559,6 @@ class View(Sequence):
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
-def _tiled(arrays: Sequence[np.ndarray]) -> np.ndarray | None:
-    """The array that `arrays` are consecutive row blocks of, in order and
-    with no row left over, or None if they are not."""
-    whole = arrays[0].base
-    if (whole is None or not whole.flags.c_contiguous
-            or whole.dtype != arrays[0].dtype
-            or whole.shape[1:] != arrays[0].shape[1:]):
-        return None
-    at = whole.ctypes.data
-    for a in arrays:
-        if a.base is not whole or a.ctypes.data != at or not a.flags.c_contiguous:
-            return None
-        at += a.nbytes
-    return whole if at == whole.ctypes.data + whole.nbytes else None
-
-
 class Record:
     """Recorded steps as one struct-of-arrays block, episode after episode.
 
@@ -595,11 +582,7 @@ class Record:
 
     @classmethod
     def join(cls, parts: Sequence[Record]) -> Record:
-        """One block holding every part's episodes, in order.
-
-        Parts that tile one block's arrays in order, such as every episode
-        of a flight, give that block back without a copy.
-        """
+        """One block holding every part's episodes, in order, copied."""
         if not parts:
             return cls(np.zeros((0, 0), np.int8), np.zeros((0, 0)),
                        np.zeros((0, 4)), np.zeros((0, 6)), np.zeros(1, np.int64))
@@ -608,29 +591,8 @@ class Record:
                                           for p, b in zip(parts, base)])
         fields = [[getattr(p, k) for p in parts]
                   for k in ("classes", "depth", "actions", "states")]
-        blocks = [None if arrays[0] is None else _tiled(arrays)
-                  for arrays in fields]
-        if any(b is None and f[0] is not None for b, f in zip(blocks, fields)):
-            blocks = [None if arrays[0] is None else np.concatenate(arrays)
-                      for arrays in fields]
-        return cls(*blocks, offsets)
-
-    @classmethod
-    def of(cls, episodes: Sequence[Sequence[TrajectoryStep]]) -> Record:
-        """Pack episodes of seeing steps, as lists or views, into one block."""
-        width = next((st.observation.width for ep in episodes for st in ep), 0)
-
-        def rows(ep, values, n, dtype=np.float64):
-            return np.array(values, dtype).reshape(len(ep), n)
-
-        return cls.join([cls(
-            rows(ep, [st.observation.classes for st in ep], width, np.int8),
-            rows(ep, [st.observation.depth for st in ep], width),
-            rows(ep, [(st.action.vx, st.action.vy, st.action.vz,
-                       st.action.yaw_rate) for st in ep], 4),
-            rows(ep, [(*st.state.position, st.state.yaw, st.state.odometer,
-                       float(st.state.crashed)) for st in ep], 6),
-        ) for ep in episodes])
+        return cls(*(None if arrays[0] is None else np.concatenate(arrays)
+                     for arrays in fields), offsets)
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
@@ -675,22 +637,6 @@ class Record:
             lo, hi = self.offsets[e : e + 2].tolist()
             return View(hi - lo, lambda j: self.step(lo + j))
         return View(len(self), steps)
-
-
-@dataclass
-class RolloutResult:
-    """One flight: its recorded steps as a one-episode Record, and the
-    state it ended in, which odometer and crashed read."""
-
-    record: Record
-    final_state: DroneState
-
-    odometer = property(lambda self: self.final_state.odometer)
-    crashed = property(lambda self: self.final_state.crashed)
-
-    @property
-    def steps(self) -> View:
-        return self.record.episodes()[0]
 
 
 # Ticks of a flight log laid out per block: enough to amortize a block's
@@ -744,7 +690,7 @@ def fly(
     blind: bool = False,
     done: Callable[[Flock, Drones], np.ndarray] | None = None,
     record: bool = True,
-) -> list[RolloutResult]:
+) -> tuple[Record, list[DroneState]]:
     """Fly one drone per world, all in lock-step, from each start pose.
 
     Each tick first ends the flight of every drone that done(flock, drones)
@@ -759,11 +705,12 @@ def fly(
     after max_steps. One world is the B = 1 case, and every drone flies
     exactly as it would alone.
 
-    A tick is recorded as arrays: the live ids, the scans, the commands,
-    the poses and the crash flags. When the flight ends they are laid out
-    as one Record, and each result's record is its world's rows of it.
-    With record=False the results keep no steps, only how each flight
-    ended, so a large batch holds no scans past the tick that used them.
+    Returns the flight's Record, where episode i is world i's steps, and
+    each drone's end state, in world order. A tick is recorded as arrays:
+    the live ids, the scans, the commands, the poses and the crash flags,
+    laid out as that one Record when the flight ends. With record=False
+    every episode is empty and only the end states tell how each flight
+    went, so a large batch holds no scans past the tick that used them.
     """
     if max_steps < 1:
         raise ContractError(f"max_steps {max_steps} < 1")
@@ -775,12 +722,12 @@ def fly(
     drones = Drones(pose, point_in_collision(flock, pose[0], pose[1],
                                              cfg.collision_radius))
     log = []  # per recorded tick, the fields _lay_out reads
-    final: list[DroneState | None] = [None] * len(worlds)
+    ends: list[DroneState | None] = [None] * len(worlds)
 
     def land(mask: np.ndarray) -> None:
         nonlocal flock, drones
         for i, state in zip(flock.ids[mask].tolist(), drones.take(mask).states()):
-            final[i] = state
+            ends[i] = state
         flock, drones = flock.take(~mask), drones.take(~mask)
 
     for _ in range(max_steps):
@@ -801,8 +748,7 @@ def fly(
                         commands, drones.pose.T, drones.crashed))
         drones = step_dynamics(flock, drones, commands, cfg.dt, cfg)
     land(np.ones(len(drones), dtype=bool))
-    steps = _lay_out(log, len(worlds), None if blind else cfg.scan_width)
-    return [RolloutResult(steps.episode(i), f) for i, f in enumerate(final)]
+    return _lay_out(log, len(worlds), None if blind else cfg.scan_width), ends
 
 
 # ---------------------------------------------------------------------------
@@ -941,7 +887,7 @@ def spawn_real_world(
     if not with_gates:
         return world
 
-    flock = Flock([world])
+    flock = world.flock
     gates: list[Gate] = []
     for _probe in range(8):
         for _try in range(20):
@@ -963,7 +909,8 @@ def spawn_real_world(
         if any(
             _blocks_start(sx, sy, cfg.collision_radius + 0.3,
                           cfg.collision_radius, box)
-            for box in _gate_post_boxes(g)
+            # Python floats, which overflow to inf in a huge room unreported
+            for box in _gate_post_boxes(g).tolist()
         ):
             continue  # posts must never box in the start pose
         if any(
@@ -1001,7 +948,9 @@ def _gap_gates(flock: Flock, p: np.ndarray, yaw: np.ndarray,
     q = p[:, None]
     gap = np.maximum(np.maximum(flock.slabs[:, 0] - q, q - flock.slabs[:, 1]),
                      0.0)
-    near = gap[0] * gap[0] + gap[1] * gap[1] <= (cfg.d_gate + _FAN_MARGIN) ** 2
+    reach = (cfg.d_gate + _FAN_MARGIN) ** 2
+    with np.errstate(over="ignore"):  # a huge room's gap squares to inf
+        near = gap[0] * gap[0] + gap[1] * gap[1] <= reach
     order = np.argsort(~near, axis=0, kind="stable")[: near.sum(axis=0).max()]
     cols = np.arange(p.shape[1])
     # Contiguous, or every plane the cast builds from it would be strided.

@@ -48,6 +48,7 @@ from cheatlab.vae import VaeTrainConfig, encode, train_vae
 from cheatlab.worldsim import (
     Action,
     DroneState,
+    Record,
     _derive_seed,
     count_gates_passed,
     point_in_collision,
@@ -71,16 +72,15 @@ def _report(n: int, ok: bool, detail: str) -> None:
 
 def _first_n_observations(data: Dataset, n: int) -> Dataset:
     """Trim a trajectory dataset to exactly n leading observations."""
-    episodes, kept = [], 0
-    for ep in data.episodes:
-        take = min(len(ep), n - kept)
-        episodes.append(ep[:take])
-        kept += take
-        if kept == n:
-            break
-    if kept < n:
-        raise AssertionError(f"dataset holds {kept} < {n} observations")
-    return Dataset(episodes, data.world_kind, data.generator_seed,
+    rec = data.record
+    if len(rec.actions) < n:
+        raise AssertionError(f"dataset holds {len(rec.actions)} < {n} "
+                             "observations")
+    # Every episode that opens before row n, the last one cut there.
+    offsets = np.minimum(rec.offsets[: np.searchsorted(rec.offsets, n) + 1], n)
+    cut = Record(rec.classes[:n], rec.depth[:n], rec.actions[:n],
+                 rec.states[:n], offsets)
+    return Dataset(cut, data.world_kind, data.generator_seed,
                    dict(data.manifest))
 
 

@@ -245,10 +245,32 @@ def test_checkpoint_that_freezes_a_tensor_exits_three(tmp_path, capsys):
     assert "train-policy:" in err and "'trainable'" in err
 
 
+@pytest.mark.parametrize("trailer", [
+    "list", "no world_kind", "no generator_seed", "lengths not a list"])
+def test_a_malformed_dataset_trailer_exits_three(tmp_path, capsys, trailer):
+    # The file keeps a valid checksum; only its trailer is wrong.
+    out = tmp_path / "trailer"
+    assert cli.main(["gen-fake-data", *tiny_args(out)]) == 0
+    records, meta = read_container(out / "fake_data.bin")
+    meta = {
+        "list": [meta],
+        "no world_kind": {k: v for k, v in meta.items() if k != "world_kind"},
+        "no generator_seed": {k: v for k, v in meta.items()
+                              if k != "generator_seed"},
+        "lengths not a list": {**meta, "episode_lengths": 5},
+    }[trailer]
+    write_container(out / "fake_data.bin", records, meta)
+    capsys.readouterr()
+    assert cli.main(["train-vae", *tiny_args(out)]) == 3
+    err = capsys.readouterr().err
+    assert "train-vae:" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("size", ["1e200", "1e308"])
 def test_a_huge_room_runs_without_a_traceback(tmp_path, size):
-    # Squared distances past the float range become inf; they must not
-    # raise OverflowError out of the room spawner.
+    # Squared distances and ray products past the float range become inf;
+    # they must not raise OverflowError out of the room spawner, nor print
+    # numpy's overflow warnings.
     out = tmp_path / "huge"
     proc = subprocess.run(
         [sys.executable, "-m", "cheatlab.cli", "gen-real-data",
@@ -256,6 +278,7 @@ def test_a_huge_room_runs_without_a_traceback(tmp_path, size):
         capture_output=True, text=True,
     )
     assert "Traceback" not in proc.stderr, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr, proc.stderr
     assert proc.returncode == 0, proc.stderr
     assert (out / "real_data.bin").exists()
 

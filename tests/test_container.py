@@ -164,6 +164,15 @@ def test_raw_container_roundtrip(tmp_path):
         assert got[k].shape == records[k].shape
 
 
+@pytest.mark.parametrize("trailer", [[1, 2], "meta", 7, None])
+def test_a_trailer_that_is_not_an_object_is_format_error(tmp_path, trailer):
+    # The checksum is valid; only the trailer's JSON type is wrong.
+    path = tmp_path / "d.bin"
+    ct.write_container(path, {"x": np.zeros(3)}, trailer)
+    with pytest.raises(FormatError, match="not a JSON object"):
+        ct.read_container(path)
+
+
 def test_every_single_bit_flip_raises_a_documented_error(tmp_path):
     # Flip the top bit of each byte in turn. Record names and the JSON
     # trailer must not leak UnicodeDecodeError or JSONDecodeError.

@@ -18,7 +18,6 @@ from cheatlab.worldsim import (
     Action,
     DEFAULT_SIM,
     DroneState,
-    TrajectoryStep,
     WorldSpec,
     spawn_real_world,
     start_state,
@@ -221,18 +220,16 @@ def pgm_parse(blob: bytes):
     return w, h, maxval, pixels.reshape(h, w)
 
 
-def one_step_trace(seed=0):
+def one_step_trace(models, seed=0):
+    """A one-step cheated flight: the scan seen at the start pose."""
     world = spawn_real_world(seed, 0.4, with_gates=False)
-    from cheatlab.worldsim import render_observation
-
-    state = start_state(world)
-    obs = render_observation(world, state)
-    return [TrajectoryStep(observation=obs, action=Action(0, 0, 0, 0),
-                           state=state)]
+    return po.rollout(world, models["vae"], models["controller"], 1,
+                      encoder="cheat", cheat=models["cheat"])
 
 
 def test_belief_strip_shape_and_stability(tiny_models, tmp_path):
-    trace = one_step_trace()
+    trace = one_step_trace(tiny_models)
+    assert len(trace.steps) == 1
     path = tmp_path / "strip.pgm"
     blob = ev.render_belief_strip(trace, tiny_models["cheat"],
                                   tiny_models["vae"], 1, path, band_height=8)
@@ -285,10 +282,6 @@ def test_belief_strip_bytes_are_pinned(tiny_models, tmp_path, args):
                                   tiny_models["vae"], stride,
                                   tmp_path / "s.pgm", band_height=band)
     assert hashlib.sha256(blob).hexdigest() == PINNED_STRIPS[args]
-    # A list of steps draws the same strip as the flight it came from.
-    assert ev.render_belief_strip(list(res.steps), tiny_models["cheat"],
-                                  tiny_models["vae"], stride,
-                                  tmp_path / "l.pgm", band_height=band) == blob
 
 
 def test_belief_strip_zero_encoder_constant_bottom(tiny_models, tmp_path):
@@ -309,9 +302,16 @@ def test_belief_strip_zero_encoder_constant_bottom(tiny_models, tmp_path):
 
 
 def test_belief_strip_contract_checks(tiny_models, tmp_path):
+    # A flight that starts against a wall has crashed there, with no step.
+    walled = WorldSpec(kind="real", bounds=(0.0, 0.0, 20.0, 20.0),
+                       obstacles=(), gates=(), seed=0,
+                       start=(0.1, 10.0, 1.5, 0.0))
+    empty = po.rollout(walled, tiny_models["vae"], tiny_models["controller"],
+                       10, encoder="cheat", cheat=tiny_models["cheat"])
+    assert len(empty.steps) == 0 and empty.crashed
     with pytest.raises(ContractError):
-        ev.render_belief_strip([], tiny_models["cheat"], tiny_models["vae"],
+        ev.render_belief_strip(empty, tiny_models["cheat"], tiny_models["vae"],
                                1, tmp_path / "x.pgm")
     with pytest.raises(ContractError):
-        ev.render_belief_strip(one_step_trace(), tiny_models["cheat"],
+        ev.render_belief_strip(one_step_trace(tiny_models), tiny_models["cheat"],
                                tiny_models["vae"], 0, tmp_path / "x.pgm")

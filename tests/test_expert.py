@@ -11,7 +11,8 @@ from cheatlab import expert as ex
 from cheatlab import policy as po
 from cheatlab import vae as vb
 from cheatlab import worldsim as ws
-from cheatlab.errors import ContractError, IntegrityError
+from cheatlab.config import load_config
+from cheatlab.errors import ContractError, GenerationError, IntegrityError
 
 CFG = ws.DEFAULT_SIM
 
@@ -172,6 +173,29 @@ def test_dataset_manifest_mismatch_detected(tmp_path):
         ex.read_dataset(path)
 
 
+def test_read_rejects_a_manifest_field_missing_or_ill_typed(tmp_path):
+    # Each file is rewritten whole, so its checksum is valid.
+    from cheatlab import container as ct
+
+    path = tmp_path / "d.bin"
+    ex.write_dataset(small_dataset(episodes=2), path)
+    records, meta = ct.read_container(path)
+    lengths = meta["episode_lengths"]
+    bad = [{k: v for k, v in meta.items() if k != key}
+           for key in ("world_kind", "generator_seed", "episode_lengths")]
+    bad += [dict(meta, world_kind=None), dict(meta, world_kind=["fake"]),
+            dict(meta, generator_seed="123"), dict(meta, generator_seed=1.0),
+            dict(meta, generator_seed=True), dict(meta, episode_lengths=5),
+            dict(meta, episode_lengths=[float(n) for n in lengths]),
+            dict(meta, episode_lengths=[lengths[0], None])]
+    for manifest in bad:
+        ct.write_container(path, records, manifest)
+        with pytest.raises(IntegrityError, match="dataset manifest"):
+            ex.read_dataset(path)
+    ct.write_container(path, records, meta)
+    assert ex.read_dataset(path).episodes == small_dataset(episodes=2).episodes
+
+
 # ---------------------------------------------------------------------------
 # the record block behind a dataset
 
@@ -197,7 +221,10 @@ def test_written_dataset_bytes_are_pinned(tmp_path, args):
 
 def test_a_dataset_opening_with_an_empty_episode_round_trips(tmp_path):
     flown = ex.collect_trajectories("real", 2, 30, seed=5, cfg=CFG)
-    d = ex.Dataset([[]] + list(flown.episodes), "real", 5, dict(flown.manifest))
+    rec = flown.record
+    opened = ws.Record(rec.classes, rec.depth, rec.actions, rec.states,
+                       np.concatenate([[0], rec.offsets]))
+    d = ex.Dataset(opened, "real", 5, dict(flown.manifest))
     assert [len(ep) for ep in d.episodes] == [0, 30, 30]
     assert d.episodes[0] == [] and d.episodes[1:] == flown.episodes
     path = tmp_path / "d.bin"
@@ -210,6 +237,95 @@ def test_a_dataset_opening_with_an_empty_episode_round_trips(tmp_path):
     without, same = ev.train_baseline(flown, cfg)
     assert losses == same
     assert np.array_equal(with_empty.params.flat, without.params.flat)
+
+
+def record_flights(monkeypatch):
+    """Every (record, ends) that collect_trajectories' flights return."""
+    flights = []
+
+    def recorded(*args, **kwargs):
+        flights.append(ws.fly(*args, **kwargs))
+        return flights[-1]
+
+    monkeypatch.setattr(ex, "fly", recorded)
+    return flights
+
+
+def assert_same_bytes(got, want):
+    for name in ws.Record.__slots__:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+# Corridors where the expert crashes on some starts: the first wave of 10
+# rejects attempts 1 and 6, and later waves reject too.
+CRASHY = load_config(None, ["world.collision_radius=0.8"]).sim()
+
+
+def test_a_set_its_first_wave_completes_is_that_flights_block(monkeypatch):
+    flights = record_flights(monkeypatch)
+    for kind in ("real", "fake"):
+        flights.clear()
+        data = ex.collect_trajectories(kind, 4, 60, seed=3, cfg=CFG)
+        ((block, ends),) = flights
+        if kind == "fake":
+            assert not any(end.crashed for end in ends)
+        for name in ("classes", "depth", "actions", "states", "offsets"):
+            assert getattr(data.record, name) is getattr(block, name)
+
+
+def test_a_set_with_a_rejection_is_a_fresh_join_in_attempt_order(monkeypatch):
+    flights = record_flights(monkeypatch)
+    data = ex.collect_trajectories("fake", 10, 300, seed=0, cfg=CRASHY)
+    crashed = [[end.crashed for end in ends] for _, ends in flights]
+    assert any(crashed[0]) and any(sum(crashed[1:], []))
+    kept = [block.episode(e) for block, ends in flights
+            for e, end in enumerate(ends) if not end.crashed]
+    assert_same_bytes(data.record, ws.Record.join(kept))
+    for block, _ in flights:
+        for name in ("classes", "depth", "actions", "states"):
+            assert not np.shares_memory(getattr(data.record, name),
+                                        getattr(block, name))
+
+
+def collect_one_at_a_time(n_episodes, max_steps, seed, cfg):
+    """The corridor set flown one attempt at a time: attempt a spawns from
+    _derive_seed(seed, a) and flies alone, and the uncrashed flights are
+    kept in attempt order. Gives the record and the rejection count."""
+    act = lambda flock, drones, _scans: ex.expert_action(flock, drones, cfg)
+    done = lambda flock, drones: ex.next_gate_index(flock, drones) < 0
+    kept, rejections, attempt = [], 0, 0
+    while len(kept) < n_episodes:
+        world = ws.spawn_fake_world(ws._derive_seed(seed, attempt), cfg)
+        attempt += 1
+        record, (end,) = ws.fly([world], act, max_steps, cfg, done=done)
+        if rejections > 10 * n_episodes:
+            raise GenerationError(
+                f"rejected {rejections} crashed corridor episodes "
+                f"(budget 10 * {n_episodes}); geometry is too hostile")
+        if end.crashed:
+            rejections += 1
+        else:
+            kept.append(record)
+    return ws.Record.join(kept), rejections
+
+
+def test_waves_with_rejections_match_one_flight_at_a_time(monkeypatch):
+    flights = record_flights(monkeypatch)
+    data = ex.collect_trajectories("fake", 10, 300, seed=0, cfg=CRASHY)
+    want, rejections = collect_one_at_a_time(10, 300, 0, CRASHY)
+    assert_same_bytes(data.record, want)
+    assert rejections >= 2
+    assert sum(end.crashed for _, ends in flights for end in ends) == rejections
+    # Where every corridor crashes, both hit the cap with the same count.
+    hostile = load_config(None, ["world.collision_radius=1.0"]).sim()
+    with pytest.raises(GenerationError) as wave:
+        ex.collect_trajectories("fake", 2, 400, seed=0, cfg=hostile)
+    with pytest.raises(GenerationError) as alone:
+        collect_one_at_a_time(2, 400, 0, hostile)
+    assert str(wave.value) == str(alone.value)
+    assert "rejected 21 crashed corridor episodes" in str(wave.value)
 
 
 def test_collect_write_read_and_score_build_no_step_objects(tmp_path,

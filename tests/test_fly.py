@@ -81,14 +81,14 @@ def hover(flock, _drones, _scans):
 def test_fliers_receive_the_batch_scan_arrays():
     worlds = [ws.spawn_real_world(s, 0.4, cfg=CFG) for s in (3, 4, 5)]
     seen = []
-    results = ws.fly(worlds, lambda f, d, scans: seen.append(scans)
-                     or hover(f, d, scans), 3, CFG)
+    record, _ = ws.fly(worlds, lambda f, d, scans: seen.append(scans)
+                       or hover(f, d, scans), 3, CFG)
     assert len(seen) == 3
     for t, (classes, depth) in enumerate(seen):
         assert classes.shape == depth.shape == (3, CFG.scan_width)
         assert classes.dtype == np.int64 and depth.dtype == np.float64
-        for i, r in enumerate(results):
-            assert r.steps[t].observation == ws.Observation(classes[i], depth[i])
+        for i, steps in enumerate(record.episodes()):
+            assert steps[t].observation == ws.Observation(classes[i], depth[i])
 
 
 def test_the_record_keeps_each_tick_of_a_reused_command_buffer():
@@ -100,26 +100,8 @@ def test_the_record_keeps_each_tick_of_a_reused_command_buffer():
         want.append(buffer[0, 0])
         return buffer
 
-    (result,) = ws.fly([world], act, 4, CFG)
-    assert [s.action.vx for s in result.steps] == want
-
-
-def test_joining_a_whole_flight_gives_its_block_without_a_copy():
-    worlds = [ws.spawn_real_world(s, 0.4, cfg=CFG) for s in range(4)]
-    act = lambda flock, drones, _scans: expert_action(flock, drones, CFG)
-    parts = [r.record for r in ws.fly(worlds, act, 30, CFG)]
-    copies = [ws.Record(p.classes.copy(), p.depth.copy(), p.actions.copy(),
-                        p.states.copy()) for p in parts]
-    whole = ws.Record.join(parts)
-    assert whole == ws.Record.join(copies)
-    for name in ("classes", "depth", "actions", "states"):
-        assert getattr(whole, name).base is None
-        assert np.shares_memory(getattr(whole, name), getattr(parts[0], name))
-    # Anything but every episode in order is copied, and still joins right.
-    for some in (parts[1:], parts[::-1], parts[:2] + parts[3:], parts[:1]):
-        joined = ws.Record.join(some)
-        assert not any(np.shares_memory(joined.actions, p.actions) for p in parts)
-        assert joined == ws.Record.join([copies[parts.index(p)] for p in some])
+    record, _ = ws.fly([world], act, 4, CFG)
+    assert record.actions[:, 0].tolist() == want
 
 
 def test_fly_rejects_a_nonpositive_step_cap():
@@ -145,14 +127,15 @@ def test_done_ends_the_flight_unrecorded():
     def forward(flock, _drones, _scans):
         return np.tile((1.0, 0.0, 0.0, 0.0), (len(flock), 1))
 
-    results = ws.fly(worlds, forward, 50, CFG, done=done)
+    record, ends = ws.fly(worlds, forward, 50, CFG, done=done)
     for i, n in ((0, 3), (1, 6)):
         calls = [s for j, s in seen if j == i]
-        r = results[i]
-        assert len(calls) == n + 1 and len(r.steps) == n
-        assert [s.state for s in r.steps] == calls[:n]
-        assert r.final_state == calls[n]
-        assert not r.crashed and r.odometer == calls[n].odometer > 0.0
+        steps = record.episodes()[i]
+        assert len(calls) == n + 1 and len(steps) == n
+        assert [s.state for s in steps] == calls[:n]
+        assert ends[i] == calls[n]
+        assert not ends[i].crashed
+        assert ends[i].odometer == calls[n].odometer > 0.0
 
 
 def test_completed_corridor_ends_before_the_state_past_the_last_gate():
@@ -174,10 +157,11 @@ def test_blind_flight_never_renders(monkeypatch):
     monkeypatch.setattr(ws, "render_observation", no_render)
     world = ws.spawn_real_world(1, 0.4, cfg=CFG)
     seen = []
-    (result,) = ws.fly([world], lambda f, d, scans: seen.append(scans)
+    record, _ = ws.fly([world], lambda f, d, scans: seen.append(scans)
                        or hover(f, d, scans), 20, CFG, blind=True)
     assert seen == [None] * 20
-    assert all(s.observation is None for s in result.steps)
+    assert record.classes is None and record.depth is None
+    assert all(s.observation is None for s in record.episodes()[0])
     for pipeline in ("zero", "random"):
         ev.eval_mean_distance(pipeline, None, [0, 1], max_steps=30, cfg=CFG)
 
@@ -358,23 +342,25 @@ def test_batched_flight_equals_single_flights(dt, v_max, scan_width, radius,
     tables = rng.uniform(-1.0, 1.0, (len(worlds), steps, 4)) * (
         cfg.v_max, cfg.v_max, cfg.v_max, cfg.yaw_rate_max)
 
-    batch = ws.fly(worlds, _flier(flier, cfg, tables), steps, cfg, done=done)
+    batch, ends = ws.fly(worlds, _flier(flier, cfg, tables), steps, cfg,
+                         done=done)
     for i, world in enumerate(worlds):
-        (alone,) = ws.fly([world], _flier(flier, cfg, tables[i : i + 1]),
-                          steps, cfg, done=done)
-        assert batch[i] == alone  # scans, commands, states and crash flags
+        alone, (end,) = ws.fly([world], _flier(flier, cfg, tables[i : i + 1]),
+                               steps, cfg, done=done)
+        # scans, commands, states and crash flags
+        assert batch.episode(i) == alone and ends[i] == end
         assert_record_holds_its_steps(alone)
-        assert alone.steps == list(batch[i].steps)
-        for state in [s.state for s in alone.steps] + [alone.final_state]:
+        assert alone.episodes()[0] == list(batch.episodes()[i])
+        for state in [s.state for s in alone.episodes()[0]] + [end]:
             x, y, _ = state.position
             assert ws.point_in_collision(world, x, y, cfg.collision_radius) \
                 == state.crashed
 
 
-def assert_record_holds_its_steps(result):
-    """The flight's record arrays row for row against its materialised
-    steps, with every array's dtype and shape."""
-    rec, steps = result.record, list(result.steps)
+def assert_record_holds_its_steps(rec):
+    """A one-world flight's record arrays row for row against its
+    materialised steps, with every array's dtype and shape."""
+    steps = list(rec.episodes()[0])
     n, width = len(steps), rec.classes.shape[1]
     assert rec.offsets.tolist() == [0, n]
     assert rec.classes.dtype == np.int8 and rec.classes.shape == (n, width)
@@ -400,6 +386,6 @@ def test_a_fast_drone_cannot_cross_a_thin_box():
                          start=(7.0, 10.0, 1.5, 0.0))
     full_ahead = lambda flock, _d, _s: np.tile((cfg.v_max, 0, 0, 0),
                                                (len(flock), 1))
-    (result,) = ws.fly([world], full_ahead, 1, cfg, blind=True)
-    assert result.final_state.position[0] > wall.max_x  # it went through
-    assert result.crashed
+    _, (end,) = ws.fly([world], full_ahead, 1, cfg, blind=True)
+    assert end.position[0] > wall.max_x  # it went through
+    assert end.crashed

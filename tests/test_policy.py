@@ -16,12 +16,11 @@ from cheatlab import policy as po
 from cheatlab import vae as vb
 from cheatlab.container import params_digest
 from cheatlab.errors import ContractError, DimensionError, EvolutionError
-from cheatlab.expert import Dataset, TrajectoryStep, collect_trajectories
+from cheatlab.expert import Dataset, collect_trajectories
 from cheatlab.worldsim import (
     Action,
     DEFAULT_SIM,
-    DroneState,
-    Observation,
+    Record,
     spawn_fake_world,
     spawn_real_world,
 )
@@ -308,14 +307,15 @@ def fitness_imitation(
     return -total / count
 
 
+def still_states(n):
+    """n recorded states at the origin, 1.5 m up, heading +x, uncrashed."""
+    return np.tile((0.0, 0.0, 1.5, 0.0, 0.0, 0.0), (n, 1))
+
+
 def zero_action_dataset(width=8, steps=5):
-    obs = Observation(np.zeros(width, dtype=int), np.zeros(width))
-    st = DroneState((0.0, 0.0, 1.5), 0.0, 0.0, False)
-    ep = [
-        TrajectoryStep(obs, Action(0.0, 0.0, 0.0, 0.0), st)
-        for _ in range(steps)
-    ]
-    return Dataset([ep], "fake", 0, {"total_steps": steps})
+    record = Record(np.zeros((steps, width), np.int8), np.zeros((steps, width)),
+                    np.zeros((steps, 4)), still_states(steps))
+    return Dataset(record, "fake", 0, {"total_steps": steps})
 
 
 def test_imitation_fitness_zero_case():
@@ -331,7 +331,7 @@ def test_imitation_fitness_rejects_bad_data():
     model = vb.vae_init(3, (6, 4), 0, width=8)
     t = po.controller_template(k=3)
     g = np.zeros(po.genome_size(t))
-    empty = Dataset([], "fake", 0, {})
+    empty = Dataset(Record.join([]), "fake", 0, {})
     with pytest.raises(ContractError):
         fitness_imitation(g, model, empty)
     with pytest.raises(ContractError):
@@ -344,10 +344,13 @@ def test_imitation_fitness_rejects_bad_data():
 def test_population_evaluator_matches_reference_op():
     # Three episodes of different lengths, the longest in the middle, so a
     # padding or mask fault in the batched evaluator changes the scores.
-    flown = collect_trajectories("fake", 3, 120, seed=4, cfg=DEFAULT_SIM)
-    episodes = [ep[:n] for ep, n in zip(flown.episodes, (70, 120, 35))]
+    rec = collect_trajectories("fake", 3, 120, seed=4, cfg=DEFAULT_SIM).record
+    data = Dataset(Record.join([
+        Record(*(a[lo : lo + n] for a in (rec.classes, rec.depth, rec.actions,
+                                          rec.states)))
+        for (lo, _), n in zip(rec.spans(), (70, 120, 35))]), "fake", 4)
+    episodes = data.episodes
     assert [len(ep) for ep in episodes] == [70, 120, 35]
-    data = Dataset(episodes, "fake", 4)
     model = vb.vae_init(4, (24, 12), 2, width=DEFAULT_SIM.scan_width)
     t = po.controller_template(k=4, h_dim=5, mlp_hidden=(8, 6))
     ev = po.ImitationEvaluator(model, data, t)
@@ -383,15 +386,13 @@ def test_population_evaluator_matches_reference_op():
 
 
 def random_corridor_dataset(rng, lengths, width=8):
-    still = DroneState((0.0, 0.0, 1.5), 0.0, 0.0, False)
-    episodes = [
-        [TrajectoryStep(
-            Observation(rng.integers(0, 3, width), rng.random(width)),
-            Action(*map(float, rng.normal(0, 1, 4))), still)
-         for _ in range(n)]
-        for n in lengths
-    ]
-    return Dataset(episodes, "fake", 0)
+    n = sum(lengths)
+    steps = [(rng.integers(0, 3, width), rng.random(width), rng.normal(0, 1, 4))
+             for _ in range(n)]
+    classes, depth, actions = (np.array(rows) for rows in zip(*steps))
+    record = Record(classes.astype(np.int8), depth, actions, still_states(n),
+                    np.cumsum([0, *lengths]))
+    return Dataset(record, "fake", 0)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

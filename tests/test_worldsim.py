@@ -272,6 +272,23 @@ def test_spawn_real_world_with_gates_are_passable_and_inside():
     assert found > 0
 
 
+@pytest.mark.parametrize("size", ["1e200", "1e308"])
+def test_a_huge_room_flies_without_overflow_warnings(size):
+    # Gaps, ray products and post distances overflow to inf there, which
+    # compares right; numpy must not report it.
+    import warnings
+
+    from cheatlab.config import load_config
+    from cheatlab.expert import expert_action
+
+    cfg = load_config(None, [f"world.room_size={size}"]).sim()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        worlds = [ws.spawn_real_world(s, 0.4, True, cfg) for s in range(6)]
+        ws.fly(worlds, lambda flock, drones, _scans: expert_action(
+            flock, drones, cfg), 5, cfg)
+
+
 def test_box_arrays_are_built_once_read_only_and_follow_replace():
     world = ws.spawn_real_world(1, 0.4, with_gates=True, cfg=CFG)
     assert world.obstacles and world.gates
