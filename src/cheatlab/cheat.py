@@ -48,7 +48,6 @@ from .worldsim import (
     Drones,
     Flock,
     Gate,
-    Observation,
     SimConfig,
     WorldSpec,
     _derive_seed,
@@ -124,16 +123,13 @@ def cheat_init(
     return CheatEncoderParams(params, k, tuple(hidden), width)
 
 
-def cheat_encode(p: CheatEncoderParams,
-                 obs: Observation | np.ndarray) -> np.ndarray:
-    """Predicted corridor-world latent for a cluttered-room observation.
-
-    Batch form: B drones' scan features (B, 2W) give (B, k) latents, row b
-    with the bits of drone b's Observation encoded alone (ad.dense_rows);
-    an Observation is its B = 1 case and gives [k].
+def cheat_encode(p: CheatEncoderParams, x: np.ndarray) -> np.ndarray:
+    """Predicted corridor-world latents (B, k) for B drones' cluttered-room
+    scan features (B, 2W), row b with the bits of drone b's row encoded
+    alone (ad.dense_rows).
     """
-    z = ad.dense_rows(p.params, "cheat", len(p.hidden) + 1, feature_rows(p, obs))
-    return z[0] if isinstance(obs, Observation) else z
+    return ad.dense_rows(p.params, "cheat", len(p.hidden) + 1,
+                         feature_rows(p, x))
 
 
 # ---------------------------------------------------------------------------

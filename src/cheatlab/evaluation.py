@@ -28,9 +28,7 @@ from .expert import Dataset
 from .policy import ControllerParams, RolloutResult, rollouts
 from .vae import VaeParams, decode, feature_rows
 from .worldsim import (
-    Action,
     DEFAULT_SIM,
-    Observation,
     SimConfig,
     _derive_seed,
     fly,
@@ -81,21 +79,16 @@ def baseline_init(
 
 
 def baseline_action(
-    p: BaselineParams, obs: Observation | np.ndarray,
-    cfg: SimConfig = DEFAULT_SIM
-) -> Action | np.ndarray:
-    """Regressed command, clamped to the same envelope as any Action.
-
-    Batch form: B drones' scan features (B, 2W) give (B, 4) clamped command
-    rows (vx, vy, vz, yaw_rate), row b with the bits of drone b's
-    Observation alone (ad.dense_rows); an Observation is its B = 1 case
-    and gives an Action.
+    p: BaselineParams, x: np.ndarray, cfg: SimConfig = DEFAULT_SIM
+) -> np.ndarray:
+    """Regressed commands for B drones' scan features (B, 2W): (B, 4) rows
+    (vx, vy, vz, yaw_rate) clamped to the same envelope as any Action, row
+    b with the bits of drone b's row alone (ad.dense_rows).
     """
-    y = ad.dense_rows(p.params, "base", len(p.hidden) + 1, feature_rows(p, obs))
+    y = ad.dense_rows(p.params, "base", len(p.hidden) + 1, feature_rows(p, x))
     v, w = cfg.v_max, cfg.yaw_rate_max
     bound = np.array([v, v, v, w])
-    y = np.minimum(np.maximum(y, -bound), bound)
-    return Action(*y[0].tolist()) if isinstance(obs, Observation) else y
+    return np.minimum(np.maximum(y, -bound), bound)
 
 
 def train_baseline(

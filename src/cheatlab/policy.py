@@ -45,7 +45,6 @@ from .errors import ContractError, DimensionError, EvolutionError
 from .expert import Dataset
 from .vae import VaeParams, encode, encode_rows
 from .worldsim import (
-    Action,
     DEFAULT_SIM,
     DroneState,
     Record,
@@ -59,12 +58,6 @@ from .worldsim import (
 INIT_SIGMA = 0.1  # evolution seeds genomes from N(0, INIT_SIGMA^2)
 
 _GATES = ("i", "f", "o", "g")
-
-
-@dataclass
-class LstmState:
-    h: np.ndarray
-    c: np.ndarray
 
 
 @dataclass
@@ -98,10 +91,6 @@ def controller_template(
         params.add(f"mlp/b{i}", np.zeros(n_out))
     out_scale = np.array([cfg.v_max, cfg.v_max, cfg.v_max, cfg.yaw_rate_max])
     return ControllerParams(params, k, h_dim, tuple(mlp_hidden), out_scale)
-
-
-def zero_state(p: ControllerParams) -> LstmState:
-    return LstmState(np.zeros(p.h_dim), np.zeros(p.h_dim))
 
 
 def _pack(w) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -206,7 +195,7 @@ def _tick(net, scale: np.ndarray, z: np.ndarray, work: _Work) -> np.ndarray:
 
 
 class LstmBatch:
-    """The batch form of LstmState: B drones flying one controller.
+    """The LSTM states of B drones flying one controller.
 
     `net` is the controller's weights as _pack fuses them, and `work` the
     _Work of B rows (rows=True) whose h and c rows are the drones' LSTM
@@ -231,39 +220,26 @@ class LstmBatch:
 
 
 def controller_step(
-    p: ControllerParams, z: np.ndarray, st: LstmState | LstmBatch
-) -> tuple[Action, LstmState] | np.ndarray:
-    """One control tick: standard LSTM cell, then the dense head.
+    p: ControllerParams, z: np.ndarray, st: LstmBatch
+) -> np.ndarray:
+    """One control tick for B drones: standard LSTM cell, then the dense
+    head.
 
     i, f, o are sigmoid gates and g the tanh candidate; c' = f*c + i*g and
     h' = o * tanh(c'). The head reads concat(z, h') through two tanh
     layers, a linear output scaled by out_scale, then a clamp to the same
     bounds. All-zero parameters therefore command exactly zero.
 
-    Batch form: z (B, k) holds B drones' latents and st is their
-    LstmBatch, advanced in place; returns the (B, 4) command rows, a view
-    that the next tick overwrites. Each layer is a gemv per drone
-    (np.vecmat), so row b has the bits of drone b ticked alone. A latent
-    [k] with an LstmState is the B = 1 case: st is copied into one
-    drone's buffers and the new state out of them, and the command comes
-    back as an Action; every such call packs p anew.
+    z (B, k) holds the drones' latents and st is their LstmBatch, advanced
+    in place; returns the (B, 4) command rows, a view that the next tick
+    overwrites. Each layer is a gemv per drone (np.vecmat), so row b has
+    the bits of drone b ticked alone; one drone is an LstmBatch(p, 1).
     """
-    batch = isinstance(st, LstmBatch)
     z = np.asarray(z, dtype=np.float64)
-    if z.shape != ((len(st), p.k) if batch else (p.k,)):
-        raise DimensionError(f"latent dims {list(z.shape)} do not match k={p.k}")
-    if batch:
-        return _tick(st.net, p.out_scale, z, st.work)
-    if st.h.shape != (p.h_dim,) or st.c.shape != (p.h_dim,):
+    if z.shape != (len(st), p.k):
         raise DimensionError(
-            f"state dims {list(st.h.shape)}/{list(st.c.shape)} do not match "
-            f"h_dim={p.h_dim}"
-        )
-    one = LstmBatch(p, 1)
-    one.work.h[0], one.work.c[0] = st.h, st.c
-    out = _tick(one.net, p.out_scale, z[None], one.work)[0]
-    action = Action(float(out[0]), float(out[1]), float(out[2]), float(out[3]))
-    return action, LstmState(one.work.h[0].copy(), one.work.c[0].copy())
+            f"latent dims {list(z.shape)} do not match ({len(st)}, {p.k})")
+    return _tick(st.net, p.out_scale, z, st.work)
 
 
 # ---------------------------------------------------------------------------

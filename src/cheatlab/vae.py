@@ -6,6 +6,10 @@ decoder mirrors the stack back to a sigmoid 2W reconstruction whose first
 W entries are the class channel and last W the depth channel. Training
 minimizes reconstruction MSE plus beta times the diagonal-Gaussian KL.
 
+Inference takes rows and gives rows: encode runs a dataset's (N, 2W)
+feature rows as one gemm per layer, while encode_rows and decode run
+(B, .) rows as one gemv per row, each row with the bits it has alone.
+
 beta trades reconstruction for latent regularity. The default is small
 because the reconstruction term is a mean over 2W entries while the KL is
 a sum over k; at beta = 1 the KL swamps the signal and the posterior mean
@@ -22,7 +26,7 @@ from . import autodiff as ad
 from . import container
 from .errors import ContractError, DimensionError
 from .expert import Dataset
-from .worldsim import Observation, _derive_seed
+from .worldsim import _derive_seed
 
 BETA_DEFAULT = 1e-3
 
@@ -50,7 +54,7 @@ class VaeTrainConfig:
 
 @dataclass
 class Reconstruction:
-    """Observation-shaped belief, both channels in (0, 1)."""
+    """Observation-shaped beliefs, both channels (B, W) in (0, 1)."""
 
     class_channel: np.ndarray
     depth_channel: np.ndarray
@@ -67,30 +71,28 @@ def vae_init(
     return VaeParams(params, k, tuple(hidden), width)
 
 
-def feature_rows(p, obs: Observation | np.ndarray) -> np.ndarray:
-    """(N, 2W) scan features for model p's width W: an Observation as one
-    row, or an array of rows as it is; any other shape raises."""
-    x = obs.features()[None] if isinstance(obs, Observation) else obs
-    if x.ndim != 2 or x.shape[1] != 2 * p.width:
-        raise DimensionError(f"feature dims {list(x.shape)} do not "
-                             f"match model width {p.width}")
+def feature_rows(p, x: np.ndarray) -> np.ndarray:
+    """x itself when it is (N, 2W) scan feature rows for model p's width W;
+    anything else, one row or an Observation included, raises."""
+    if not (isinstance(x, np.ndarray) and x.ndim == 2
+            and x.shape[1] == 2 * p.width):
+        raise DimensionError(f"feature rows must be (N, {2 * p.width}), got "
+                             f"{getattr(x, 'shape', type(x).__name__)}")
     return x
 
 
-def encode(
-    p: VaeParams, obs: Observation | np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior parameters (mu, logvar) for one observation, each [k].
+def encode(p: VaeParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior parameters (mu, logvar), each [N, k], for N observations'
+    features (N, 2W), such as Record.features.
 
-    N observations' features as one (N, 2W) array (Record.features) are
-    encoded as one batch, one gemm per layer, and give two [N, k] arrays.
-    Inference runs on plain arrays and builds no graph.
+    The rows are encoded as one batch, one gemm per layer. Inference runs
+    on plain arrays and builds no graph.
     """
-    x = feature_rows(p, obs)
+    x = feature_rows(p, x)
     if not len(x):
         raise ContractError("encode needs at least one observation")
-    head = _encoder(p, x[0] if isinstance(obs, Observation) else x)
-    return head[..., : p.k].copy(), head[..., p.k :].copy()
+    head = _encoder(p, x)
+    return head[:, : p.k].copy(), head[:, p.k :].copy()
 
 
 # The two halves: graph nodes for a Tensor input, an array for an array.
@@ -105,9 +107,9 @@ def _decoder(p: VaeParams, z):
 def encode_rows(p: VaeParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(mu, logvar), each [B, k], for B drones' scan features (B, 2W).
 
-    Row b has the bits encode gives drone b's Observation alone: each
-    layer is a gemv per row (ad.dense_rows), where encode's dataset batch
-    is one gemm.
+    Row b has the bits of drone b's row encoded alone: each layer is a
+    gemv per row (ad.dense_rows), where encode's dataset batch is one
+    gemm, which rounds differently.
     """
     head = ad.dense_rows(p.params, "enc", len(p.hidden) + 1,
                          feature_rows(p, x))
@@ -115,32 +117,26 @@ def encode_rows(p: VaeParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def decode(p: VaeParams, z: np.ndarray) -> Reconstruction:
-    """Decode a latent vector [k] into an observation-shaped belief.
+    """Decode latents [B, k] into B observation-shaped beliefs.
 
-    A stack of latents [B, k] decodes row by row in one call, each row with
-    the bits of its latent decoded alone, into [B, W] channels.
+    Row by row, each with the bits of its latent decoded alone, into
+    [B, W] channels.
     """
     z = np.asarray(z, dtype=np.float64)
-    if z.shape[-1:] != (p.k,) or z.ndim > 2:
+    if z.ndim != 2 or z.shape[1] != p.k:
         raise DimensionError(
-            f"latent dims {list(z.shape)} do not match k={p.k}"
+            f"latent dims {list(z.shape)} do not match (B, {p.k})"
         )
-    out = ad.dense_rows(p.params, "dec", len(p.hidden) + 1, z.reshape(-1, p.k),
-                        final="sigmoid").reshape(z.shape[:-1] + (-1,))
-    return Reconstruction(out[..., : p.width].copy(), out[..., p.width :].copy())
+    out = ad.dense_rows(p.params, "dec", len(p.hidden) + 1, z, final="sigmoid")
+    return Reconstruction(out[:, : p.width].copy(), out[:, p.width :].copy())
 
 
-def reparameterize(mu, logvar, eps):
-    """z = mu + exp(logvar / 2) * eps.
-
-    Accepts Tensors (differentiable through mu and logvar; eps is always a
-    constant) or plain arrays, which take a numpy fast path.
-    """
-    if isinstance(mu, ad.Tensor) or isinstance(logvar, ad.Tensor):
-        eps_t = eps if isinstance(eps, ad.Tensor) else ad.constant(eps)
-        sigma = ad.activation("exp", ad.scale(logvar, 0.5))
-        return ad.add(mu, ad.mul(sigma, eps_t))
-    return mu + np.exp(0.5 * logvar) * eps
+def reparameterize(mu: ad.Tensor, logvar: ad.Tensor,
+                   eps: ad.Tensor) -> ad.Tensor:
+    """z = mu + exp(logvar / 2) * eps, differentiable through mu and
+    logvar; eps is a constant."""
+    sigma = ad.activation("exp", ad.scale(logvar, 0.5))
+    return ad.add(mu, ad.mul(sigma, eps))
 
 
 def _elbo_graph(p: VaeParams, x: ad.Tensor, eps: np.ndarray, beta: float):
@@ -157,14 +153,17 @@ def _elbo_graph(p: VaeParams, x: ad.Tensor, eps: np.ndarray, beta: float):
 
 
 def elbo_loss(
-    p: VaeParams, obs: Observation, eps: np.ndarray, beta: float = BETA_DEFAULT
+    p: VaeParams, x: np.ndarray, eps: np.ndarray, beta: float = BETA_DEFAULT
 ) -> ad.Tensor:
-    """Scalar training loss node for one observation.
+    """Scalar training loss node for one observation's features x [2W].
 
     eps must hold k standard-normal draws; passing the same eps reproduces
-    the same loss bit for bit.
+    the same loss bit for bit. This rank-1 graph is the reference the
+    batch loss of train_vae is checked against.
     """
-    x = feature_rows(p, obs)[0]
+    if not (isinstance(x, np.ndarray) and x.shape == (2 * p.width,)):
+        raise DimensionError(f"a feature row must be ({2 * p.width},), got "
+                             f"{getattr(x, 'shape', type(x).__name__)}")
     eps = np.asarray(eps, dtype=np.float64)
     if eps.shape != (p.k,):
         raise DimensionError(f"eps dims {list(eps.shape)} do not match k={p.k}")

@@ -948,7 +948,8 @@ def _gap_gates(flock: Flock, p: np.ndarray, yaw: np.ndarray,
     q = p[:, None]
     gap = np.maximum(np.maximum(flock.slabs[:, 0] - q, q - flock.slabs[:, 1]),
                      0.0)
-    reach = (cfg.d_gate + _FAN_MARGIN) ** 2
+    reach = cfg.d_gate + _FAN_MARGIN
+    reach *= reach  # not ** 2, which raises OverflowError at a huge d_gate
     with np.errstate(over="ignore"):  # a huge room's gap squares to inf
         near = gap[0] * gap[0] + gap[1] * gap[1] <= reach
     order = np.argsort(~near, axis=0, kind="stable")[: near.sum(axis=0).max()]

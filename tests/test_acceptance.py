@@ -36,15 +36,15 @@ from cheatlab.expert import (
 from cheatlab.policy import (
     EvolutionConfig,
     ImitationEvaluator,
+    LstmBatch,
     controller_from_genome,
     controller_step,
     controller_template,
     evolve,
     genome_size,
     rollout,
-    zero_state,
 )
-from cheatlab.vae import VaeTrainConfig, encode, train_vae
+from cheatlab.vae import VaeTrainConfig, encode_rows, train_vae
 from cheatlab.worldsim import (
     Action,
     DroneState,
@@ -302,8 +302,9 @@ def test_criterion_4_vae_training(vae_stack):
     for i, j in idx:
         d_obs.append(float(np.linalg.norm(
             obs[int(i)].features() - obs[int(j)].features())))
-        mu_i, _ = encode(model, obs[int(i)])
-        mu_j, _ = encode(model, obs[int(j)])
+        # One-row blocks: a gemv per layer, as each observation alone.
+        mu_i = encode_rows(model, obs[int(i)].features()[None])[0][0]
+        mu_j = encode_rows(model, obs[int(j)].features()[None])[0][0]
         d_mu.append(float(np.linalg.norm(mu_i - mu_j)))
     rho = float(stats.spearmanr(d_obs, d_mu).statistic)
 
@@ -375,10 +376,9 @@ def test_criterion_5_policy_training(controller_stack):
     ctrl = controller_stack["ctrl"]
     yaw, want = [], []
     for zs, acts in controller_stack["evaluator"].episodes:
-        st = zero_state(ctrl)
+        st = LstmBatch(ctrl, 1)
         for z in zs:
-            act, st = controller_step(ctrl, z, st)
-            yaw.append(act.yaw_rate)
+            yaw.append(float(controller_step(ctrl, z[None], st)[0, 3]))
         want.extend(acts[:, 3])
     corr = float(np.corrcoef(yaw, want)[0, 1])
     lo, hi = np.percentile(yaw, [1, 99])

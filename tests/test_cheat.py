@@ -52,9 +52,8 @@ def test_zero_encoder_predicts_zero(frozen_vae):
     p = ch.cheat_init(4, (8, 8), 0)
     for name in p.params.names():
         p.params[name].data[...] = 0.0
-    obs = spawn_and_render(0)
-    mu = ch.cheat_encode(p, obs)
-    assert mu.shape == (4,)
+    mu = ch.cheat_encode(p, spawn_and_render(0).features()[None])
+    assert mu.shape == (1, 4)
     assert np.all(mu == 0.0)
 
 
@@ -65,11 +64,11 @@ def spawn_and_render(seed):
 
 def test_encode_shape_and_width_check():
     p = ch.cheat_init(6, (16, 8), 1, width=DEFAULT_SIM.scan_width)
-    obs = spawn_and_render(1)
-    assert ch.cheat_encode(p, obs).shape == (6,)
+    x = spawn_and_render(1).features()[None]
+    assert ch.cheat_encode(p, x).shape == (1, 6)
     small = ch.cheat_init(6, (16, 8), 1, width=32)
     with pytest.raises(DimensionError):
-        ch.cheat_encode(small, obs)
+        ch.cheat_encode(small, x)
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +108,11 @@ def matched_fake_reference(gate, state, cfg=DEFAULT_SIM):
     return render_observation(scene, start_state(scene), cfg)
 
 
+def lone_mu(vae, obs):
+    """The frozen encoder's mean for one observation, encoded alone."""
+    return vb.encode_rows(vae, obs.features()[None])[0][0]
+
+
 def reference_pairs(real_seed, n_poses, vae, mode, density, cfg=DEFAULT_SIM):
     """build_pairs one pose at a time: each room spawned, gated, rendered
     and encoded alone (B = 1 kernels, the lone encode). Returns the pairs
@@ -135,7 +139,7 @@ def reference_pairs(real_seed, n_poses, vae, mode, density, cfg=DEFAULT_SIM):
         if gate is None:
             continue
         real_obs = render_observation(world, state, cfg)
-        mu, _ = vb.encode(vae, matched_fake_reference(gate, state, cfg))
+        mu = lone_mu(vae, matched_fake_reference(gate, state, cfg))
         pose = (*state.position, state.yaw)
         pairs.append((real_obs.classes.astype(np.int8), real_obs.depth, mu,
                       pose, (*gate.center, gate.yaw, gate.half_width,
@@ -181,7 +185,7 @@ def test_pair_targets_recompute_exactly(frozen_vae, pair_bank):
         state = DroneState((x, y, z), yaw, 0.0, False)
         classes, depth = ch.matched_fake_observation(
             [pair_bank.gate(i)], Drones.of([state]))
-        mu, _ = vb.encode(frozen_vae, Observation(classes[0], depth[0]))
+        mu = lone_mu(frozen_vae, Observation(classes[0], depth[0]))
         assert np.array_equal(mu, pair_bank.target_mu[i])
         assert np.all(np.isfinite(pair_bank.target_mu[i]))
         assert pair_bank.target_mu[i].shape == (frozen_vae.k,)
@@ -215,7 +219,7 @@ def test_empty_room_pair_targets_centered_gate(frozen_vae):
         )
         assert pairs.gate(i) == gate
         state = DroneState((x, y, z), yaw, 0.0, False)
-        mu, _ = vb.encode(frozen_vae, matched_fake_reference(gate, state, cfg))
+        mu = lone_mu(frozen_vae, matched_fake_reference(gate, state, cfg))
         assert np.array_equal(mu, pairs.target_mu[i])
         # The virtual gate never shows up in the real rendering: the room
         # holds no gate geometry, only walls and clutter.
@@ -235,7 +239,7 @@ def test_gates_visible_mode_picks_scan_cone_gates(frozen_vae):
         assert np.hypot(dx, dy) <= DEFAULT_SIM.d_max + 1e-12
         assert abs(bearing) <= half_fov + 1e-12
         state = DroneState((x, y, z), yaw, 0.0, False)
-        mu, _ = vb.encode(frozen_vae, matched_fake_reference(gate, state))
+        mu = lone_mu(frozen_vae, matched_fake_reference(gate, state))
         assert np.array_equal(mu, pairs.target_mu[i])
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -281,6 +282,30 @@ def test_a_huge_room_runs_without_a_traceback(tmp_path, size):
     assert "RuntimeWarning" not in proc.stderr, proc.stderr
     assert proc.returncode == 0, proc.stderr
     assert (out / "real_data.bin").exists()
+
+
+# load_config requires d_gate <= d_max and obstacle_min_side <=
+# obstacle_max_side, so a huge value of the first needs one of the second.
+_HUGE_TIES = {"world.d_gate": "world.d_max",
+              "world.obstacle_min_side": "world.obstacle_max_side"}
+
+
+@pytest.mark.parametrize("stage", ["gen-fake-data", "gen-real-data"])
+@pytest.mark.parametrize("key", [key for key, spec in KEYS.items()
+                                 if key.startswith("world.")
+                                 and isinstance(spec.default, float)])
+def test_a_huge_length_ends_in_an_exit_code_not_an_exception(tmp_path, capsys,
+                                                             key, stage):
+    # Every float world key at 1e200: the stage may refuse the config (1)
+    # or the geometry (3), but an overflow must neither raise nor warn.
+    huge = {key: "1e200", _HUGE_TIES.get(key, key): "1e200"}
+    args = tiny_args(tmp_path, **huge, **{
+        "data.vae_episodes": 2, "data.vae_max_steps": 20,
+        "data.real_episodes": 2, "data.real_max_steps": 20})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([stage, *args])
+    assert code in (0, 1, 3), capsys.readouterr().err
 
 
 def test_artifacts_identical_across_blas_thread_counts(tmp_path):

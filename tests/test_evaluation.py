@@ -146,12 +146,12 @@ def test_baseline_action_is_clamped(real_data):
     for name in p.params.names():
         if name.endswith("w2") or name.endswith("b2"):
             p.params[name].data[...] = 50.0
-    obs = real_data.episodes[0][0].observation
-    act = ev.baseline_action(p, obs)
-    assert act.vx <= DEFAULT_SIM.v_max and act.yaw_rate <= DEFAULT_SIM.yaw_rate_max
+    x = real_data.record.features(0, 1)
+    (vx, _, _, yaw_rate), = ev.baseline_action(p, x)
+    assert vx <= DEFAULT_SIM.v_max and yaw_rate <= DEFAULT_SIM.yaw_rate_max
     narrow = ev.baseline_init((8, 4), 0, width=32)
     with pytest.raises(DimensionError):
-        ev.baseline_action(narrow, obs)
+        ev.baseline_action(narrow, x)
 
 
 # ---------------------------------------------------------------------------

@@ -53,12 +53,13 @@ def hand_flight(world, command, max_steps, sees=True):
 
 
 def controller_command(ctrl, encode):
-    lstm = po.zero_state(ctrl)
+    """One drone's controller: its scan as a one-row block through
+    `encode`, then a tick of its one-drone LstmBatch."""
+    lstm = po.LstmBatch(ctrl, 1)
 
     def command(_t, obs):
-        nonlocal lstm
-        act, lstm = po.controller_step(ctrl, encode(obs), lstm)
-        return act
+        z = encode(obs.features()[None])
+        return ws.Action(*po.controller_step(ctrl, z, lstm)[0].tolist())
 
     return command
 
@@ -181,7 +182,7 @@ def test_rollout_rejects_an_encoder_of_another_width(models):
 def test_vae_rollout_matches_per_step_controller(models, seed):
     vae, ctrl = models["vae"], models["controller"]
     world = ws.spawn_fake_world(seed, cfg=CFG)
-    command = controller_command(ctrl, lambda obs: vb.encode(vae, obs)[0])
+    command = controller_command(ctrl, lambda x: vb.encode_rows(vae, x)[0])
     steps, final = hand_flight(world, command, 120)
     assert_same_flight(po.rollout(world, vae, ctrl, 120, cfg=CFG),
                        steps, final)
@@ -191,7 +192,7 @@ def test_vae_rollout_matches_per_step_controller(models, seed):
 def test_cheat_rollout_matches_per_step_controller(models, seed):
     cheat, ctrl = models["cheat"], models["controller"]
     world = ws.spawn_real_world(seed, 0.4, cfg=CFG)
-    command = controller_command(ctrl, lambda obs: ch.cheat_encode(cheat, obs))
+    command = controller_command(ctrl, lambda x: ch.cheat_encode(cheat, x))
     steps, final = hand_flight(world, command, 120)
     result = po.rollout(world, models["vae"], ctrl, 120, encoder="cheat",
                         cheat=cheat, cfg=CFG)
@@ -209,10 +210,10 @@ def test_batched_rollouts_match_per_step_controllers(models, encoder):
         np.random.default_rng(7).normal(0, 1.0, po.genome_size(tmpl)), tmpl)
     if encoder == "vae":
         worlds = [ws.spawn_fake_world(s, cfg=CFG) for s in range(6)]
-        encode = lambda obs: vb.encode(vae, obs)[0]
+        encode = lambda x: vb.encode_rows(vae, x)[0]
     else:
         worlds = [ws.spawn_real_world(s, 0.4, cfg=CFG) for s in range(6)]
-        encode = lambda obs: ch.cheat_encode(cheat, obs)
+        encode = lambda x: ch.cheat_encode(cheat, x)
     results = po.rollouts(worlds, vae, ctrl, 200, encoder=encoder,
                           cheat=cheat, cfg=CFG)
     for world, result in zip(worlds, results):
@@ -233,10 +234,10 @@ def test_eval_pipelines_match_hand_loops(models):
             if pipeline == "cheat":
                 command = controller_command(
                     models["controller"],
-                    lambda obs: ch.cheat_encode(models["cheat"], obs))
+                    lambda x: ch.cheat_encode(models["cheat"], x))
             elif pipeline == "baseline":
-                command = lambda _t, obs: ev.baseline_action(
-                    models["baseline"], obs, CFG)
+                command = lambda _t, obs: ws.Action(*ev.baseline_action(
+                    models["baseline"], obs.features()[None], CFG)[0].tolist())
             elif pipeline == "random":
                 cmds = ev._random_commands(seed, max_steps, hold, CFG)
                 command = lambda t, _obs: ws.Action(*cmds[t])
@@ -252,10 +253,10 @@ def test_eval_pipelines_match_hand_loops(models):
 
 def test_rollouts_and_evals_build_no_per_step_objects(models, monkeypatch):
     # The fliers hand the nets (B, .) arrays and keep the LSTM states in
-    # work buffers, so no Observation, Action or LstmState is built while
-    # flying; only indexing a recorded step builds its objects.
-    built = dict.fromkeys(["Observation", "Action", "LstmState"], 0)
-    for cls in (ws.Observation, ws.Action, po.LstmState):
+    # work buffers, so no Observation or Action is built while flying;
+    # only indexing a recorded step builds its objects.
+    built = dict.fromkeys(["Observation", "Action"], 0)
+    for cls in (ws.Observation, ws.Action):
         def counted(self, *args, _init=cls.__init__, _name=cls.__name__,
                     **kwargs):
             built[_name] += 1
@@ -271,9 +272,9 @@ def test_rollouts_and_evals_build_no_per_step_objects(models, monkeypatch):
     for pipeline in ("cheat", "baseline"):
         ev.eval_mean_distance(pipeline, models, [0, 1, 2], 60, cfg=CFG)
     assert sum(len(r.steps) for r in flights) > 400
-    assert built == {"Observation": 0, "Action": 0, "LstmState": 0}
+    assert built == {"Observation": 0, "Action": 0}
     flights[0].steps[5]
-    assert built == {"Observation": 1, "Action": 1, "LstmState": 0}
+    assert built == {"Observation": 1, "Action": 1}
 
 
 def test_corridor_collection_renders_one_scan_per_recorded_step(monkeypatch):

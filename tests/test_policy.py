@@ -18,7 +18,6 @@ from cheatlab.container import params_digest
 from cheatlab.errors import ContractError, DimensionError, EvolutionError
 from cheatlab.expert import Dataset, collect_trajectories
 from cheatlab.worldsim import (
-    Action,
     DEFAULT_SIM,
     Record,
     spawn_fake_world,
@@ -28,11 +27,12 @@ from cheatlab.worldsim import (
 
 def test_zero_controller_commands_nothing():
     p = po.controller_template(k=3)
-    act, st = po.controller_step(p, np.array([0.4, -0.2, 1.0]), po.zero_state(p))
-    assert act == Action(0.0, 0.0, 0.0, 0.0)
-    assert np.all(st.h == 0.0)
+    st = po.LstmBatch(p, 1)
+    act = po.controller_step(p, np.array([[0.4, -0.2, 1.0]]), st)
+    assert np.array_equal(act, np.zeros((1, 4)))
+    assert np.all(st.work.h == 0.0)
     # c' is i*g = 0.5 * tanh(0) = 0 as well.
-    assert np.all(st.c == 0.0)
+    assert np.all(st.work.c == 0.0)
 
 
 def test_lstm_cell_matches_handwritten_recurrence():
@@ -52,9 +52,9 @@ def test_lstm_cell_matches_handwritten_recurrence():
     p.params["mlp/w2"].data[...] = np.array([[1, 0], [0, 1], [0, 0], [0, 0.5]])
 
     z, h0, c0 = 0.7, 0.2, -0.1
-    act, st = po.controller_step(
-        p, np.array([z]), po.LstmState(np.array([h0]), np.array([c0]))
-    )
+    st = po.LstmBatch(p, 1)
+    st.work.h[0], st.work.c[0] = h0, c0
+    act = po.controller_step(p, np.array([[z]]), st)[0]
 
     sig = lambda v: 1.0 / (1.0 + math.exp(-v))
     i = sig(0.5 * z + 0.3 * h0 + 0.1)
@@ -63,15 +63,13 @@ def test_lstm_cell_matches_handwritten_recurrence():
     g = math.tanh(1.2 * z + 0.6 * h0 - 0.2)
     c1 = f * c0 + i * g
     h1 = o * math.tanh(c1)
-    assert np.isclose(st.c[0], c1, rtol=1e-12)
-    assert np.isclose(st.h[0], h1, rtol=1e-12)
+    assert np.isclose(st.work.c[0, 0], c1, rtol=1e-12)
+    assert np.isclose(st.work.h[0, 0], h1, rtol=1e-12)
 
     m = np.tanh(np.tanh(np.array([z, h1])))  # two identity tanh layers
     out = np.array([m[0], m[1], 0.0, 0.5 * m[1]]) * p.out_scale
     out = np.clip(out, -p.out_scale, p.out_scale)
-    assert np.allclose(
-        (act.vx, act.vy, act.vz, act.yaw_rate), out, rtol=1e-12
-    )
+    assert np.allclose(act, out, rtol=1e-12)
 
 
 def test_controller_output_respects_bounds():
@@ -79,23 +77,23 @@ def test_controller_output_respects_bounds():
     rng = np.random.default_rng(0)
     genome = rng.normal(0, 2.0, po.genome_size(p))  # deliberately large
     ctrl = po.controller_from_genome(genome, p)
-    st = po.zero_state(ctrl)
+    st = po.LstmBatch(ctrl, 1)
     for _ in range(20):
-        act, st = po.controller_step(ctrl, rng.normal(0, 3, 2), st)
-        assert abs(act.vx) <= DEFAULT_SIM.v_max
-        assert abs(act.vy) <= DEFAULT_SIM.v_max
-        assert abs(act.vz) <= DEFAULT_SIM.v_max
-        assert abs(act.yaw_rate) <= DEFAULT_SIM.yaw_rate_max
+        (vx, vy, vz, yaw_rate), = po.controller_step(
+            ctrl, rng.normal(0, 3, (1, 2)), st)
+        assert abs(vx) <= DEFAULT_SIM.v_max
+        assert abs(vy) <= DEFAULT_SIM.v_max
+        assert abs(vz) <= DEFAULT_SIM.v_max
+        assert abs(yaw_rate) <= DEFAULT_SIM.yaw_rate_max
 
 
 def test_controller_step_dimension_checks():
+    # Latents must be (B, k) rows for the B drones of the batch: a wrong
+    # k, a wrong drone count and one unbatched latent are all refused.
     p = po.controller_template(k=3)
-    with pytest.raises(DimensionError):
-        po.controller_step(p, np.zeros(4), po.zero_state(p))
-    with pytest.raises(DimensionError):
-        po.controller_step(
-            p, np.zeros(3), po.LstmState(np.zeros(2), np.zeros(2))
-        )
+    for z in (np.zeros((1, 4)), np.zeros((2, 3)), np.zeros(3)):
+        with pytest.raises(DimensionError):
+            po.controller_step(p, z, po.LstmBatch(p, 1))
 
 
 def fused_tick_reference(p, z, h, c):
@@ -133,16 +131,15 @@ def test_controller_step_bits_match_the_fused_formula():
         t = po.controller_template(k=k, h_dim=h_dim, mlp_hidden=mlp)
         ctrl = po.controller_from_genome(
             rng.normal(0, sigma, po.genome_size(t)), t)
-        st = po.zero_state(ctrl)
-        h, c = st.h, st.c
+        st = po.LstmBatch(ctrl, 1)
+        h, c = np.zeros(h_dim), np.zeros(h_dim)
         for _ in range(40):
             z = rng.normal(0, 2.0, k)
             want, h, c = fused_tick_reference(ctrl, z, h, c)
-            act, st = po.controller_step(ctrl, z, st)
-            got = np.array([act.vx, act.vy, act.vz, act.yaw_rate])
+            got = po.controller_step(ctrl, z[None], st)[0]
             assert got.tobytes() == want.tobytes()
-            assert st.h.tobytes() == h.tobytes()
-            assert st.c.tobytes() == c.tobytes()
+            assert st.work.h[0].tobytes() == h.tobytes()
+            assert st.work.c[0].tobytes() == c.tobytes()
 
 
 def test_batched_controller_step_gives_each_drone_its_lone_bits():
@@ -292,16 +289,16 @@ def fitness_imitation(
     total = 0.0
     count = 0
     for ep in data.episodes:
-        st = po.zero_state(ctrl)
+        st = po.LstmBatch(ctrl, 1)
         for step in ep:
-            mu, _ = vb.encode(vae, step.observation)
-            act, st = po.controller_step(ctrl, mu, st)
+            mu, _ = vb.encode_rows(vae, step.observation.features()[None])
+            vx, vy, vz, yaw_rate = po.controller_step(ctrl, mu, st)[0]
             want = step.action
             total += (
-                (act.vx - want.vx) ** 2
-                + (act.vy - want.vy) ** 2
-                + (act.vz - want.vz) ** 2
-                + (act.yaw_rate - want.yaw_rate) ** 2
+                (vx - want.vx) ** 2
+                + (vy - want.vy) ** 2
+                + (vz - want.vz) ** 2
+                + (yaw_rate - want.yaw_rate) ** 2
             )
             count += 4
     return -total / count
@@ -356,7 +353,8 @@ def test_population_evaluator_matches_reference_op():
     ev = po.ImitationEvaluator(model, data, t)
 
     for (zs, acts), ep in zip(ev.episodes, episodes, strict=True):
-        want_z = np.stack([vb.encode(model, s.observation)[0] for s in ep])
+        want_z = vb.encode_rows(
+            model, np.stack([s.observation.features() for s in ep]))[0]
         assert np.allclose(zs, want_z, rtol=1e-12, atol=1e-15)
         assert np.array_equal(acts, [
             (s.action.vx, s.action.vy, s.action.vz, s.action.yaw_rate)
@@ -366,12 +364,10 @@ def test_population_evaluator_matches_reference_op():
     rng = np.random.default_rng(3)
     size = po.genome_size(t)
     big = rng.normal(0, 5.0, size)  # saturates the out_scale clamp
-    first, _ = po.controller_step(
-        po.controller_from_genome(big, t), ev.episodes[0][0][0],
-        po.zero_state(t),
-    )
-    assert np.any(np.abs([first.vx, first.vy, first.vz, first.yaw_rate])
-                  == t.out_scale)
+    bold = po.controller_from_genome(big, t)
+    first = po.controller_step(bold, ev.episodes[0][0][:1],
+                               po.LstmBatch(bold, 1))
+    assert np.any(np.abs(first) == t.out_scale)
     population = [rng.normal(0, 0.1, size) for _ in range(3)]
     population += [big, np.zeros(size)]
     for genomes in ([population[0]], population):

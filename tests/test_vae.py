@@ -44,13 +44,38 @@ def test_init_is_seeded_and_shaped():
 def test_encode_shapes_and_width_check():
     p = tiny_model()
     rng = np.random.default_rng(0)
-    mu, logvar = vb.encode(p, random_obs(rng))
-    assert mu.shape == (3,) and logvar.shape == (3,)
+    mu, logvar = vb.encode(p, random_obs(rng).features()[None])
+    assert mu.shape == (1, 3) and logvar.shape == (1, 3)
     assert np.all(np.isfinite(mu)) and np.all(np.isfinite(logvar))
     with pytest.raises(DimensionError):
-        vb.encode(p, random_obs(rng, width=9))
+        vb.encode(p, random_obs(rng, width=9).features()[None])
     with pytest.raises(DimensionError):
-        vb.elbo_loss(p, random_obs(rng, width=9), np.zeros(3))
+        vb.elbo_loss(p, random_obs(rng, width=9).features(), np.zeros(3))
+
+
+def test_every_net_call_takes_rows_only():
+    # One Observation or one unbatched row is refused by every net, with
+    # the same error as a row of the wrong width.
+    from cheatlab import cheat as ch
+    from cheatlab import evaluation as ev
+
+    p = tiny_model()
+    cheat = ch.cheat_init(3, (10, 6), 1, width=8)
+    base = ev.baseline_init((10, 6), 2, width=8)
+    obs = random_obs(np.random.default_rng(6))
+    for bad in (obs, obs.features()):
+        for form in (lambda v: vb.encode(p, v),
+                     lambda v: vb.encode_rows(p, v),
+                     lambda v: vb.feature_rows(p, v),
+                     lambda v: ch.cheat_encode(cheat, v),
+                     lambda v: ev.baseline_action(base, v)):
+            with pytest.raises(DimensionError):
+                form(bad)
+    for bad in (obs, obs.features()[None]):
+        with pytest.raises(DimensionError):
+            vb.elbo_loss(p, bad, np.zeros(3))
+    with pytest.raises(DimensionError):
+        vb.decode(p, np.zeros(3))
 
 
 def test_sequence_encode_matches_single_encodes():
@@ -60,7 +85,7 @@ def test_sequence_encode_matches_single_encodes():
     mu, logvar = vb.encode(p, np.stack([o.features() for o in seq]))
     assert mu.shape == (6, 3) and logvar.shape == (6, 3)
     for i, obs in enumerate(seq):
-        one_mu, one_logvar = vb.encode(p, obs)
+        (one_mu,), (one_logvar,) = vb.encode_rows(p, obs.features()[None])
         assert np.allclose(mu[i], one_mu, rtol=1e-12, atol=1e-15)
         assert np.allclose(logvar[i], one_logvar, rtol=1e-12, atol=1e-15)
     wide = np.stack([random_obs(rng, width=9).features() for _ in range(2)])
@@ -97,8 +122,10 @@ def test_inference_builds_no_graph_and_matches_the_graph(monkeypatch):
     cheat = ch.cheat_init(3, (10, 6), 1, width=8)
     base = ev.baseline_init((10, 6), 2, width=8)
     obs = random_obs(rng)
+    rows = np.stack([random_obs(rng).features() for _ in range(4)])
     x = ad.constant(obs.features())
     head = ad.dense_stack(p.params, "enc", 3, x).data
+    batch_head = ad.dense_stack(p.params, "enc", 3, ad.constant(rows)).data
     out = ad.dense_stack(p.params, "dec", 3, ad.constant(head[:3]),
                          final="sigmoid").data
     y = ad.dense_stack(base.params, "base", 3, x).data
@@ -107,20 +134,23 @@ def test_inference_builds_no_graph_and_matches_the_graph(monkeypatch):
         "mu": head[:3], "logvar": head[3:], "class": out[:8], "depth": out[8:],
         "cheat": ad.dense_stack(cheat.params, "cheat", 3, x).data,
         "baseline": np.array([a.vx, a.vy, a.vz, a.yaw_rate]),
+        "batch mu": batch_head[:, :3], "batch logvar": batch_head[:, 3:],
     }
 
     def no_graph(*_args, **_kwargs):
         raise AssertionError("inference built a graph node")
 
     monkeypatch.setattr(ad, "_result", no_graph)
-    mu, logvar = vb.encode(p, obs)
+    one = obs.features()[None]
+    mu, logvar = vb.encode_rows(p, one)
     belief = vb.decode(p, mu)
-    action = ev.baseline_action(base, obs, DEFAULT_SIM)
+    batch_mu, batch_logvar = vb.encode(p, rows)
     got = {
-        "mu": mu, "logvar": logvar, "class": belief.class_channel,
-        "depth": belief.depth_channel, "cheat": ch.cheat_encode(cheat, obs),
-        "baseline": np.array([action.vx, action.vy, action.vz,
-                              action.yaw_rate]),
+        "mu": mu[0], "logvar": logvar[0], "class": belief.class_channel[0],
+        "depth": belief.depth_channel[0],
+        "cheat": ch.cheat_encode(cheat, one)[0],
+        "baseline": ev.baseline_action(base, one, DEFAULT_SIM)[0],
+        "batch mu": batch_mu, "batch logvar": batch_logvar,
     }
     assert {k: v.tobytes() for k, v in got.items()} == \
         {k: v.tobytes() for k, v in want.items()}
@@ -128,7 +158,8 @@ def test_inference_builds_no_graph_and_matches_the_graph(monkeypatch):
 
 def test_drone_batch_forms_give_each_row_its_lone_bits():
     # The fliers run every net on (B, .) rows of live drones; each row must
-    # be what the single-observation form gives that drone, bit for bit.
+    # be what the stack gives that drone's features alone as a vector
+    # (w @ x per layer), bit for bit.
     from cheatlab import cheat as ch
     from cheatlab import evaluation as ev
 
@@ -148,26 +179,27 @@ def test_drone_batch_forms_give_each_row_its_lone_bits():
     assert belief.class_channel.shape == belief.depth_channel.shape == (9, 8)
     assert commands.shape == (9, 4)
     clamped = 0
-    for b, o in enumerate(obs):
-        one_mu, one_logvar = vb.encode(p, o)
-        assert mu[b].tobytes() == one_mu.tobytes()
-        assert logvar[b].tobytes() == one_logvar.tobytes()
-        one = vb.decode(p, one_mu)
-        assert belief.class_channel[b].tobytes() == one.class_channel.tobytes()
-        assert belief.depth_channel[b].tobytes() == one.depth_channel.tobytes()
-        assert cheat_z[b].tobytes() == ch.cheat_encode(cheat, o).tobytes()
-        a = ev.baseline_action(base, o, DEFAULT_SIM)
+    for b, row in enumerate(x):
+        head = ad.dense_stack(p.params, "enc", 3, row)
+        assert mu[b].tobytes() == head[:3].tobytes()
+        assert logvar[b].tobytes() == head[3:].tobytes()
+        out = ad.dense_stack(p.params, "dec", 3, head[:3], final="sigmoid")
+        assert belief.class_channel[b].tobytes() == out[:8].tobytes()
+        assert belief.depth_channel[b].tobytes() == out[8:].tobytes()
+        want_z = ad.dense_stack(cheat.params, "cheat", 3, row)
+        assert cheat_z[b].tobytes() == want_z.tobytes()
+        a = clamp_action(Action(*ad.dense_stack(base.params, "base", 3, row)),
+                         DEFAULT_SIM)
         want = np.array([a.vx, a.vy, a.vz, a.yaw_rate])
         assert commands[b].tobytes() == want.tobytes()
         clamped += int(np.any(np.abs(want) == [DEFAULT_SIM.v_max] * 3
                               + [DEFAULT_SIM.yaw_rate_max]))
     assert clamped  # the clamp was exercised
-    for bad in (x[:, :-1], x[0]):
-        for form in (lambda v: vb.encode_rows(p, v),
-                     lambda v: ch.cheat_encode(cheat, v),
-                     lambda v: ev.baseline_action(base, v)):
-            with pytest.raises(DimensionError):
-                form(bad)
+    for form in (lambda v: vb.encode_rows(p, v),
+                 lambda v: ch.cheat_encode(cheat, v),
+                 lambda v: ev.baseline_action(base, v)):
+        with pytest.raises(DimensionError):
+            form(x[:, :-1])
     with pytest.raises(DimensionError):
         vb.decode(p, np.zeros((2, 4)))
 
@@ -176,8 +208,9 @@ def test_reparameterize_zero_eps_returns_mu():
     rng = np.random.default_rng(1)
     mu = rng.normal(0, 1, 5)
     logvar = rng.normal(0, 1, 5)
-    z = vb.reparameterize(mu, logvar, np.zeros(5))
-    assert np.array_equal(z, mu)
+    z = vb.reparameterize(ad.constant(mu), ad.constant(logvar),
+                          ad.constant(np.zeros(5)))
+    assert np.array_equal(z.data, mu)
 
 
 def test_reparameterize_gradient_matches_finite_differences():
@@ -189,7 +222,7 @@ def test_reparameterize_gradient_matches_finite_differences():
     params = ad.ParamSet()
     mu = params.add("mu", mu0)
     lv = params.add("lv", lv0)
-    loss = ad.vsum(vb.reparameterize(mu, lv, eps))
+    loss = ad.vsum(vb.reparameterize(mu, lv, ad.constant(eps)))
     grads = ad.backward(loss, params)
 
     def loss_at(lv_vals):
@@ -207,13 +240,13 @@ def test_reparameterize_gradient_matches_finite_differences():
 
 def test_decode_shapes_ranges_and_latent_check():
     p = tiny_model()
-    recon = vb.decode(p, np.zeros(3))
-    assert recon.class_channel.shape == (8,)
-    assert recon.depth_channel.shape == (8,)
+    recon = vb.decode(p, np.zeros((2, 3)))
+    assert recon.class_channel.shape == (2, 8)
+    assert recon.depth_channel.shape == (2, 8)
     for ch in (recon.class_channel, recon.depth_channel):
         assert np.all((ch > 0.0) & (ch < 1.0))  # sigmoid range
     with pytest.raises(DimensionError):
-        vb.decode(p, np.zeros(4))
+        vb.decode(p, np.zeros((1, 4)))
 
 
 def test_elbo_recomputed_by_independent_forward():
@@ -224,7 +257,7 @@ def test_elbo_recomputed_by_independent_forward():
     obs = random_obs(rng)
     eps = rng.normal(0, 1, 3)
     beta = 0.37
-    got = vb.elbo_loss(p, obs, eps, beta).item()
+    got = vb.elbo_loss(p, obs.features(), eps, beta).item()
 
     x = obs.features()
     h = x
@@ -249,7 +282,7 @@ def test_elbo_full_gradient_against_finite_differences():
     eps = rng.normal(0, 1, 2)
 
     def build():
-        return vb.elbo_loss(p, obs, eps, beta=0.2)
+        return vb.elbo_loss(p, obs.features(), eps, beta=0.2)
 
     grads = ad.backward(build(), p.params)
     for name, t in p.params.items():
@@ -276,7 +309,8 @@ def test_batch_elbo_is_mean_of_singles():
     eps = rng.normal(0, 1, (6, 3))
     beta = 0.11
     singles = [
-        vb.elbo_loss(p, o, eps[i], beta).item() for i, o in enumerate(obses)
+        vb.elbo_loss(p, o.features(), eps[i], beta).item()
+        for i, o in enumerate(obses)
     ]
     x = np.stack([o.features() for o in obses])
     batch = vb._elbo_graph(p, ad.constant(x), eps, beta).item()
@@ -330,11 +364,10 @@ def test_trained_depth_reconstruction_beats_untrained():
     untrained = vb.vae_init(cfg.k, cfg.hidden, cfg.seed, DEFAULT_SIM.scan_width)
 
     def depth_mse(model):
-        errs = []
-        for obs in data.observations()[::5]:
-            mu, _ = vb.encode(model, obs)
-            recon = vb.decode(model, mu)
-            errs.append(np.mean((recon.depth_channel - obs.depth) ** 2))
+        mu, _ = vb.encode_rows(model, data.record.features()[::5])
+        recon = vb.decode(model, mu)
+        errs = np.mean((recon.depth_channel - data.record.depth[::5]) ** 2,
+                       axis=1)
         return float(np.mean(errs))
 
     assert depth_mse(trained) <= 0.5 * depth_mse(untrained)
