@@ -11,6 +11,8 @@ import numpy as np
 from cheatlab.expert import collect_trajectories, expert_action, next_gate_index
 from cheatlab.worldsim import (
     DEFAULT_SIM,
+    Drones,
+    Flock,
     count_gates_passed,
     fly,
     spawn_fake_world,
@@ -20,23 +22,24 @@ from cheatlab.worldsim import (
 
 cfg = DEFAULT_SIM
 
-# single verbose episode
+# single verbose episode, stepped by hand: a batch of one world and drone
 world = spawn_fake_world(3, cfg=cfg)
-state = start_state(world)
-positions = [(state.position[0], state.position[1])]
+flock, drones = Flock([world]), Drones.of([start_state(world)])
+positions = [world.start[:2]]
 for step in range(1200):
-    act = expert_action(world, state, cfg)
-    state = step_dynamics(world, state, act, cfg.dt, cfg)
-    positions.append((state.position[0], state.position[1]))
+    act = expert_action(flock, drones, cfg)
+    drones = step_dynamics(flock, drones, act, cfg.dt, cfg)
+    (x, y, _, yaw, odometer), = drones.pose.T.tolist()
+    positions.append((x, y))
+    (tgt,) = next_gate_index(flock, drones).tolist()  # -1: every gate passed
     if step % 100 == 0:
-        tgt = next_gate_index(world, state)
-        print(f"  t={step * cfg.dt:5.1f}s pos=({state.position[0]:6.2f}, "
-              f"{state.position[1]:+5.2f}) yaw={np.degrees(state.yaw):+6.1f} "
-              f"deg next_gate={tgt}")
-    if state.crashed or next_gate_index(world, state) is None:
+        print(f"  t={step * cfg.dt:5.1f}s pos=({x:6.2f}, {y:+5.2f}) "
+              f"yaw={np.degrees(yaw):+6.1f} deg next_gate={tgt}")
+    if drones.crashed[0] or tgt < 0:
         break
-print("episode ended:", "crashed" if state.crashed else "corridor complete",
-      f"odometer={state.odometer:.1f} m",
+print("episode ended:",
+      "crashed" if drones.crashed[0] else "corridor complete",
+      f"odometer={odometer:.1f} m",
       f"gates={count_gates_passed(world, positions)}/{len(world.gates)}")
 
 # aggregate over seeds: the expert reads gate poses, not the scan, so the

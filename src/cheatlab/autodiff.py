@@ -158,19 +158,30 @@ class ParamSet:
         return out
 
 
+def dense_layout(prefix: str, sizes) -> list[tuple[str, tuple[int, ...]]]:
+    """Tensor names and shapes of a dense stack of the given widths: layer
+    i maps sizes[i] to sizes[i + 1] as `{prefix}/w{i}` (n_out, n_in), then
+    `{prefix}/b{i}` (n_out,)."""
+    out = []
+    for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
+        out += [(f"{prefix}/w{i}", (n_out, n_in)),
+                (f"{prefix}/b{i}", (n_out,))]
+    return out
+
+
 def dense_init(params: ParamSet, prefix: str, sizes: list[int],
                rng: np.random.Generator) -> None:
-    """Add the layers of a dense stack of the given widths to params.
-
-    Layer i maps sizes[i] to sizes[i + 1] as `{prefix}/w{i}` (weights drawn
-    from N(0, 1/fan_in) off rng, in layer order) and `{prefix}/b{i}` (zeros).
+    """Add the layers of a dense stack of the given widths to params, in
+    dense_layout's order: weights drawn from N(0, 1/fan_in) off rng, in
+    layer order, and zero biases.
     """
     if min(sizes) < 1:
         raise ContractError(f"bad dense layer sizes {list(sizes)} for {prefix!r}")
-    for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
-        w = rng.standard_normal((n_out, n_in)) / np.sqrt(n_in)
-        params.add(f"{prefix}/w{i}", w)
-        params.add(f"{prefix}/b{i}", np.zeros(n_out))
+    for name, shape in dense_layout(prefix, sizes):
+        if len(shape) == 2:
+            params.add(name, rng.standard_normal(shape) / np.sqrt(shape[1]))
+        else:
+            params.add(name, np.zeros(shape))
 
 
 def _trace(root: Tensor) -> list[Tensor]:

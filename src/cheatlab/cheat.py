@@ -370,6 +370,8 @@ def load_cheat(path) -> CheatEncoderParams:
         "width": container.meta_int,
     })
     meta = ckpt.metadata
+    container.check_layout(ckpt, ad.dense_layout(
+        "cheat", [2 * meta["width"], *meta["hidden"], meta["k"]]))
     return CheatEncoderParams(
         ckpt.params, meta["k"], meta["hidden"], meta["width"]
     )

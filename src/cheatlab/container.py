@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
 import math
 import struct
@@ -263,6 +264,17 @@ def load_checkpoint(path, stage: str | None = None,
             f"{meta['params_digest'][:12]}.., payload hashes to {digest[:12]}.."
         )
     return Checkpoint(stage=meta["stage"], params=params, metadata=meta)
+
+
+def check_layout(ckpt: Checkpoint, layout) -> None:
+    """FormatError unless the checkpoint's tensors are the (name, shape)
+    pairs of layout, in order: the layout its metadata describes."""
+    got = [(name, t.data.shape) for name, t in ckpt.params.items()]
+    for i, (have, need) in enumerate(itertools.zip_longest(got, layout)):
+        if have != need:
+            raise FormatError(
+                f"{ckpt.stage} checkpoint tensors do not match its metadata: "
+                f"tensor {i} is {have}, the metadata needs {need}")
 
 
 def file_digest(path) -> str:

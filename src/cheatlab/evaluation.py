@@ -122,6 +122,8 @@ def load_baseline(path) -> BaselineParams:
         "hidden": container.meta_ints, "width": container.meta_int,
     })
     meta = ckpt.metadata
+    container.check_layout(ckpt, ad.dense_layout(
+        "base", [2 * meta["width"], *meta["hidden"], 4]))
     return BaselineParams(ckpt.params, meta["hidden"], meta["width"])
 
 

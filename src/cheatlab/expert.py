@@ -1,10 +1,10 @@
 """Scripted pure-pursuit pilot and trajectory dataset collection.
 
-The expert is stateless: from a world and a state it picks a target gate
-and steers at it with a proportional heading law. In corridors the target
-is the next gate whose plane has not been crossed; in cluttered rooms it
-is the gate of the widest-gap heuristic, recomputed every step, and the
-fallback when no gap exists is rotating in place.
+The expert is stateless: from each drone's world and state it picks a
+target gate and steers at it with a proportional heading law. In
+corridors the target is the next gate whose plane has not been crossed;
+in cluttered rooms it is the gate of the widest-gap heuristic, recomputed
+every step, and the fallback when no gap exists is rotating in place.
 """
 
 from __future__ import annotations
@@ -20,18 +20,13 @@ from .worldsim import (
     FREE,
     GATE,
     OBSTACLE,
-    Action,
     DEFAULT_SIM,
-    DroneState,
     Drones,
     Flock,
-    Observation,
     Record,
     SimConfig,
     View,
-    WorldSpec,
     _derive_seed,
-    _one,
     fly,
     spawn_fake_world,
     spawn_real_world,
@@ -43,44 +38,26 @@ K_OMEGA = 2.0  # heading gain, 1/s
 V_NOM = 1.5  # cruise speed, m/s
 
 
-def next_gate_index(world: WorldSpec | Flock, state: DroneState | Drones):
-    """First corridor gate whose plane is still ahead of the drone.
-
-    Batch form: a Flock and Drones give (B,) indices with -1 for a drone
-    past every gate; a WorldSpec and a DroneState are its B = 1 case and
-    give an int or None.
-    """
-    single = isinstance(world, WorldSpec)
-    flock, drones = _one(world, state) if single else (world, state)
+def next_gate_index(flock: Flock, drones: Drones) -> np.ndarray:
+    """Each drone's first corridor gate whose plane is still ahead of it,
+    as (B,) indices, with -1 for a drone past every gate."""
     gx, gy, nx, ny = flock.gates
     if len(gx) == 0:
-        idx = np.full(len(drones), -1)
-    else:
-        ahead = (drones.x - gx) * nx + (drones.y - gy) * ny <= 0.0
-        idx = np.where(ahead.any(axis=0), ahead.argmax(axis=0), -1)
-    if not single:
-        return idx
-    return None if idx[0] < 0 else int(idx[0])
+        return np.full(len(drones), -1)
+    ahead = (drones.x - gx) * nx + (drones.y - gy) * ny <= 0.0
+    return np.where(ahead.any(axis=0), ahead.argmax(axis=0), -1)
 
 
-def expert_action(
-    world: WorldSpec | Flock,
-    state: DroneState | Drones,
-    cfg: SimConfig = DEFAULT_SIM,
-):
-    """Pure pursuit toward the current target gate center.
+def expert_action(flock: Flock, drones: Drones,
+                  cfg: SimConfig = DEFAULT_SIM) -> np.ndarray:
+    """Pure pursuit toward each drone's current target gate center, as
+    (B, 4) command rows for a Flock of one world kind.
 
     yaw_rate is proportional to the wrapped bearing error and vx follows
     the cosine of that error, floored at zero so the drone never reverses.
     vy and vz stay zero. In a corridor with every gate passed the command
     is zero (hover); in a room with no free gap it is a pure rotation.
-
-    Batch form: a Flock of one world kind and Drones give (B, 4) command
-    rows; a WorldSpec and a DroneState are its B = 1 case and give one
-    Action.
     """
-    single = isinstance(world, WorldSpec)
-    flock, drones = _one(world, state) if single else (world, state)
     if drones.crashed.any():
         raise ContractError("expert cannot act from a crashed state")
     kinds = {w.kind for w in flock.worlds}
@@ -107,7 +84,7 @@ def expert_action(
         err = wrap_angle(bearing - yaw)
         row[0] = min(max(V_NOM * math.cos(err), 0.0), cfg.v_max)
         row[3] = min(max(K_OMEGA * err, -cfg.yaw_rate_max), cfg.yaw_rate_max)
-    return Action(*out[0].tolist()) if single else out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +111,6 @@ class Dataset:
     @property
     def total_steps(self) -> int:
         return len(self.record.actions)
-
-    def observations(self) -> list[Observation]:
-        return [Observation(c, d)
-                for c, d in zip(self.record.classes, self.record.depth)]
 
 
 def collect_trajectories(
@@ -262,6 +235,10 @@ def read_dataset(path) -> Dataset:
         except KeyError as err:
             raise IntegrityError(f"dataset missing record {err}") from err
         classes, depth, actions, states = arrays
+        if any(a.ndim != 2 for a in arrays):
+            raise IntegrityError(
+                f"episode {i}: records of ranks {[a.ndim for a in arrays]}, "
+                f"not 2")
         if not (len(classes) == len(depth) == len(actions) == len(states) == want):
             raise IntegrityError(
                 f"episode {i}: manifest says {want} steps, records hold "

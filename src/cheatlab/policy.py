@@ -40,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import container
-from .autodiff import ParamSet
-from .errors import ContractError, DimensionError, EvolutionError
+from .autodiff import ParamSet, dense_layout
+from .errors import ContractError, DimensionError, EvolutionError, FormatError
 from .expert import Dataset
 from .vae import VaeParams, encode, encode_rows
 from .worldsim import (
@@ -81,16 +81,19 @@ def controller_template(
             f"bad controller architecture k={k} h_dim={h_dim} mlp={mlp_hidden}"
         )
     params = ParamSet()
-    for gate in _GATES:
-        params.add(f"lstm/w{gate}", np.zeros((h_dim, k)))
-        params.add(f"lstm/u{gate}", np.zeros((h_dim, h_dim)))
-        params.add(f"lstm/b{gate}", np.zeros(h_dim))
-    sizes = [k + h_dim, mlp_hidden[0], mlp_hidden[1], 4]
-    for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
-        params.add(f"mlp/w{i}", np.zeros((n_out, n_in)))
-        params.add(f"mlp/b{i}", np.zeros(n_out))
+    for name, shape in _layout(k, h_dim, mlp_hidden):
+        params.add(name, np.zeros(shape))
     out_scale = np.array([cfg.v_max, cfg.v_max, cfg.v_max, cfg.yaw_rate_max])
     return ControllerParams(params, k, h_dim, tuple(mlp_hidden), out_scale)
+
+
+def _layout(k: int, h_dim: int, mlp_hidden) -> list[tuple[str, tuple]]:
+    """Tensor names and shapes: per LSTM gate its input weight, recurrent
+    weight and bias, then the dense head from [z | h] to the 4 commands."""
+    lstm = [(f"lstm/{m}{gate}", shape) for gate in _GATES
+            for m, shape in (("w", (h_dim, k)), ("u", (h_dim, h_dim)),
+                             ("b", (h_dim,)))]
+    return lstm + dense_layout("mlp", [k + h_dim, *mlp_hidden, 4])
 
 
 def _pack(w) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -641,6 +644,13 @@ def load_controller(path) -> ControllerParams:
         "mlp_hidden": container.meta_ints, "out_scale": container.meta_floats,
     })
     meta = ckpt.metadata
+    if len(meta["mlp_hidden"]) != 2 or len(meta["out_scale"]) != 4:
+        raise FormatError(
+            f"controller checkpoint needs 2 mlp_hidden widths and 4 "
+            f"out_scale entries, got {len(meta['mlp_hidden'])} and "
+            f"{len(meta['out_scale'])}")
+    container.check_layout(
+        ckpt, _layout(meta["k"], meta["h_dim"], meta["mlp_hidden"]))
     return ControllerParams(
         ckpt.params, meta["k"], meta["h_dim"], meta["mlp_hidden"],
         meta["out_scale"],

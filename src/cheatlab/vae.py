@@ -66,9 +66,15 @@ def vae_init(
     """Seeded init: weights N(0, 1/fan_in), biases zero."""
     rng = np.random.default_rng(seed)
     params = ad.ParamSet()
-    ad.dense_init(params, "enc", [2 * width, *hidden, 2 * k], rng)
-    ad.dense_init(params, "dec", [k, *reversed(hidden), 2 * width], rng)
+    for prefix, sizes in _stacks(k, hidden, width):
+        ad.dense_init(params, prefix, sizes, rng)
     return VaeParams(params, k, tuple(hidden), width)
+
+
+def _stacks(k: int, hidden, width: int) -> list[tuple[str, list[int]]]:
+    """The encoder's and the decoder's dense stacks, as prefix and widths."""
+    return [("enc", [2 * width, *hidden, 2 * k]),
+            ("dec", [k, *reversed(hidden), 2 * width])]
 
 
 def feature_rows(p, x: np.ndarray) -> np.ndarray:
@@ -209,4 +215,7 @@ def load_vae(path) -> VaeParams:
         "width": container.meta_int,
     })
     meta = ckpt.metadata
+    container.check_layout(ckpt, [
+        t for stack in _stacks(meta["k"], meta["hidden"], meta["width"])
+        for t in ad.dense_layout(*stack)])
     return VaeParams(ckpt.params, meta["k"], meta["hidden"], meta["width"])

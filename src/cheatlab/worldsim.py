@@ -25,8 +25,8 @@ Every simulator kernel works on a batch: a Flock (B worlds packed into
 NaN-padded box slabs) and Drones (B states as arrays). fly steps one
 drone per world in lock-step, with one render, one collision check and
 one dynamics step per tick for the whole batch. render_observation,
-point_in_collision, step_dynamics and virtual_gate also take a single
-WorldSpec and DroneState: that is the B = 1 case of the same kernel.
+point_in_collision and virtual_gate also take a single WorldSpec and
+DroneState: that is the B = 1 case of the same kernel.
 Only operations that round the same at any batch shape are vectorized
 (arithmetic, comparisons, min/max, cos/sin, and for the fliers' nets
 np.matvec and np.vecmat, which run one gemv per row), so a drone flown
@@ -42,7 +42,7 @@ import functools
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -117,16 +117,6 @@ class WorldSpec:
     gates: tuple[Gate, ...]
     seed: int
     start: tuple[float, float, float, float]  # x, y, z, yaw
-    # Every solid box (N, 4) and its class code (N,), built once from the
-    # fields above by _solid_boxes and read-only from then on.
-    boxes: np.ndarray = field(init=False, repr=False, compare=False)
-    box_classes: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        boxes, classes = _solid_boxes(self)
-        boxes.flags.writeable = classes.flags.writeable = False
-        object.__setattr__(self, "boxes", boxes)
-        object.__setattr__(self, "box_classes", classes)
 
     @functools.cached_property
     def flock(self) -> Flock:
@@ -150,9 +140,6 @@ class Action:
     vy: float
     vz: float
     yaw_rate: float
-
-
-ZERO_ACTION = Action(0.0, 0.0, 0.0, 0.0)
 
 
 class Observation:
@@ -264,8 +251,9 @@ class Flock:
                  "_reach")
 
     def __init__(self, worlds: Sequence[WorldSpec]):
-        obstacles = [w.boxes[w.box_classes == OBSTACLE] for w in worlds]
-        posts = [w.boxes[w.box_classes == GATE] for w in worlds]
+        solid = [_solid_boxes(w) for w in worlds]
+        obstacles = [boxes[classes == OBSTACLE] for boxes, classes in solid]
+        posts = [boxes[classes == GATE] for boxes, classes in solid]
         n = max(len(o) for o in obstacles)
         boxes = np.full((n + max(len(p) for p in posts), len(worlds), 4),
                         np.nan)
@@ -475,34 +463,18 @@ def clamp_action(a: Action, cfg: SimConfig = DEFAULT_SIM) -> Action:
     )
 
 
-def step_dynamics(world: WorldSpec | Flock, state: DroneState | Drones,
-                  action: Action | np.ndarray, dt: float,
-                  cfg: SimConfig = DEFAULT_SIM):
-    """Integrate one step: yaw first, then body-frame planar velocity.
+def step_dynamics(flock: Flock, drones: Drones, commands: np.ndarray,
+                  dt: float, cfg: SimConfig = DEFAULT_SIM) -> Drones:
+    """Integrate one step of every drone: yaw first, then body-frame
+    planar velocity, from (B, 4) command rows (vx, vy, vz, yaw_rate).
 
     The altitude is clamped to [z_min, z_max]; the odometer accumulates
-    planar displacement only. The returned state is crashed when the new
-    position is in collision by point_in_collision's rule: within
-    collision_radius of a wall, inside a solid box grown by collision_radius.
-    A crashed state must not be stepped again.
-
-    Batch form: a Flock, Drones and (B, 4) command rows (vx, vy, vz,
-    yaw_rate) give the next Drones. It leaves the crash check to its
-    caller: fly lands every crashed drone before the next tick. A
-    WorldSpec, a DroneState and an Action are its B = 1 case and give the
-    next DroneState.
+    planar displacement only. A drone of the returned Drones is crashed
+    when its new position is in collision by point_in_collision's rule:
+    within collision_radius of a wall, inside a solid box grown by
+    collision_radius. A crashed drone must not be stepped again; fly
+    lands every crashed drone before the next tick.
     """
-    if isinstance(world, WorldSpec):
-        if state.crashed:
-            raise ContractError("cannot step a crashed state")
-        commands = np.array([(action.vx, action.vy, action.vz,
-                              action.yaw_rate)], dtype=np.float64)
-        return _step(*_one(world, state), commands, dt, cfg).states()[0]
-    return _step(world, state, action, dt, cfg)
-
-
-def _step(flock: Flock, drones: Drones, commands: np.ndarray, dt: float,
-          cfg: SimConfig) -> Drones:
     if not (0.0 < dt <= 0.2):
         raise ContractError(f"dt must lie in (0, 0.2], got {dt}")
     # The integration runs per drone on Python floats, as math.hypot has

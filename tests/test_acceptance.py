@@ -10,7 +10,6 @@ core. Criteria with a runtime budget assert it too.
 import math
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,16 +45,16 @@ from cheatlab.policy import (
 )
 from cheatlab.vae import VaeTrainConfig, encode_rows, train_vae
 from cheatlab.worldsim import (
-    Action,
     DroneState,
+    Drones,
     Record,
     _derive_seed,
     count_gates_passed,
+    fly,
     point_in_collision,
     render_observation,
     spawn_fake_world,
     spawn_real_world,
-    start_state,
     step_dynamics,
 )
 
@@ -221,11 +220,12 @@ def test_criterion_2_simulator_audit():
         )
         bad_renders += int(not render_ok)
 
-        act = Action(*rng.uniform([-SIM.v_max] * 3 + [-SIM.yaw_rate_max],
-                                  [SIM.v_max] * 3 + [SIM.yaw_rate_max]))
-        nxt = step_dynamics(world, state, act, SIM.dt, SIM)
-        if not nxt.crashed and point_in_collision(
-            world, nxt.position[0], nxt.position[1], SIM.collision_radius
+        act = rng.uniform([-SIM.v_max] * 3 + [-SIM.yaw_rate_max],
+                          [SIM.v_max] * 3 + [SIM.yaw_rate_max])
+        nxt = step_dynamics(world.flock, Drones.of([state]), act[None],
+                            SIM.dt, SIM)
+        if not nxt.crashed[0] and point_in_collision(
+            world, nxt.x[0], nxt.y[0], SIM.collision_radius
         ):
             bad_steps += 1
     seconds = time.perf_counter() - t0
@@ -242,24 +242,19 @@ def test_criterion_2_simulator_audit():
 
 def test_criterion_3_expert_validity():
     t0 = time.perf_counter()
-    crashes = 0
-    gates = []
-    for i in range(100):
-        world = spawn_fake_world(_derive_seed(0, "acceptance-expert", i),
-                                 cfg=SIM)
-        state = start_state(world)
-        positions = [(state.position[0], state.position[1])]
-        for _ in range(3000):
-            if next_gate_index(world, state) is None:
-                break
-            state = step_dynamics(world, state,
-                                  expert_action(world, state, SIM),
-                                  SIM.dt, SIM)
-            positions.append((state.position[0], state.position[1]))
-            if state.crashed:
-                break
-        crashes += int(state.crashed)
-        gates.append(count_gates_passed(world, positions))
+    # The expert reads gate poses, not the scan, so the 100 corridors fly
+    # blind in one lock-step batch, each until its drone passes every gate.
+    worlds = [spawn_fake_world(_derive_seed(0, "acceptance-expert", i),
+                               cfg=SIM) for i in range(100)]
+    expert = lambda flock, drones, _scans: expert_action(flock, drones, SIM)
+    record, ends = fly(
+        worlds, expert, 3000, SIM, blind=True,
+        done=lambda flock, drones: next_gate_index(flock, drones) < 0)
+    crashes = sum(int(end.crashed) for end in ends)
+    # each recorded state's x, y, then where the drone ended
+    gates = [count_gates_passed(world, record.states[lo:hi, :2].tolist()
+                                + [end.position[:2]])
+             for world, (lo, hi), end in zip(worlds, record.spans(), ends)]
     mean_gates = float(np.mean(gates))
     seconds = time.perf_counter() - t0
     ok = crashes == 0 and mean_gates >= SIM.n_gates and seconds < 120.0
@@ -295,16 +290,15 @@ def test_criterion_4_vae_training(vae_stack):
     data = vae_stack["data"]
     ratio = history[-1] / history[0]
 
-    obs = data.observations()
+    x = data.record.features()
     rng = np.random.default_rng(_derive_seed(0, "acceptance-smooth"))
-    idx = rng.integers(0, len(obs), size=(100, 2))
+    idx = rng.integers(0, len(x), size=(100, 2))
     d_obs, d_mu = [], []
     for i, j in idx:
-        d_obs.append(float(np.linalg.norm(
-            obs[int(i)].features() - obs[int(j)].features())))
+        d_obs.append(float(np.linalg.norm(x[i] - x[j])))
         # One-row blocks: a gemv per layer, as each observation alone.
-        mu_i = encode_rows(model, obs[int(i)].features()[None])[0][0]
-        mu_j = encode_rows(model, obs[int(j)].features()[None])[0][0]
+        mu_i = encode_rows(model, x[i][None])[0][0]
+        mu_j = encode_rows(model, x[j][None])[0][0]
         d_mu.append(float(np.linalg.norm(mu_i - mu_j)))
     rho = float(stats.spearmanr(d_obs, d_mu).statistic)
 

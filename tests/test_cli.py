@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from cheatlab import cli
@@ -244,6 +245,35 @@ def test_checkpoint_that_freezes_a_tensor_exits_three(tmp_path, capsys):
     assert cli.main(["train-policy", *tiny_args(out)]) == 3
     err = capsys.readouterr().err
     assert "train-policy:" in err and "'trainable'" in err
+
+
+def test_a_checkpoint_its_metadata_misdescribes_exits_three(tmp_path, capsys):
+    # A small VAE saved under the shipped sizes: the loader must refuse it
+    # before train-policy multiplies by its weights.
+    from cheatlab.vae import vae_init
+
+    out = tmp_path / "misdescribed"
+    for stage in ("gen-fake-data", "gen-expert"):
+        assert cli.main([stage, *tiny_args(out)]) == 0
+    save_checkpoint(out / "vae.ckpt", "vae", vae_init(4, (8,), 0, 8).params,
+                    {"k": 8, "hidden": [128, 64], "width": 64})
+    capsys.readouterr()
+    assert cli.main(["train-policy", *tiny_args(out)]) == 3
+    err = capsys.readouterr().err
+    assert "train-policy:" in err and "do not match its metadata" in err
+    assert "Traceback" not in err
+
+
+def test_a_dataset_record_of_rank_zero_exits_three(tmp_path, capsys):
+    out = tmp_path / "scalar"
+    assert cli.main(["gen-fake-data", *tiny_args(out)]) == 0
+    records, meta = read_container(out / "fake_data.bin")
+    write_container(out / "fake_data.bin",
+                    {**records, "ep00000/classes": np.array(1.0)}, meta)
+    capsys.readouterr()
+    assert cli.main(["train-vae", *tiny_args(out)]) == 3
+    err = capsys.readouterr().err
+    assert "train-vae:" in err and "ranks" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("trailer", [

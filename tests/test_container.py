@@ -238,3 +238,46 @@ def test_stage_checkpoint_roundtrip_and_metadata_checks(stage, tmp_path):
         ct.save_checkpoint(mistyped, stage, ckpt.params, {**meta, key: "two"})
         with pytest.raises(FormatError, match=f"'{key}'"):
             load(mistyped)
+
+
+def _other_layout(key, value):
+    """A metadata value that describes another tensor layout than value."""
+    if key == "out_scale":
+        return value[:3]
+    return [v + 1 for v in value] if isinstance(value, list) else value + 1
+
+
+@pytest.mark.parametrize("stage", list(STAGES))
+def test_a_checkpoint_whose_tensors_disagree_with_its_metadata_is_refused(
+        stage, tmp_path):
+    make, save, load, keys = STAGES[stage]
+    good = tmp_path / "good.ckpt"
+    save(make(), good)
+    ckpt = ct.load_checkpoint(good)
+    meta = {key: ckpt.metadata[key] for key in keys}
+    bad = tmp_path / "bad.ckpt"
+    for key in keys:
+        ct.save_checkpoint(bad, stage, ckpt.params,
+                           {**meta, key: _other_layout(key, meta[key])})
+        with pytest.raises(FormatError, match=f"{stage} checkpoint"):
+            load(bad)
+    # A width far past memory is checked by arithmetic, never allocated.
+    wide = "mlp_hidden" if stage == "controller" else "hidden"
+    ct.save_checkpoint(bad, stage, ckpt.params,
+                       {**meta, wide: [10**12] * len(meta[wide])})
+    with pytest.raises(FormatError, match="1000000000000"):
+        load(bad)
+    # The right tensors in another order are another layout too.
+    names = ckpt.params.names()
+    swapped = ParamSet()
+    for name in [names[1], names[0], *names[2:]]:
+        swapped.add(name, ckpt.params[name].data)
+    ct.save_checkpoint(bad, stage, swapped, meta)
+    with pytest.raises(FormatError, match="tensor 0 is"):
+        load(bad)
+    if stage == "controller":  # _pack reads a head of three layers
+        ct.save_checkpoint(bad, stage, ckpt.params,
+                           {**meta, "mlp_hidden": [*meta["mlp_hidden"], 2]})
+        with pytest.raises(FormatError, match="2 mlp_hidden widths"):
+            load(bad)
+

@@ -14,15 +14,7 @@ from cheatlab import vae as vb
 from cheatlab.container import params_digest
 from cheatlab.errors import ContractError, DimensionError
 from cheatlab.expert import collect_trajectories
-from cheatlab.worldsim import (
-    Action,
-    DEFAULT_SIM,
-    DroneState,
-    WorldSpec,
-    spawn_real_world,
-    start_state,
-    step_dynamics,
-)
+from cheatlab.worldsim import DEFAULT_SIM, WorldSpec, fly, spawn_real_world
 
 
 @pytest.fixture(scope="module")
@@ -57,12 +49,9 @@ def test_probe_stops_one_step_shy_of_the_wall():
         seed=0,
         start=(0.0, 0.0, 1.5, 0.0),
     )
-    state = start_state(world)
-    for _ in range(1000):
-        state = step_dynamics(world, state, Action(1.0, 0.0, 0.0, 0.0),
-                              cfg.dt, cfg)
-        if state.crashed:
-            break
+    forward = lambda flock, _drones, _scans: np.tile((1.0, 0.0, 0.0, 0.0),
+                                                     (len(flock), 1))
+    _, (state,) = fly([world], forward, 1000, cfg, blind=True)
     assert state.crashed
     expect = 10.0 - cfg.collision_radius
     assert abs(state.odometer - expect) <= cfg.dt * 1.0 + 1e-12

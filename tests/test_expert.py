@@ -21,6 +21,11 @@ def state_at(x, y, yaw):
     return ws.DroneState((x, y, 1.5), yaw, 0.0, False)
 
 
+def one(world, state):
+    """A world and a drone in it as a batch of one."""
+    return world.flock, ws.Drones.of([state])
+
+
 def test_aligned_approach_commands_cruise_speed():
     # Two meters straight before a gate, zero bearing error: the command is
     # exactly (v_nom, 0, 0, 0).
@@ -31,10 +36,10 @@ def test_aligned_approach_commands_cruise_speed():
         g.center[1] - 2.0 * math.sin(g.yaw),
         g.yaw,
     )
-    a = ex.expert_action(world, st, CFG)
-    assert np.isclose(a.vx, ex.V_NOM, atol=1e-12)
-    assert a.vy == 0.0 and a.vz == 0.0
-    assert np.isclose(a.yaw_rate, 0.0, atol=1e-12)
+    vx, vy, vz, yaw_rate = ex.expert_action(*one(world, st), CFG)[0]
+    assert np.isclose(vx, ex.V_NOM, atol=1e-12)
+    assert vy == 0.0 and vz == 0.0
+    assert np.isclose(yaw_rate, 0.0, atol=1e-12)
 
 
 def test_gate_directly_left_saturates_turn():
@@ -43,9 +48,9 @@ def test_gate_directly_left_saturates_turn():
     world = ws.spawn_fake_world(1, cfg=CFG)
     g = world.gates[0]
     st = state_at(g.center[0], g.center[1] - 3.0, 0.0)  # gate to the north
-    a = ex.expert_action(world, st, CFG)
-    assert np.isclose(a.yaw_rate, CFG.yaw_rate_max)
-    assert abs(a.vx) < 1e-9
+    vx, _, _, yaw_rate = ex.expert_action(*one(world, st), CFG)[0]
+    assert np.isclose(yaw_rate, CFG.yaw_rate_max)
+    assert abs(vx) < 1e-9
 
 
 def test_gate_behind_turns_without_reversing():
@@ -55,10 +60,10 @@ def test_gate_behind_turns_without_reversing():
     # so the target is gate 1 ahead; aim a state beyond the last gate too.
     last = world.gates[-1]
     st2 = state_at(last.center[0] + 3.0, last.center[1], 0.0)
-    assert ex.next_gate_index(world, st2) is None
-    assert ex.expert_action(world, st2, CFG) == ws.ZERO_ACTION
-    a = ex.expert_action(world, st, CFG)
-    assert a.vx >= 0.0
+    assert ex.next_gate_index(*one(world, st2)).tolist() == [-1]
+    assert ex.expert_action(*one(world, st2), CFG).tolist() == [[0.0] * 4]
+    assert ex.next_gate_index(*one(world, st)).tolist() == [1]
+    assert ex.expert_action(*one(world, st), CFG)[0, 0] >= 0.0
 
 
 def test_rotates_in_place_when_no_gap():
@@ -66,44 +71,45 @@ def test_rotates_in_place_when_no_gap():
         kind="real", bounds=(0.0, 0.0, 20.0, 20.0), obstacles=(), gates=(),
         seed=0, start=(0.35, 10.0, 1.5, math.pi),
     )
-    a = ex.expert_action(world, ws.start_state(world), CFG)
-    assert a == ws.Action(0.0, 0.0, 0.0, CFG.yaw_rate_max)
+    a = ex.expert_action(*one(world, ws.start_state(world)), CFG)
+    assert a.tolist() == [[0.0, 0.0, 0.0, CFG.yaw_rate_max]]
 
 
 def test_crashed_state_is_rejected():
     world = ws.spawn_fake_world(3, cfg=CFG)
     bad = ws.DroneState((0, 0, 1.5), 0.0, 0.0, True)
     with pytest.raises(ContractError):
-        ex.expert_action(world, bad, CFG)
+        ex.expert_action(*one(world, bad), CFG)
+
+
+def test_a_mixed_flock_is_rejected():
+    worlds = [ws.spawn_fake_world(0, cfg=CFG),
+              ws.spawn_real_world(0, 0.4, cfg=CFG)]
+    drones = ws.Drones.of([ws.start_state(w) for w in worlds])
+    with pytest.raises(ContractError, match="one world kind"):
+        ex.expert_action(ws.Flock(worlds), drones, CFG)
 
 
 def test_expert_clears_corridors_without_crashing():
     # Smaller version of the acceptance sweep: every seeded corridor is
     # flown end to end, crash-free, through every aperture.
-    for seed in range(20):
-        world = ws.spawn_fake_world(seed, cfg=CFG)
-        st = ws.start_state(world)
-        path = [(st.position[0], st.position[1])]
-        for _ in range(2000):
-            if ex.next_gate_index(world, st) is None:
-                break
-            act = ex.expert_action(world, st, CFG)
-            st = ws.step_dynamics(world, st, act, CFG.dt, CFG)
-            path.append((st.position[0], st.position[1]))
-            assert not st.crashed, f"expert crashed in corridor seed {seed}"
-        assert ex.next_gate_index(world, st) is None, "corridor unfinished"
+    worlds = [ws.spawn_fake_world(seed, cfg=CFG) for seed in range(20)]
+    expert = lambda flock, drones, _scans: ex.expert_action(flock, drones, CFG)
+    done = lambda flock, drones: ex.next_gate_index(flock, drones) < 0
+    record, ends = ws.fly(worlds, expert, 2000, CFG, blind=True, done=done)
+    for seed, (world, (lo, hi), end) in enumerate(zip(worlds, record.spans(),
+                                                      ends)):
+        assert not end.crashed, f"expert crashed in corridor seed {seed}"
+        assert done(world.flock, ws.Drones.of([end]))[0], "corridor unfinished"
+        path = record.states[lo:hi, :2].tolist() + [end.position[:2]]
         assert ws.count_gates_passed(world, path) == len(world.gates)
 
 
 def test_real_world_expert_keeps_moving():
     world = ws.spawn_real_world(11, 0.4, cfg=CFG)
-    st = ws.start_state(world)
-    for _ in range(400):
-        act = ex.expert_action(world, st, CFG)
-        st = ws.step_dynamics(world, st, act, CFG.dt, CFG)
-        if st.crashed:
-            break
-    assert st.odometer > 1.0
+    act = lambda flock, drones, _scans: ex.expert_action(flock, drones, CFG)
+    _, (end,) = ws.fly([world], act, 400, CFG, blind=True)
+    assert end.odometer > 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +365,9 @@ def test_read_rejects_records_of_the_wrong_shape_or_codes(tmp_path):
     records, meta = ct.read_container(path)
     for name, bad in (("ep00001/actions", records["ep00001/actions"][:, :3]),
                       ("ep00001/depth", records["ep00001/depth"][:, :-1]),
-                      ("ep00000/classes", records["ep00000/classes"] + 3.0)):
+                      ("ep00000/classes", records["ep00000/classes"] + 3.0),
+                      ("ep00000/classes", np.array(1.0))):
         ct.write_container(path, dict(records, **{name: bad}), meta)
         with pytest.raises(IntegrityError):
             ex.read_dataset(path)
+

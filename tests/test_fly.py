@@ -38,6 +38,14 @@ def models():
     }
 
 
+def step_one(world, state, act):
+    """One drone's dynamics step: the batch kernel at B = 1."""
+    row = np.array([[act.vx, act.vy, act.vz, act.yaw_rate]])
+    drones = ws.step_dynamics(world.flock, ws.Drones.of([state]), row,
+                              CFG.dt, CFG)
+    return drones.states()[0]
+
+
 def hand_flight(world, command, max_steps, sees=True):
     """(observation, action, state) per step and the final state."""
     state = ws.start_state(world)
@@ -46,7 +54,7 @@ def hand_flight(world, command, max_steps, sees=True):
         obs = ws.render_observation(world, state, CFG) if sees else None
         act = command(t, obs)
         steps.append((obs, act, state))
-        state = ws.step_dynamics(world, state, act, CFG.dt, CFG)
+        state = step_one(world, state, act)
         if state.crashed:
             break
     return steps, state
@@ -145,10 +153,10 @@ def test_completed_corridor_ends_before_the_state_past_the_last_gate():
     world = ws.spawn_fake_world(ws._derive_seed(4, 0), cfg=CFG)
     assert episode[0].state == ws.start_state(world)
     assert len(episode) < 2000
-    assert next_gate_index(world, episode[-1].state) is not None
-    last = ws.step_dynamics(world, episode[-1].state, episode[-1].action,
-                            CFG.dt, CFG)
-    assert next_gate_index(world, last) is None
+    gate = lambda state: next_gate_index(world.flock,
+                                         ws.Drones.of([state]))[0]
+    assert gate(episode[-1].state) >= 0
+    assert gate(step_one(world, episode[-1].state, episode[-1].action)) == -1
 
 
 def test_blind_flight_never_renders(monkeypatch):
@@ -242,7 +250,7 @@ def test_eval_pipelines_match_hand_loops(models):
                 cmds = ev._random_commands(seed, max_steps, hold, CFG)
                 command = lambda t, _obs: ws.Action(*cmds[t])
             else:
-                command = lambda _t, _obs: ws.ZERO_ACTION
+                command = lambda _t, _obs: ws.Action(0.0, 0.0, 0.0, 0.0)
             _, final = hand_flight(world, command, max_steps,
                                    sees=pipeline in ("cheat", "baseline"))
             want.append((final.odometer, final.crashed))

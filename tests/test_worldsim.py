@@ -124,10 +124,18 @@ def test_observation_features_layout():
 # dynamics
 
 
+def step_one(world, state, command, dt=CFG.dt):
+    """One drone's dynamics step from a (vx, vy, vz, yaw_rate) command:
+    the batch kernel at B = 1."""
+    drones = ws.step_dynamics(world.flock, ws.Drones.of([state]),
+                              np.array([command], dtype=np.float64), dt, CFG)
+    return drones.states()[0]
+
+
 def test_zero_action_is_a_fixed_point():
     world = empty_room()
     s0 = ws.start_state(world)
-    s1 = ws.step_dynamics(world, s0, ws.ZERO_ACTION, 0.05, CFG)
+    s1 = step_one(world, s0, (0, 0, 0, 0), 0.05)
     assert s1.position == s0.position
     assert s1.yaw == s0.yaw
     assert s1.odometer == 0.0
@@ -138,7 +146,7 @@ def test_two_unit_speed_steps_accumulate_exactly():
     world = empty_room()
     s = ws.start_state(world)
     for _ in range(2):
-        s = ws.step_dynamics(world, s, ws.Action(1.0, 0, 0, 0), 0.05, CFG)
+        s = step_one(world, s, (1.0, 0, 0, 0), 0.05)
     assert np.isclose(s.odometer, 2 * 0.05 * 1.0, rtol=0, atol=1e-15)
     assert np.isclose(s.position[0], 0.1)
 
@@ -150,7 +158,7 @@ def test_wall_one_meter_ahead_crashes_within_ten_steps():
     )
     s = ws.start_state(world)
     for step in range(1, 11):
-        s = ws.step_dynamics(world, s, ws.Action(1.0, 0, 0, 0), 0.1, CFG)
+        s = step_one(world, s, (1.0, 0, 0, 0), 0.1)
         if s.crashed:
             break
     assert s.crashed and step <= 10
@@ -160,15 +168,15 @@ def test_wall_one_meter_ahead_crashes_within_ten_steps():
 def test_action_clamping_and_altitude_band():
     world = empty_room()
     s = ws.start_state(world)
-    s = ws.step_dynamics(world, s, ws.Action(99.0, 0, 99.0, 99.0), 0.1, CFG)
+    s = step_one(world, s, (99.0, 0, 99.0, 99.0), 0.1)
     assert np.isclose(s.yaw, 0.1 * CFG.yaw_rate_max)
     speed = math.hypot(s.position[0], s.position[1])
     assert np.isclose(speed, 0.1 * CFG.v_max)
     for _ in range(200):
-        s = ws.step_dynamics(world, s, ws.Action(0, 0, 99.0, 0), 0.1, CFG)
+        s = step_one(world, s, (0, 0, 99.0, 0), 0.1)
     assert s.position[2] == CFG.z_max
     for _ in range(200):
-        s = ws.step_dynamics(world, s, ws.Action(0, 0, -99.0, 0), 0.1, CFG)
+        s = step_one(world, s, (0, 0, -99.0, 0), 0.1)
     assert s.position[2] == CFG.z_min
 
 
@@ -176,12 +184,9 @@ def test_step_contract_errors():
     world = empty_room()
     s = ws.start_state(world)
     with pytest.raises(ContractError):
-        ws.step_dynamics(world, s, ws.ZERO_ACTION, 0.0, CFG)
+        step_one(world, s, (0, 0, 0, 0), 0.0)
     with pytest.raises(ContractError):
-        ws.step_dynamics(world, s, ws.ZERO_ACTION, 0.25, CFG)
-    crashed = ws.DroneState((0, 0, 1.5), 0.0, 0.0, True)
-    with pytest.raises(ContractError):
-        ws.step_dynamics(world, crashed, ws.ZERO_ACTION, 0.05, CFG)
+        step_one(world, s, (0, 0, 0, 0), 0.25)
 
 
 def test_dynamics_deterministic_and_odometer_monotonic():
@@ -192,8 +197,7 @@ def test_dynamics_deterministic_and_odometer_monotonic():
         s = ws.start_state(world)
         trail = [s]
         for _ in range(300):
-            a = ws.Action(*rng.uniform(-2, 2, 4))
-            s = ws.step_dynamics(world, s, a, CFG.dt, CFG)
+            s = step_one(world, s, rng.uniform(-2, 2, 4))
             trail.append(s)
             if s.crashed:
                 break
@@ -289,21 +293,29 @@ def test_a_huge_room_flies_without_overflow_warnings(size):
             flock, drones, cfg), 5, cfg)
 
 
-def test_box_arrays_are_built_once_read_only_and_follow_replace():
+def test_a_flock_packs_each_worlds_solid_boxes_and_follows_replace():
     world = ws.spawn_real_world(1, 0.4, with_gates=True, cfg=CFG)
     assert world.obstacles and world.gates
     boxes, classes = ws._solid_boxes(world)
-    assert np.array_equal(world.boxes, boxes)
-    assert np.array_equal(world.box_classes, classes)
-    for arr in (world.boxes, world.box_classes):
-        with pytest.raises(ValueError):
-            arr[0] = 0
+    assert classes.tolist() == ([ws.OBSTACLE] * len(world.obstacles)
+                                + [ws.GATE] * 2 * len(world.gates))
+
+    def packed(w):  # a one-world flock's boxes as (x0, y0, x1, y1) rows
+        flock = ws.Flock([w])
+        (x0, x1), (y0, y1) = flock.slabs[..., 0]
+        return flock.n_obstacles, np.stack([x0, y0, x1, y1], axis=1)
+
+    assert world.flock.n_obstacles == len(world.obstacles)
+    n, rows = packed(world)
+    assert n == len(world.obstacles) and np.array_equal(rows, boxes)
     assert world == ws.world_from_json(ws.world_to_json(world))
     assert hash(world) == hash(ws.world_from_json(ws.world_to_json(world)))
     # spawn_real_world adds its gates with dataclasses.replace; the new
     # world must collide with its own gate posts, the gate-free one not.
     bare = dataclasses.replace(world, gates=())
-    assert np.array_equal(bare.boxes, boxes[: len(world.obstacles)])
+    n, rows = packed(bare)
+    assert n == len(world.obstacles)
+    assert np.array_equal(rows, boxes[: len(world.obstacles)])
     checked = 0
     for g in world.gates:
         for x0, y0, x1, y1 in ws._gate_post_boxes(g):
