@@ -28,7 +28,7 @@ flock, drones = Flock([world]), Drones.of([start_state(world)])
 positions = [world.start[:2]]
 for step in range(1200):
     act = expert_action(flock, drones, cfg)
-    drones = step_dynamics(flock, drones, act, cfg.dt, cfg)
+    drones = step_dynamics(flock, drones, act, cfg)
     (x, y, _, yaw, odometer), = drones.pose.T.tolist()
     positions.append((x, y))
     (tgt,) = next_gate_index(flock, drones).tolist()  # -1: every gate passed

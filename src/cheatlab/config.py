@@ -19,7 +19,13 @@ from .autodiff import DenseTrainConfig
 from .errors import ConfigError
 from .policy import EvolutionConfig
 from .vae import VaeTrainConfig
-from .worldsim import DEFAULT_SIM, SimConfig
+from .worldsim import (
+    CORRIDOR_MARGIN,
+    DEFAULT_SIM,
+    SPAWN_Z,
+    SimConfig,
+    gate_passable,
+)
 
 
 def _int(lo=None, hi=None):
@@ -206,8 +212,14 @@ def _apply(values: dict, key: str, raw: str, where: str) -> None:
 
 
 def _cross_checks(values: dict) -> None:
+    """Rules between keys, so every world the spawners make from an
+    accepted config passes worldsim.validate_world."""
     if values["world.z_max"] <= values["world.z_min"]:
         raise ConfigError("world.z_max must exceed world.z_min")
+    if not values["world.z_min"] <= SPAWN_Z <= values["world.z_max"]:
+        raise ConfigError(
+            f"world.z_min and world.z_max must bracket the spawn altitude "
+            f"{SPAWN_Z}")
     if values["world.obstacle_max_side"] < values["world.obstacle_min_side"]:
         raise ConfigError(
             "world.obstacle_max_side must be >= world.obstacle_min_side"
@@ -222,7 +234,42 @@ def _cross_checks(values: dict) -> None:
             "gates cannot fit: gate_offset_max + gate_half_width + "
             "2*frame_thickness exceeds corridor_half_width"
         )
-    clearance = values["world.start_clearance"] + values["world.collision_radius"]
+    radius = values["world.collision_radius"]
+    # A corridor start lies within start_offset_max of the axis, and the
+    # crash rule's wall test hits it past corridor_half_width - radius.
+    if values["world.start_offset_max"] > (
+            values["world.corridor_half_width"] - radius):
+        raise ConfigError(
+            "a corridor start can be in the wall: world.start_offset_max "
+            "exceeds world.corridor_half_width - world.collision_radius")
+    # (|cos| + |sin|) peaks at 45 degrees, so a yaw range past it is
+    # checked there.
+    widest = math.radians(min(values["world.gate_yaw_max_deg"], 45.0))
+    if not gate_passable(values["world.gate_half_width"],
+                         values["world.frame_thickness"], radius, widest):
+        raise ConfigError(
+            "gates cannot be passed: world.gate_half_width must exceed "
+            "(world.frame_thickness + world.collision_radius) * (|cos| + "
+            "|sin|) of the widest world.gate_yaw_max_deg")
+    # The corridor start sits at x = 0, CORRIDOR_MARGIN ahead of the back
+    # wall and 2 * gate_spacing behind the first gate, whose posts reach
+    # gate_half_width * sin(yaw) + frame_thickness along x from its
+    # center; the far wall stands d_max + CORRIDOR_MARGIN past the last.
+    post_x = values["world.frame_thickness"] + values["world.gate_half_width"] \
+        * math.sin(math.radians(values["world.gate_yaw_max_deg"]))
+    if (radius > CORRIDOR_MARGIN
+            or post_x + radius >= 2 * values["world.gate_spacing"]):
+        raise ConfigError(
+            f"a corridor start can be in collision: world.collision_radius "
+            f"must not exceed {CORRIDOR_MARGIN}, and world.gate_half_width * "
+            f"sin(world.gate_yaw_max_deg) + world.frame_thickness + "
+            f"world.collision_radius must stay below 2 * world.gate_spacing")
+    if post_x > values["world.d_max"] + CORRIDOR_MARGIN:
+        raise ConfigError(
+            f"the last gate's posts leave the corridor: world.gate_half_width "
+            f"* sin(world.gate_yaw_max_deg) + world.frame_thickness exceeds "
+            f"world.d_max + {CORRIDOR_MARGIN}")
+    clearance = values["world.start_clearance"] + radius
     if clearance > 0.25 * values["world.room_size"]:
         raise ConfigError(
             "start_clearance + collision_radius exceeds a quarter of room_size"

@@ -9,11 +9,13 @@ ParamSet layout is the genome codec: decoding a genome is one copy into
 the template's layout, and a stacked population reads as one
 (pop, *shape) view per tensor.
 
-Fitness evaluators receive the whole population per generation (a list of
-genome vectors, returning one score each). That lets the imitation
-evaluator encode the latent sequences once, since z never depends on the
-genome, pad the episodes to one length, and step every genome through
-every episode together: one batched tick per timestep.
+Fitness evaluators receive a generation's new genomes as one (n, dim)
+block, a view of evolve's population buffer that must not be kept past
+the call, and return one score per row. That lets the imitation
+evaluator score the block where it lies, encode the latent sequences
+once, since z never depends on the genome, pad the episodes to one
+length, and step every genome through every episode together: one
+batched tick per timestep.
 
 One kernel, _tick, runs the cell and head for the live drones of a
 flight (controller_step on an LstmBatch, one drone its B = 1 case) and
@@ -332,17 +334,19 @@ class ImitationEvaluator:
 
     The episodes are padded to the longest into (T, E, .) latent and action
     arrays with a (T, E) validity mask, so scoring makes T batched ticks
-    over (genomes, episodes) instead of one tick per recorded step. A call
-    splits the population into _shards over the usable cores. Each shard
-    runs the whole time loop with its own packed weights and _Work
-    buffers: the first in the calling process, every other one in a child
-    forked for the call, which sends its scores back through a pipe. The
-    shards share no interpreter lock, so they run in parallel. A short
-    read from a child raises EvolutionError, and every child is reaped
-    before the call returns or raises. One shard never forks. A genome's
-    arithmetic never mixes with another genome's (each has its own gemm
-    and its own error rows), so the scores do not depend on the shard
-    count, bit for bit.
+    over (genomes, episodes) instead of one tick per recorded step;
+    `episodes` views each episode's rows of those blocks. A call scores
+    an (n, dim) block of genomes (or a list of them) where it lies, keeps
+    no reference to it, and splits it into _shards over the usable
+    cores. Each shard runs the whole time loop with its own packed
+    weights and _Work buffers: the first in the calling process, every
+    other one in a child forked for the call, which sends its scores back
+    through a pipe. The shards share no interpreter lock, so they run in
+    parallel. A short read from a child raises EvolutionError, and every
+    child is reaped before the call returns or raises. One shard never
+    forks. A genome's arithmetic never mixes with another genome's (each
+    has its own gemm and its own error rows), so the scores do not depend
+    on the shard count, bit for bit.
     """
 
     def __init__(self, vae: VaeParams, data: Dataset,
@@ -353,33 +357,30 @@ class ImitationEvaluator:
             )
         self.template = template
         rec = data.record
-        self.episodes = [
-            (encode(vae, rec.features(lo, hi))[0], rec.actions[lo:hi])
-            for lo, hi in rec.spans()
-        ]
-        steps = max(len(acts) for _, acts in self.episodes)
-        n_eps = len(self.episodes)
-        self.zs = np.zeros((steps, n_eps, vae.k))
-        self.acts = np.zeros((steps, n_eps, 4))
-        self.mask = np.zeros((steps, n_eps))
-        for e, (zs, acts) in enumerate(self.episodes):
-            self.zs[: len(zs), e] = zs
-            self.acts[: len(acts), e] = acts
-            self.mask[: len(acts), e] = 1.0
-        self.total_count = 4 * sum(len(a) for _, a in self.episodes)
+        spans = rec.spans()
+        steps = max(hi - lo for lo, hi in spans)
+        self.zs = np.zeros((steps, len(spans), vae.k))
+        self.acts = np.zeros((steps, len(spans), 4))
+        self.mask = np.zeros((steps, len(spans)))
+        for e, (lo, hi) in enumerate(spans):
+            self.zs[: hi - lo, e] = encode(vae, rec.features(lo, hi))[0]
+            self.acts[: hi - lo, e] = rec.actions[lo:hi]
+            self.mask[: hi - lo, e] = 1.0
+        self.episodes = [(self.zs[: hi - lo, e], self.acts[: hi - lo, e])
+                         for e, (lo, hi) in enumerate(spans)]
+        self.total_count = 4 * sum(hi - lo for lo, hi in spans)
 
     def shards(self, pop: int) -> list[tuple[int, int]]:
         """The genome ranges a call on `pop` genomes scores, the first in
         this process and each other one in a child process."""
         return _shards(pop, self.zs.shape[1], _usable_cores())
 
-    def __call__(self, genomes: list[np.ndarray]) -> np.ndarray:
-        flat = np.stack([np.asarray(g, dtype=np.float64) for g in genomes])
-        if flat.shape[1] != genome_size(self.template):
+    def __call__(self, genomes: np.ndarray) -> np.ndarray:
+        flat = np.asarray(genomes, dtype=np.float64)
+        if flat.ndim != 2 or flat.shape[1] != genome_size(self.template):
             raise ContractError(
-                f"genome length {flat.shape[1]} does not match parameter "
-                f"count {genome_size(self.template)}"
-            )
+                f"genomes of shape {list(flat.shape)} are not rows of the "
+                f"parameter count {genome_size(self.template)}")
         (lo, hi), *rest = self.shards(len(flat))
         children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
         try:
@@ -494,13 +495,20 @@ def evolve(
     """Elitist evolution over flat genomes.
 
     The population seeds from N(0, INIT_SIGMA^2). Each generation scores
-    its new genomes (fitness takes the list of genome vectors and returns
-    one float each), keeps the `elites` best with ties broken toward the
+    its new genomes, keeps the `elites` best with ties broken toward the
     lower genome index, and refills by mutating uniformly drawn elites with
     N(0, mutation_sigma^2) noise. Elites carry over unchanged, together with
     their scores, so after generation 0 only the children are scored; the
     per-generation best never decreases and the best genome is never lost.
     Non-finite fitness aborts with the offending genome's population index.
+
+    The population is one (population, dim) buffer for the whole run.
+    fitness gets the new genomes as one (n, dim) view of it, which evolve
+    overwrites after the call, and returns one float per row. The elites
+    are copied to the top rows, and each child's noise is drawn straight
+    into its row, scaled, and its parent's row added: the draws, their
+    order and their sums are those of rng.normal (0.0 + sigma * z) over
+    all children at once.
     """
     cfg.validate()
     if dim < 1:
@@ -513,7 +521,7 @@ def evolve(
     best_fit = -math.inf
     for gen in range(cfg.generations):
         fresh = pop[len(fit) :]
-        new = np.asarray(fitness(list(fresh)), dtype=np.float64)
+        new = np.asarray(fitness(fresh), dtype=np.float64)
         if new.shape != (len(fresh),):
             raise EvolutionError(
                 f"fitness returned {new.shape}, wanted ({len(fresh)},)"
@@ -532,12 +540,12 @@ def evolve(
         history.append(
             GenerationStats(gen, float(fit[order[0]]), float(fit.mean()))
         )
-        elites = pop[order[: cfg.elites]]
-        parents = elites[rng.integers(0, cfg.elites, cfg.population - cfg.elites)]
-        children = parents + rng.normal(
-            0.0, cfg.mutation_sigma, (cfg.population - cfg.elites, dim)
-        )
-        pop = np.vstack([elites, children])
+        pop[: cfg.elites] = pop[order[: cfg.elites]]
+        parents = rng.integers(0, cfg.elites, cfg.population - cfg.elites)
+        for child, parent in zip(pop[cfg.elites :], parents.tolist()):
+            rng.standard_normal(out=child)
+            np.multiply(child, cfg.mutation_sigma, out=child)
+            np.add(child, pop[parent], out=child)
         fit = fit[order[: cfg.elites]]
     assert best_genome is not None
     return Genome(best_genome, best_fit), history

@@ -4,7 +4,8 @@ Two world kinds share one simulator. "fake" worlds are walled corridors
 along +x holding a row of rectangular gates; "real" worlds are square
 cluttered rooms with axis-aligned box obstacles and, normally, no gates.
 The drone is a point with a collision radius flying at a clamped altitude;
-its only sensor is a 1-D scanline of rays fanned over the heading.
+its only sensor is a 1-D scanline of rays fanned over the heading. Every
+start pose and every gate center sits at one altitude, SPAWN_Z.
 
 Conventions fixed here and relied on everywhere else:
   - angles in radians, wrapped to (-pi, pi]; yaw 0 points along +x
@@ -20,6 +21,8 @@ Conventions fixed here and relied on everywhere else:
   - a crash against a box means entering the box grown by collision_radius
     on every side, an inflated square rather than a rounded one, so off a
     box corner the reach is up to collision_radius * sqrt(2)
+  - a gate is passable when the straight path through its center along
+    its normal clears both grown posts (gate_passable)
 
 Every simulator kernel works on a batch: a Flock (B worlds packed into
 NaN-padded box slabs) and Drones (B states as arrays). fly steps one
@@ -50,6 +53,10 @@ import numpy as np
 from .errors import ContractError, FormatError
 
 FREE, GATE, OBSTACLE = 0, 1, 2
+SPAWN_Z = 1.5  # altitude of every start pose and every gate center
+# A corridor's back wall stands this far behind its start pose, and its
+# far wall this far past the last gate's sensor range.
+CORRIDOR_MARGIN = 4.0
 
 
 @dataclass(frozen=True)
@@ -216,6 +223,22 @@ def _gate_post_boxes(gate: Gate) -> np.ndarray:
         py = cy + sgn * gate.half_width * uy
         out[row] = (px - t, py - t, px + t, py + t)
     return out
+
+
+def gate_passable(half_width: float, frame_thickness: float, radius: float,
+                  yaw: float) -> bool:
+    """True if the straight path through a gate's center along its normal
+    clears both posts grown by radius, by point_in_collision's rule.
+
+    Each post is an axis-aligned square of half side frame_thickness at
+    half_width along the aperture direction u = (-sin yaw, cos yaw); grown
+    by radius, it reaches (frame_thickness + radius) * (|cos yaw| +
+    |sin yaw|) toward the path along u. The grown square is closed, so a
+    path that only touches its corner is in collision.
+    """
+    reach = (frame_thickness + radius) * (abs(math.cos(yaw))
+                                          + abs(math.sin(yaw)))
+    return half_width > reach
 
 
 def _solid_boxes(world: WorldSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -464,9 +487,10 @@ def clamp_action(a: Action, cfg: SimConfig = DEFAULT_SIM) -> Action:
 
 
 def step_dynamics(flock: Flock, drones: Drones, commands: np.ndarray,
-                  dt: float, cfg: SimConfig = DEFAULT_SIM) -> Drones:
-    """Integrate one step of every drone: yaw first, then body-frame
-    planar velocity, from (B, 4) command rows (vx, vy, vz, yaw_rate).
+                  cfg: SimConfig = DEFAULT_SIM) -> Drones:
+    """Integrate one step of cfg.dt for every drone: yaw first, then
+    body-frame planar velocity, from (B, 4) command rows (vx, vy, vz,
+    yaw_rate).
 
     The altitude is clamped to [z_min, z_max]; the odometer accumulates
     planar displacement only. A drone of the returned Drones is crashed
@@ -475,6 +499,7 @@ def step_dynamics(flock: Flock, drones: Drones, commands: np.ndarray,
     collision_radius. A crashed drone must not be stepped again; fly
     lands every crashed drone before the next tick.
     """
+    dt = cfg.dt
     if not (0.0 < dt <= 0.2):
         raise ContractError(f"dt must lie in (0, 0.2], got {dt}")
     # The integration runs per drone on Python floats, as math.hypot has
@@ -718,7 +743,7 @@ def fly(
             log.append((flock.ids, *((None, None) if blind else
                                      (scans[0].astype(np.int8), scans[1])),
                         commands, drones.pose.T, drones.crashed))
-        drones = step_dynamics(flock, drones, commands, cfg.dt, cfg)
+        drones = step_dynamics(flock, drones, commands, cfg)
     land(np.ones(len(drones), dtype=bool))
     return _lay_out(log, len(worlds), None if blind else cfg.scan_width), ends
 
@@ -764,7 +789,7 @@ def spawn_fake_world(seed: int, cfg: SimConfig = DEFAULT_SIM) -> WorldSpec:
         yaw = rng.uniform(-yaw_max, yaw_max)
         gates.append(
             Gate(
-                center=(cx, cy, 1.5),
+                center=(cx, cy, SPAWN_Z),
                 yaw=yaw,
                 half_width=cfg.gate_half_width,
                 frame_thickness=cfg.frame_thickness,
@@ -773,9 +798,9 @@ def spawn_fake_world(seed: int, cfg: SimConfig = DEFAULT_SIM) -> WorldSpec:
     start_y = rng.uniform(-cfg.start_offset_max, cfg.start_offset_max)
     start_yaw = rng.uniform(-1.0, 1.0) * math.radians(cfg.start_yaw_max_deg)
     bounds = (
-        -4.0,
+        -CORRIDOR_MARGIN,
         -cfg.corridor_half_width,
-        (n_gates + 1) * cfg.gate_spacing + cfg.d_max + 4.0,
+        (n_gates + 1) * cfg.gate_spacing + cfg.d_max + CORRIDOR_MARGIN,
         cfg.corridor_half_width,
     )
     return WorldSpec(
@@ -784,7 +809,7 @@ def spawn_fake_world(seed: int, cfg: SimConfig = DEFAULT_SIM) -> WorldSpec:
         obstacles=(),
         gates=tuple(gates),
         seed=int(seed),
-        start=(0.0, start_y, 1.5, start_yaw),
+        start=(0.0, start_y, SPAWN_Z, start_yaw),
     )
 
 
@@ -818,7 +843,8 @@ def spawn_real_world(
     collision radius from the start pose, and no box or gate post puts
     the start in collision by point_in_collision's rule. With with_gates,
     gates are placed in free gaps found by the widest-gap heuristic at
-    seeded probe poses.
+    seeded probe poses; a gap gate that is not gate_passable is skipped,
+    with no extra draw, so the gates after it keep their places.
     """
     if not (0.0 <= clutter_density <= 1.0):
         raise ContractError(f"density must lie in [0, 1], got {clutter_density}")
@@ -854,7 +880,7 @@ def spawn_real_world(
         obstacles=tuple(obstacles),
         gates=(),
         seed=int(seed),
-        start=(sx, sy, 1.5, syaw),
+        start=(sx, sy, SPAWN_Z, syaw),
     )
     if not with_gates:
         return world
@@ -872,7 +898,8 @@ def spawn_real_world(
             continue
         (g,) = _gap_gates(flock, np.array([[px], [py]]), np.array([pyaw]),
                           cfg)
-        if g is None:
+        if g is None or not gate_passable(g.half_width, g.frame_thickness,
+                                          cfg.collision_radius, g.yaw):
             continue
         gx, gy, _ = g.center
         margin = g.half_width + g.frame_thickness
@@ -950,7 +977,7 @@ def _gap_gates(flock: Flock, p: np.ndarray, yaw: np.ndarray,
         gates.append(Gate(
             center=(xb + cfg.d_gate * math.cos(theta),
                     yb + cfg.d_gate * math.sin(theta),
-                    1.5),
+                    SPAWN_Z),
             yaw=wrap_angle(theta),
             half_width=min(cfg.gate_half_width, chord / 2.0),
             frame_thickness=cfg.frame_thickness,
@@ -1034,7 +1061,8 @@ def validate_world(world: WorldSpec, cfg: SimConfig = DEFAULT_SIM) -> None:
         if o.min_x < bx0 or o.min_y < by0 or o.max_x > bx1 or o.max_y > by1:
             raise ContractError(f"obstacle {o} leaves bounds {world.bounds}")
     for g in world.gates:
-        if g.half_width <= cfg.collision_radius:
+        if not gate_passable(g.half_width, g.frame_thickness,
+                             cfg.collision_radius, g.yaw):
             raise ContractError(
                 f"gate aperture half width {g.half_width} not passable"
             )

@@ -222,8 +222,7 @@ def test_criterion_2_simulator_audit():
 
         act = rng.uniform([-SIM.v_max] * 3 + [-SIM.yaw_rate_max],
                           [SIM.v_max] * 3 + [SIM.yaw_rate_max])
-        nxt = step_dynamics(world.flock, Drones.of([state]), act[None],
-                            SIM.dt, SIM)
+        nxt = step_dynamics(world.flock, Drones.of([state]), act[None], SIM)
         if not nxt.crashed[0] and point_in_collision(
             world, nxt.x[0], nxt.y[0], SIM.collision_radius
         ):

@@ -159,6 +159,25 @@ def test_unreadable_or_non_finite_config_exits_one(tmp_path, capsys):
     assert "world.room_size" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting, keys", [
+    ("world.z_max=1.2", ["world.z_min", "world.z_max"]),
+    ("world.start_offset_max=2.9",
+     ["world.start_offset_max", "world.corridor_half_width"]),
+    ("world.gate_half_width=0.44",
+     ["world.gate_half_width", "world.frame_thickness"]),
+])
+def test_a_geometry_that_spawns_invalid_worlds_exits_one(setting, keys,
+                                                         tmp_path, capsys):
+    # Each once ran: every corridor started above the altitude band, or a
+    # start could sit in the wall, or no gate could be flown through.
+    assert cli.main(["gen-fake-data", "--set", setting,
+                     "--set", f"out_dir={tmp_path}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert all(key in err for key in keys)
+    assert not any(tmp_path.iterdir())
+
+
 def test_help_lists_every_stage_with_its_table_text(monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "200")
     with pytest.raises(SystemExit) as done:

@@ -2,7 +2,9 @@
 
 import dataclasses
 import inspect
+import math
 
+import numpy as np
 import pytest
 
 from cheatlab.autodiff import DenseTrainConfig
@@ -12,6 +14,7 @@ from cheatlab.errors import ConfigError
 from cheatlab.evaluation import eval_mean_distance, render_belief_strip
 from cheatlab.policy import EvolutionConfig, controller_template
 from cheatlab.vae import VaeTrainConfig
+from cheatlab import worldsim as ws
 from cheatlab.worldsim import DEFAULT_SIM, SimConfig
 
 # What RunConfig.section builds or calls from each prefix's keys.
@@ -121,6 +124,93 @@ def test_cross_field_checks():
         load_config(None, ["world.obstacle_max_side=0.1"])
     with pytest.raises(ConfigError):
         load_config(None, ["world.room_size=6"])  # clearance cannot fit
+
+
+def up(x: float) -> str:
+    return repr(float(np.nextafter(x, math.inf)))
+
+
+def down(x: float) -> str:
+    return repr(float(np.nextafter(x, -math.inf)))
+
+
+def assert_boundary(accepted: list[str], rejected: list[list[str]],
+                    keys: list[str]) -> ws.SimConfig:
+    """`accepted` loads and its corridors and rooms are valid; each of
+    `rejected` is a ConfigError naming every key in `keys`."""
+    for settings in rejected:
+        with pytest.raises(ConfigError) as err:
+            load_config(None, settings)
+        assert all(key in str(err.value) for key in keys), err.value
+    cfg = load_config(None, accepted).sim()
+    for seed in range(40):
+        ws.validate_world(ws.spawn_fake_world(seed, cfg), cfg)
+    for seed in range(5):
+        ws.validate_world(ws.spawn_real_world(seed, 0.4, True, cfg), cfg)
+    return cfg
+
+
+def test_the_z_band_must_hold_the_spawn_altitude():
+    assert ws.SPAWN_Z == 1.5
+    keys = ["world.z_min", "world.z_max"]
+    assert_boundary(["world.z_max=1.5"], [[f"world.z_max={down(1.5)}"]], keys)
+    assert_boundary(["world.z_min=1.5"], [[f"world.z_min={up(1.5)}"]], keys)
+
+
+def test_a_corridor_start_offset_must_keep_the_start_off_the_wall():
+    edge = DEFAULT_SIM.corridor_half_width - DEFAULT_SIM.collision_radius
+    cfg = assert_boundary(
+        [f"world.start_offset_max={edge!r}"],
+        [[f"world.start_offset_max={up(edge)}"]],
+        ["world.start_offset_max", "world.corridor_half_width",
+         "world.collision_radius"])
+    # The rule is the crash rule's wall test: a start at the offset edge
+    # is clear, one a rounding step further out is in the wall.
+    world = ws.spawn_fake_world(0, cfg)
+    r = cfg.collision_radius
+    for y in (edge, -edge):
+        assert not ws.point_in_collision(world, 0.0, y, r)
+        assert ws.point_in_collision(world, 0.0, float(np.nextafter(y, 2 * y)), r)
+
+
+def test_gates_must_be_passable_at_the_widest_yaw():
+    t, r = DEFAULT_SIM.frame_thickness, DEFAULT_SIM.collision_radius
+    keys = ["world.gate_half_width", "world.frame_thickness",
+            "world.collision_radius"]
+    for yaw_deg, widest in ((15.0, 15.0), (60.0, 45.0)):
+        yaw = math.radians(widest)
+        edge = (t + r) * (abs(math.cos(yaw)) + abs(math.sin(yaw)))
+        assert_boundary(
+            [f"world.gate_yaw_max_deg={yaw_deg}",
+             f"world.gate_half_width={up(edge)}"],
+            [[f"world.gate_yaw_max_deg={yaw_deg}",
+              f"world.gate_half_width={edge!r}"]], keys)
+    # The default gates admit a radius up to about 0.993.
+    with pytest.raises(ConfigError):
+        load_config(None, ["world.collision_radius=1.0"])
+    load_config(None, ["world.collision_radius=0.99"])
+
+
+def test_a_corridor_start_must_clear_its_back_wall_and_first_gate():
+    keys = ["world.collision_radius", "world.gate_half_width",
+            "world.gate_spacing"]
+    wide = ["world.gate_half_width=5.5", "world.corridor_half_width=6.7",
+            "world.room_size=24"]
+    cfg = assert_boundary(wide + ["world.collision_radius=4.0"],
+                          [wide + [f"world.collision_radius={up(4.0)}"]], keys)
+    assert ws.spawn_fake_world(0, cfg).bounds[0] == -ws.CORRIDOR_MARGIN
+    # The first gate's posts reach 8.7 * sin(60 deg) + 0.15 along x.
+    tilted = ["world.gate_yaw_max_deg=60", "world.corridor_half_width=10"]
+    assert_boundary(tilted + ["world.gate_half_width=8.7"],
+                    [tilted + ["world.gate_half_width=8.75"]], keys)
+
+
+def test_the_last_gates_posts_must_stay_inside_the_far_wall():
+    short = ["world.gate_yaw_max_deg=60", "world.corridor_half_width=7.5",
+             "world.d_max=1", "world.d_gate=1"]
+    assert_boundary(short + ["world.gate_half_width=5.5"],
+                    [short + ["world.gate_half_width=6"]],
+                    ["world.gate_half_width", "world.d_max"])
 
 
 def test_dump_reparses_to_identical_config(tmp_path):

@@ -325,7 +325,8 @@ def test_waves_with_rejections_match_one_flight_at_a_time(monkeypatch):
     assert rejections >= 2
     assert sum(end.crashed for _, ends in flights for end in ends) == rejections
     # Where every corridor crashes, both hit the cap with the same count.
-    hostile = load_config(None, ["world.collision_radius=1.0"]).sim()
+    hostile = load_config(None, ["world.collision_radius=0.99",
+                                 "world.start_offset_max=2.0"]).sim()
     with pytest.raises(GenerationError) as wave:
         ex.collect_trajectories("fake", 2, 400, seed=0, cfg=hostile)
     with pytest.raises(GenerationError) as alone:

@@ -5,6 +5,7 @@ the way the package flew before it had one flight loop, and must agree
 with the flight through `fly` bit for bit.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -41,8 +42,7 @@ def models():
 def step_one(world, state, act):
     """One drone's dynamics step: the batch kernel at B = 1."""
     row = np.array([[act.vx, act.vy, act.vz, act.yaw_rate]])
-    drones = ws.step_dynamics(world.flock, ws.Drones.of([state]), row,
-                              CFG.dt, CFG)
+    drones = ws.step_dynamics(world.flock, ws.Drones.of([state]), row, CFG)
     return drones.states()[0]
 
 
@@ -328,7 +328,9 @@ def _flier(kind: str, cfg, tables):
     dt=st.floats(0.005, 0.2),
     v_max=st.floats(0.1, 12.0),
     scan_width=st.integers(8, 512),
-    radius=st.floats(0.01, 3.5),
+    # The default gates are passable up to a radius of about 0.993, and
+    # load_config rejects a larger one.
+    radius=st.floats(0.01, 0.99),
     density=st.floats(0.0, 1.0),
     kind=st.sampled_from(["fake", "real"]),
     flier=st.sampled_from(["table", "expert"]),
@@ -383,6 +385,24 @@ def assert_record_holds_its_steps(rec):
         assert rec.states[row].tolist() == [*st.position, st.yaw, st.odometer,
                                             float(st.crashed)]
         assert all(type(v) is float for v in (*st.position, st.yaw, a.vx))
+
+
+def test_a_start_in_collision_is_a_crash_with_no_step_flown():
+    # No accepted config spawns one, so the world is built by hand: its
+    # start lies within collision_radius of the corridor wall.
+    good = ws.spawn_fake_world(0, CFG)
+    x, y, z, yaw = good.start
+    edge = CFG.corridor_half_width - CFG.collision_radius
+    bad = dataclasses.replace(good, start=(x, float(np.nextafter(edge, 9.0)),
+                                           z, yaw))
+    with pytest.raises(ContractError, match="start pose is in collision"):
+        ws.validate_world(bad, CFG)
+    rows = np.zeros((2, 4))
+    flight, ends = ws.fly([good, bad], lambda _f, drones, _s: rows[:len(drones)],
+                          5, CFG)
+    assert [len(ep) for ep in flight.episodes()] == [5, 0]
+    assert not ends[0].crashed
+    assert ends[1] == ws.DroneState((x, bad.start[1], z), yaw, 0.0, True)
 
 
 @pytest.mark.xfail(strict=True, reason="collisions are tested at step ends "

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -379,6 +380,14 @@ def test_population_evaluator_matches_reference_op():
     acts = np.concatenate([a for _, a in ev.episodes])
     zero = ev([np.zeros(size)])[0]
     assert np.isclose(zero, -np.mean(acts**2), rtol=1e-12, atol=0.0)
+    # The latents and actions are kept once: the episodes view the padded
+    # blocks, and a block of genomes scores as its rows listed do.
+    for zs, acts in ev.episodes:
+        assert np.shares_memory(zs, ev.zs) and np.shares_memory(acts, ev.acts)
+    block = np.stack(population)
+    assert np.array_equal(ev(block), ev(population))
+    with pytest.raises(ContractError):
+        ev(population[0])  # one genome is a row, not a block
 
 
 def random_corridor_dataset(rng, lengths, width=8):
@@ -633,6 +642,90 @@ def test_evolve_rejects_nan_fitness_and_bad_config():
         po.EvolutionConfig(elites=64, population=64).validate()
     with pytest.raises(ContractError):
         po.EvolutionConfig(mutation_sigma=0.0).validate()
+
+
+def reference_evolve(cfg, fitness, dim):
+    """evolve as it was written with a fresh array per step: the elites
+    gathered, their parents and the noise drawn as whole (children, dim)
+    arrays, and the population stacked anew every generation."""
+    rng = np.random.default_rng(cfg.seed)
+    pop = rng.normal(0.0, po.INIT_SIGMA, (cfg.population, dim))
+    fit = np.empty(0)
+    history, best_genome, best_fit = [], None, -math.inf
+    for gen in range(cfg.generations):
+        fresh = pop[len(fit):]
+        fit = np.concatenate([fit, np.asarray(fitness(list(fresh)))])
+        order = np.argsort(-fit, kind="stable")
+        if fit[order[0]] > best_fit:
+            best_fit, best_genome = float(fit[order[0]]), pop[order[0]].copy()
+        history.append(po.GenerationStats(gen, float(fit[order[0]]),
+                                          float(fit.mean())))
+        elites = pop[order[: cfg.elites]]
+        parents = elites[rng.integers(0, cfg.elites, cfg.population - cfg.elites)]
+        children = parents + rng.normal(
+            0.0, cfg.mutation_sigma, (cfg.population - cfg.elites, dim))
+        pop = np.vstack([elites, children])
+        fit = fit[order[: cfg.elites]]
+    return po.Genome(best_genome, best_fit), history
+
+
+def assert_evolves_as_reference(cfg, fitness, dim):
+    best, history = po.evolve(cfg, fitness, dim)
+    want, want_history = reference_evolve(cfg, fitness, dim)
+    assert np.array_equal(best.values, want.values)
+    assert best.fitness == want.fitness and history == want_history
+
+
+@pytest.mark.parametrize("population, elites, sigma, seed", [
+    (16, 3, 0.05, 7), (10, 9, 0.01, 1), (33, 1, 0.3, 4), (64, 8, 0.01, 0)])
+def test_evolve_in_place_keeps_the_bits_of_the_copying_loop(
+        population, elites, sigma, seed):
+    cfg = po.EvolutionConfig(population=population, elites=elites,
+                             mutation_sigma=sigma, generations=12, seed=seed)
+    assert_evolves_as_reference(cfg, sphere, dim=37)
+
+
+def test_evolve_in_place_keeps_the_bits_under_two_forked_shards(monkeypatch):
+    ev, _ = shard_evaluator(np.random.default_rng(23), 0)
+    monkeypatch.setattr(po, "_SHARD_ROWS", 1)
+    monkeypatch.setattr(po, "_usable_cores", lambda: 2)
+    assert ev.shards(12) == [(0, 6), (6, 12)]
+    cfg = po.EvolutionConfig(population=12, elites=3, mutation_sigma=0.05,
+                             generations=4, seed=5)
+    assert_evolves_as_reference(cfg, ev, po.genome_size(ev.template))
+
+
+def test_fitness_gets_one_block_of_the_population_buffer():
+    blocks = []
+
+    def keep(genomes):
+        blocks.append(genomes)
+        return np.zeros(len(genomes))
+
+    cfg = po.EvolutionConfig(population=9, elites=2, generations=3, seed=0)
+    po.evolve(cfg, keep, dim=4)
+    assert [b.shape for b in blocks] == [(9, 4), (7, 4), (7, 4)]
+    assert all(isinstance(b, np.ndarray) for b in blocks)
+    # Every generation's new rows are the same rows of one buffer.
+    assert blocks[1].base is blocks[0].base is blocks[2].base
+    assert np.shares_memory(blocks[0], blocks[1])
+
+
+def test_evolve_holds_one_population_buffer():
+    # The shipped population and genome size, a fitness that allocates
+    # nothing of the genomes' size: the peak is the population and the
+    # elite rows gathered each generation, not a copy per step.
+    cfg = po.EvolutionConfig(population=64, elites=8, generations=3, seed=0)
+    dim = po.genome_size(po.controller_template())
+    assert dim == 2996
+    np.random.default_rng(0)  # numpy.random's lazy import is not evolve's
+    tracemalloc.start()
+    try:
+        po.evolve(cfg, lambda genomes: np.zeros(len(genomes)), dim)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * cfg.population * dim
 
 
 # ---------------------------------------------------------------------------

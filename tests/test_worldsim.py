@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from cheatlab import worldsim as ws
-from cheatlab.errors import ContractError, FormatError
+from cheatlab.config import load_config
+from cheatlab.errors import ConfigError, ContractError, FormatError
 
 CFG = ws.DEFAULT_SIM
 
@@ -128,7 +131,8 @@ def step_one(world, state, command, dt=CFG.dt):
     """One drone's dynamics step from a (vx, vy, vz, yaw_rate) command:
     the batch kernel at B = 1."""
     drones = ws.step_dynamics(world.flock, ws.Drones.of([state]),
-                              np.array([command], dtype=np.float64), dt, CFG)
+                              np.array([command], dtype=np.float64),
+                              dataclasses.replace(CFG, dt=dt))
     return drones.states()[0]
 
 
@@ -249,11 +253,11 @@ def test_room_start_is_clear_by_the_square_crash_rule(tmp_path):
     # corner (start_clearance < (sqrt(2) - 1) * collision_radius) once let
     # a box corner cover the start: a 0-step episode that write_dataset
     # could not write.
-    from cheatlab.config import load_config
     from cheatlab.expert import collect_trajectories, read_dataset, write_dataset
 
     cfg = load_config(None, ["world.start_clearance=0",
-                             "world.collision_radius=1.0"]).sim()
+                             "world.collision_radius=1.0",
+                             "world.gate_half_width=1.5"]).sim()
     for seed in range(120):
         world = ws.spawn_real_world(seed, 1.0, cfg=cfg)
         sx, sy, _, _ = world.start
@@ -272,8 +276,72 @@ def test_spawn_real_world_with_gates_are_passable_and_inside():
         ws.validate_world(world, CFG)
         found += len(world.gates)
         for g in world.gates:
-            assert g.half_width > CFG.collision_radius
+            assert ws.gate_passable(g.half_width, g.frame_thickness,
+                                    CFG.collision_radius, g.yaw)
     assert found > 0
+
+
+@pytest.mark.parametrize("yaw_deg", [0.0, 10.0, -30.0, 45.0, 60.0, 135.0])
+def test_gate_passability_is_the_crash_rule_along_the_normal(yaw_deg):
+    yaw, t, r = math.radians(yaw_deg), CFG.frame_thickness, CFG.collision_radius
+    edge = (t + r) * (abs(math.cos(yaw)) + abs(math.sin(yaw)))
+    n = np.array([math.cos(yaw), math.sin(yaw)])
+    u = np.array([-math.sin(yaw), math.cos(yaw)])
+    for half_width, passable in ((edge + 1e-6, True), (edge - 1e-6, False)):
+        assert ws.gate_passable(half_width, t, r, yaw) == passable
+        gate = ws.Gate((0.0, 0.0, ws.SPAWN_Z), yaw, half_width, t)
+        world = ws.WorldSpec("real", (-50.0, -50.0, 50.0, 50.0), (), (gate,),
+                             0, (-20.0, 0.0, ws.SPAWN_Z, yaw))
+        # Points along the path through the center, densely and where it
+        # passes the grown posts' nearest corners.
+        along = list(np.linspace(-3.0, 3.0, 6001))
+        for sign in (1.0, -1.0):
+            corner = sign * (half_width * u - (t + r) * np.copysign(1.0, u))
+            along.append(float(corner @ n))
+        hits = [ws.point_in_collision(world, *(s * n), r) for s in along]
+        assert any(hits) != passable
+
+
+# The world.* geometry keys, each over a range that runs past what the
+# cross-key rules accept.
+GEOMETRY = {
+    "gate_offset_max": st.floats(0.0, 2.0),
+    "gate_yaw_max_deg": st.floats(0.0, 60.0),
+    "start_offset_max": st.floats(0.0, 4.0),
+    "start_yaw_max_deg": st.floats(0.0, 90.0),
+    "corridor_half_width": st.floats(0.5, 12.0),
+    "gate_half_width": st.floats(0.05, 8.0),
+    "frame_thickness": st.floats(0.01, 0.6),
+    "collision_radius": st.floats(0.01, 5.0),
+    "gate_spacing": st.floats(4.0, 12.0),
+    "n_gates": st.integers(1, 10),
+    "d_max": st.floats(0.5, 30.0),
+    "d_gate": st.floats(0.5, 20.0),
+    "room_size": st.floats(6.0, 40.0),
+    "start_clearance": st.floats(0.0, 4.0),
+    "obstacle_min_side": st.floats(0.05, 2.0),
+    "obstacle_max_side": st.floats(0.05, 4.0),
+    "z_min": st.floats(0.0, 2.0),
+    "z_max": st.floats(1.0, 4.0),
+}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(geometry=st.fixed_dictionaries(GEOMETRY),
+       seeds=st.lists(st.integers(0, 2**31), min_size=1, max_size=3))
+def test_every_accepted_geometry_spawns_valid_worlds(geometry, seeds):
+    try:
+        cfg = load_config(None, [f"world.{key}={value!r}"
+                                 for key, value in geometry.items()]).sim()
+    except ConfigError:
+        assume(False)
+    for seed in seeds:
+        ws.validate_world(ws.spawn_fake_world(seed, cfg), cfg)
+        for with_gates in (False, True):
+            ws.validate_world(
+                ws.spawn_real_world(seed, 0.4, with_gates, cfg), cfg)
 
 
 @pytest.mark.parametrize("size", ["1e200", "1e308"])
@@ -282,7 +350,6 @@ def test_a_huge_room_flies_without_overflow_warnings(size):
     # compares right; numpy must not report it.
     import warnings
 
-    from cheatlab.config import load_config
     from cheatlab.expert import expert_action
 
     cfg = load_config(None, [f"world.room_size={size}"]).sim()
