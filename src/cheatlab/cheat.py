@@ -330,15 +330,17 @@ def write_pairs(path, pairs: Pairs, meta: dict | None = None) -> None:
 
 
 def read_pairs(path) -> tuple[Pairs, dict]:
-    """Inverse of write_pairs; checks every record's dims against the
-    manifest's count, width and k, and the class codes."""
+    """Inverse of write_pairs; checks that it holds exactly the five
+    records, each one's dims against the manifest's count, width and k,
+    and the class codes."""
     records, meta = container.read_container(path)
     if meta.get("kind") != "pairs":
         raise IntegrityError(f"not a pair container: kind={meta.get('kind')!r}")
-    try:
-        arrays = [records[name] for name in _FIELDS]
-    except KeyError as err:
-        raise IntegrityError(f"pair container missing record {err}") from err
+    if set(records) != set(_FIELDS):
+        raise IntegrityError(
+            f"pair container holds records {sorted(records)!r:.80}, not "
+            f"{list(_FIELDS)}")
+    arrays = [records[name] for name in _FIELDS]
     count, width, k = (meta.get(key) for key in ("count", "width", "k"))
     want = [(count, width), (count, width), (count, k), (count, 4), (count, 6)]
     if [a.shape for a in arrays] != want:

@@ -58,7 +58,7 @@ def _collect(kind: str, prefix: str, artifact: str, text: str) -> Stage:
             clutter_density=cfg["data.clutter_density"],
         )
         write_dataset(data, out / artifact)
-        return {"episodes": len(data.episodes), "total_steps": data.total_steps}
+        return {"episodes": len(data.record), "total_steps": data.total_steps}
 
     return Stage(run, (), (artifact,), text)
 
@@ -186,9 +186,10 @@ def _stage_viz(cfg: RunConfig, out: Path, seed: int) -> dict:
     )
     cfg.section("viz", ev.render_belief_strip, trace=result, cheat=encoder,
                 vae=model, path=out / "belief_strip.pgm")
+    steps = len(result.record.actions)
     return {
-        "steps": len(result.steps),
-        "tiles": len(result.steps[:: cfg["viz.stride"]]),
+        "steps": steps,
+        "tiles": -(-steps // cfg["viz.stride"]),
         "odometer": result.final_state.odometer,
         "crashed": result.crashed,
     }

@@ -96,7 +96,7 @@ class Dataset:
     """Recorded episodes as one Record block, plus their provenance.
 
     `episodes` reads the block as TrajectorySteps, each built only when it
-    is indexed.
+    is indexed; only perfbench reads it (see Record.episodes).
     """
 
     record: Record
@@ -186,7 +186,7 @@ def collect_trajectories(
     return Dataset(record, kind, int(seed), manifest)
 
 
-_FIELDS = ("classes", "depth", "actions", "states")  # a Record's, per episode
+_FIELDS = ("classes", "depth", "actions", "states")  # a Record's, one record each
 
 # The manifest fields read_dataset reads, each with its type check.
 _MANIFEST = {
@@ -198,24 +198,24 @@ _MANIFEST = {
 
 
 def write_dataset(dataset: Dataset, path) -> None:
-    """Serialize into the shared container: four records per episode,
-    each a slice of the dataset's Record."""
+    """Serialize into the shared container as the Record lies in memory:
+    one record per field over the whole set, with the episode lengths in
+    the manifest as its only episode structure."""
     rec = dataset.record
-    records: dict[str, np.ndarray] = {}
-    for i, (lo, hi) in enumerate(rec.spans()):
-        for name in _FIELDS:
-            records[f"ep{i:05d}/{name}"] = getattr(rec, name)[lo:hi]
     meta = dict(dataset.manifest)
     meta["kind"] = "dataset"
     meta["world_kind"] = dataset.world_kind
     meta["generator_seed"] = dataset.generator_seed
     meta["episode_lengths"] = np.diff(rec.offsets).tolist()
-    container.write_container(path, records, meta)
+    container.write_container(
+        path, {name: getattr(rec, name) for name in _FIELDS}, meta)
 
 
 def read_dataset(path) -> Dataset:
     """Inverse of write_dataset; checks that the manifest holds its fields
-    with their types, then verifies it against the records."""
+    with their types, then verifies it against the records: exactly the
+    four of them, each of rank 2, sum(episode_lengths) rows, one scan
+    width, 4 action and 6 state columns, and class codes 0, 1, 2."""
     records, meta = container.read_container(path)
     if meta.get("kind") != "dataset":
         raise IntegrityError(f"not a dataset container: kind={meta.get('kind')!r}")
@@ -225,37 +225,23 @@ def read_dataset(path) -> Dataset:
         if not ok(meta[key]):
             raise IntegrityError(
                 f"dataset manifest {key} is ill-typed: {meta[key]!r:.80}")
-    lengths = meta["episode_lengths"]
-    episodes: list[Record] = []
-    width = None
-    for i, want in enumerate(lengths):
-        tag = f"ep{i:05d}"
-        try:
-            arrays = [records[f"{tag}/{name}"] for name in _FIELDS]
-        except KeyError as err:
-            raise IntegrityError(f"dataset missing record {err}") from err
-        classes, depth, actions, states = arrays
-        if any(a.ndim != 2 for a in arrays):
-            raise IntegrityError(
-                f"episode {i}: records of ranks {[a.ndim for a in arrays]}, "
-                f"not 2")
-        if not (len(classes) == len(depth) == len(actions) == len(states) == want):
-            raise IntegrityError(
-                f"episode {i}: manifest says {want} steps, records hold "
-                f"{len(classes)}/{len(depth)}/{len(actions)}/{len(states)}"
-            )
-        width = classes.shape[-1] if width is None else width
-        if [a.shape[1:] for a in arrays] != [(width,), (width,), (4,), (6,)]:
-            raise IntegrityError(
-                f"episode {i}: records of dims {[list(a.shape) for a in arrays]}"
-                f" do not hold {width}-wide scans, 4 actions and 6 states")
-        if not np.isin(classes, (FREE, GATE, OBSTACLE)).all():
-            raise IntegrityError(f"episode {i}: class codes outside 0, 1, 2")
-        episodes.append(Record(classes.astype(np.int8), depth, actions, states))
-    extra = len(records) - 4 * len(lengths)
-    if extra != 0:
+    if set(records) != set(_FIELDS):
         raise IntegrityError(
-            f"dataset holds {len(records)} records for {len(lengths)} episodes"
-        )
-    return Dataset(Record.join(episodes), meta["world_kind"],
-                   meta["generator_seed"], meta)
+            f"dataset holds records {sorted(records)!r:.80}, not {list(_FIELDS)}")
+    arrays = [records[name] for name in _FIELDS]
+    if any(a.ndim != 2 for a in arrays):
+        raise IntegrityError(
+            f"dataset records of ranks {[a.ndim for a in arrays]}, not 2")
+    classes, depth, actions, states = arrays
+    lengths = meta["episode_lengths"]
+    n, width = sum(lengths), classes.shape[1]
+    if [a.shape for a in arrays] != [(n, width), (n, width), (n, 4), (n, 6)]:
+        raise IntegrityError(
+            f"dataset records of dims {[list(a.shape) for a in arrays]} do not "
+            f"hold the manifest's {n} steps of {width}-wide scans, 4 actions "
+            "and 6 states")
+    if not np.isin(classes, (FREE, GATE, OBSTACLE)).all():
+        raise IntegrityError("dataset class codes outside 0, 1, 2")
+    record = Record(classes.astype(np.int8), depth, actions, states,
+                    np.cumsum([0] + lengths))
+    return Dataset(record, meta["world_kind"], meta["generator_seed"], meta)

@@ -351,7 +351,7 @@ class ImitationEvaluator:
 
     def __init__(self, vae: VaeParams, data: Dataset,
                  template: ControllerParams):
-        if data.world_kind != "fake" or not data.episodes:
+        if data.world_kind != "fake" or not len(data.record):
             raise ContractError(
                 "imitation fitness needs a nonempty corridor dataset"
             )
@@ -568,6 +568,7 @@ class RolloutResult:
 
     @property
     def steps(self) -> View:
+        """The flight's TrajectorySteps, for perfbench (Record.episodes)."""
         return self.record.episodes()[0]
 
 

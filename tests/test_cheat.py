@@ -403,6 +403,7 @@ def test_read_pairs_rejects_wrong_kind(frozen_vae, tmp_path):
     "poses cut to 3 columns",
     "class code 7",
     "depth missing",
+    "an extra record",
     "width not an integer",
 ])
 def test_read_pairs_rejects_malformed_records(pair_bank, tmp_path, edit):
@@ -421,6 +422,8 @@ def test_read_pairs_rejects_malformed_records(pair_bank, tmp_path, edit):
         records["classes"][2, 5] = 7.0
     elif edit == "depth missing":
         del records["depth"]
+    elif edit == "an extra record":
+        records["offsets"] = np.zeros((10, 1))
     else:
         meta["width"] = 64.5
     path = tmp_path / "bad.bin"

@@ -288,11 +288,28 @@ def test_a_dataset_record_of_rank_zero_exits_three(tmp_path, capsys):
     assert cli.main(["gen-fake-data", *tiny_args(out)]) == 0
     records, meta = read_container(out / "fake_data.bin")
     write_container(out / "fake_data.bin",
-                    {**records, "ep00000/classes": np.array(1.0)}, meta)
+                    {**records, "classes": np.array(1.0)}, meta)
     capsys.readouterr()
     assert cli.main(["train-vae", *tiny_args(out)]) == 3
     err = capsys.readouterr().err
     assert "train-vae:" in err and "ranks" in err and "Traceback" not in err
+
+
+def test_a_dataset_in_the_per_episode_layout_exits_three(tmp_path, capsys):
+    # Datasets were once written as four records per episode, named
+    # ep{i:05d}/{field}; such a file is refused, not read.
+    out = tmp_path / "old"
+    assert cli.main(["gen-fake-data", *tiny_args(out)]) == 0
+    records, meta = read_container(out / "fake_data.bin")
+    ends = np.cumsum([0] + meta["episode_lengths"]).tolist()
+    old = {f"ep{e:05d}/{name}": arr[lo:hi]
+           for e, (lo, hi) in enumerate(zip(ends, ends[1:]))
+           for name, arr in records.items()}
+    write_container(out / "fake_data.bin", old, meta)
+    capsys.readouterr()
+    assert cli.main(["train-vae", *tiny_args(out)]) == 3
+    err = capsys.readouterr().err
+    assert "train-vae:" in err and "ep00000/" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("trailer", [

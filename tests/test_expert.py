@@ -206,13 +206,16 @@ def test_read_rejects_a_manifest_field_missing_or_ill_typed(tmp_path):
 # the record block behind a dataset
 
 
-# sha256 of write_dataset's container for these collections, computed
-# when datasets were still written one step object at a time.
+# sha256 of write_dataset's container for these collections, re-pinned
+# when datasets became four whole-set records instead of four per
+# episode: the records' values are those of the per-episode files
+# (b64e46b9... and e914c46b...), laid end to end, and only the layout
+# moved the bytes.
 PINNED_CONTAINERS = {
     ("fake", 2, 40, 3):
-        "b64e46b93577e40d2414e77a0d0da6e335c7b8107cfe962d188a19a139c938a9",
+        "5a76d299e5dda201cb3531872d3f5b3e79f3f5bcddc296d5298e80a102ef1a40",
     ("real", 2, 30, 5):
-        "e914c46b74657f83e2b85002c78d20b5712514c2d17a6c184f6fa5488165b794",
+        "ddef68f2f2012d675ebeb067a326f75de56e028bb6003eefe4ba9f342bd69f93",
 }
 
 
@@ -364,11 +367,43 @@ def test_read_rejects_records_of_the_wrong_shape_or_codes(tmp_path):
     path = tmp_path / "d.bin"
     ex.write_dataset(small_dataset(episodes=2), path)
     records, meta = ct.read_container(path)
-    for name, bad in (("ep00001/actions", records["ep00001/actions"][:, :3]),
-                      ("ep00001/depth", records["ep00001/depth"][:, :-1]),
-                      ("ep00000/classes", records["ep00000/classes"] + 3.0),
-                      ("ep00000/classes", np.array(1.0))):
+    for name, bad in (("actions", records["actions"][:, :3]),
+                      ("depth", records["depth"][:, :-1]),
+                      ("classes", records["classes"] + 3.0),
+                      ("classes", np.array(1.0))):
         ct.write_container(path, dict(records, **{name: bad}), meta)
         with pytest.raises(IntegrityError):
             ex.read_dataset(path)
 
+
+@pytest.mark.parametrize("episodes", [1, 4])
+def test_a_written_dataset_is_four_whole_set_records(tmp_path, episodes):
+    from cheatlab import container as ct
+
+    data = ex.collect_trajectories("fake", episodes, 40, seed=3, cfg=CFG)
+    ex.write_dataset(data, tmp_path / "d.bin")
+    records, meta = ct.read_container(tmp_path / "d.bin")
+    assert list(records) == ["classes", "depth", "actions", "states"]
+    for name, arr in records.items():
+        assert arr.tobytes() == getattr(data.record, name).astype(float).tobytes()
+    assert meta["episode_lengths"] == np.diff(data.record.offsets).tolist()
+    assert len(meta["episode_lengths"]) == episodes
+
+
+def test_read_refuses_any_record_set_but_the_four(tmp_path):
+    # The per-episode layout datasets were once written in, a set missing
+    # a record and one with an extra record are each refused whole.
+    from cheatlab import container as ct
+
+    data = small_dataset(episodes=2)
+    path = tmp_path / "d.bin"
+    ex.write_dataset(data, path)
+    records, meta = ct.read_container(path)
+    per_episode = {f"ep{e:05d}/{name}": getattr(data.record.episode(e), name)
+                   for e in range(2) for name in records}
+    for bad in (per_episode,
+                {k: v for k, v in records.items() if k != "states"},
+                dict(records, offsets=np.array([[0.0]]))):
+        ct.write_container(path, bad, meta)
+        with pytest.raises(IntegrityError, match="dataset holds records"):
+            ex.read_dataset(path)

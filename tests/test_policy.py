@@ -329,7 +329,9 @@ def test_imitation_fitness_rejects_bad_data():
     model = vb.vae_init(3, (6, 4), 0, width=8)
     t = po.controller_template(k=3)
     g = np.zeros(po.genome_size(t))
-    empty = Dataset(Record.join([]), "fake", 0, {})
+    empty = Dataset(Record(np.zeros((0, 8), np.int8), np.zeros((0, 8)),
+                           np.zeros((0, 4)), np.zeros((0, 6)), np.zeros(1, int)),
+                    "fake", 0, {})
     with pytest.raises(ContractError):
         fitness_imitation(g, model, empty)
     with pytest.raises(ContractError):

@@ -13,11 +13,23 @@ from cheatlab.worldsim import (
     Action,
     Observation,
     Record,
-    clamp_action,
 )
 
 H = 1e-5
 TOL = 1e-6
+
+
+def clamp_action(a: Action, cfg=DEFAULT_SIM) -> Action:
+    """The reference clamp that baseline_action's rows are checked against:
+    each velocity to [-v_max, v_max], the yaw rate to [-yaw_rate_max,
+    yaw_rate_max], one Python float at a time."""
+    v, w = cfg.v_max, cfg.yaw_rate_max
+    return Action(
+        min(max(a.vx, -v), v),
+        min(max(a.vy, -v), v),
+        min(max(a.vz, -v), v),
+        min(max(a.yaw_rate, -w), w),
+    )
 
 
 def tiny_model(seed=0, k=3, hidden=(10, 6), width=8):
