@@ -27,7 +27,6 @@ is rejected with FormatError rather than read as a frozen tensor.
 from __future__ import annotations
 
 import hashlib
-import io
 import itertools
 import json
 import math
@@ -55,17 +54,18 @@ def params_digest(params: ParamSet) -> str:
     """
     h = hashlib.sha256()
     for name, t in params.items():
-        h.update(_record_bytes(name, t.data))
+        for part in _record_parts(name, t.data):
+            h.update(part)
     return h.hexdigest()
 
 
-def _record_bytes(name: str, arr: np.ndarray) -> bytes:
+def _record_parts(name: str, arr) -> tuple[bytes, np.ndarray]:
+    """A record's header, then its payload: the array itself when it is
+    C-ordered float64 already, so that writing and hashing read it in place."""
+    arr = np.asarray(arr, dtype="<f8", order="C")
     raw = name.encode("utf-8")
-    buf = [struct.pack("<I", len(raw)), raw, struct.pack("<I", arr.ndim)]
-    for d in arr.shape:
-        buf.append(struct.pack("<I", d))
-    buf.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    return b"".join(buf)
+    return struct.pack(f"<I{len(raw)}sI{arr.ndim}I", len(raw), raw, arr.ndim,
+                       *arr.shape), arr
 
 
 def _canonical_json(meta: Mapping) -> bytes:
@@ -75,24 +75,25 @@ def _canonical_json(meta: Mapping) -> bytes:
 def write_container(
     path, records: Mapping[str, np.ndarray], metadata: Mapping
 ) -> None:
-    """Write named float64 arrays plus a JSON trailer; see module layout."""
-    body = io.BytesIO()
-    body.write(MAGIC)
-    body.write(struct.pack("<I", VERSION))
-    body.write(struct.pack("<I", len(records)))
+    """Write named float64 arrays plus a JSON trailer; see module layout.
+    Each part goes to the file and to a running sha256 as it is made, so
+    only a record of another dtype (a dataset's int8 classes) is copied."""
     for name, arr in records.items():
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim > _MAX_RANK:
-            raise FormatError(f"record {name!r} rank {arr.ndim} > {_MAX_RANK}")
-        body.write(_record_bytes(name, arr))
-    meta = _canonical_json(metadata)
-    body.write(struct.pack("<Q", len(meta)))
-    body.write(meta)
-    payload = body.getvalue()
-    checksum = hashlib.sha256(payload).digest()
+        if np.ndim(arr) > _MAX_RANK:
+            raise FormatError(f"record {name!r} rank {np.ndim(arr)} > {_MAX_RANK}")
+    h = hashlib.sha256()
     with open(path, "wb") as f:
-        f.write(payload)
-        f.write(checksum)
+        def put(*parts) -> None:
+            for part in parts:
+                f.write(part)
+                h.update(part)
+
+        put(MAGIC, struct.pack("<II", VERSION, len(records)))
+        for name, arr in records.items():
+            put(*_record_parts(name, arr))
+        meta = _canonical_json(metadata)
+        put(struct.pack("<Q", len(meta)), meta)
+        f.write(h.digest())
 
 
 class _Reader:

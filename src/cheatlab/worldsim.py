@@ -627,49 +627,23 @@ class Record:
         return View(len(self), steps)
 
 
-# Ticks of a flight log laid out per block: enough to amortize a block's
-# calls at B = 1, few enough that a block's join stays small at large B.
-_LAY_TICKS = 64
+# Rows per world a recording flight's slabs start with, if max_steps is
+# more: above any shipped flight's length, and a longer flight re-strides.
+_STRIDE = 1024
 
 
-def _lay_out(log: list, n_worlds: int, width: int | None) -> Record:
-    """The record of a flight from its per-tick log, each world's steps
-    contiguous and in tick order.
-
-    Each tick's entry holds the live ids, the classes (as int8) and depth
-    (None when blind), the commands, the poses (B, 5) and the crash flags.
-    A drone live at tick t has recorded t steps before it, so its row for
-    tick t is its episode's first row plus t. Each field is scattered to
-    its rows _LAY_TICKS ticks at a time, each block of tick entries freed
-    once it is laid out. The field's output array is allocated whole
-    before that, so at the peak the flight's steps are held about twice
-    over: collect_trajectories("fake", 24, 600, seed=501) peaks at 15.1
-    MiB under tracemalloc for a 7.39 MiB Record.
-    """
-    ids, classes, depth, commands, poses, crashed = (
-        [list(field) for field in zip(*log)] or [[] for _ in range(6)])
-    log.clear()
-    ends = np.cumsum([0] + [len(live) for live in ids])
-    ids = np.concatenate(ids) if ids else np.zeros(0, np.int64)
-    offsets = np.concatenate([[0], np.cumsum(np.bincount(ids,
-                                                         minlength=n_worlds))])
-    rows = offsets[ids] + np.repeat(np.arange(len(ends) - 1), np.diff(ends))
-
-    def lay(parts: list, out: np.ndarray) -> np.ndarray:
-        for t in range(0, len(parts), _LAY_TICKS):
-            block = parts[t : t + _LAY_TICKS]
-            parts[t : t + _LAY_TICKS] = [None] * len(block)
-            out[rows[ends[t] : ends[t + len(block)]]] = np.concatenate(block)
-        return out
-
-    n = len(ids)
-    scans = (None, None) if width is None else (
-        lay(classes, np.empty((n, width), np.int8)),
-        lay(depth, np.empty((n, width))))
-    states = np.empty((n, 6))
-    lay(poses, states[:, :5])
-    lay(crashed, states[:, 5])
-    return Record(*scans, lay(commands, np.empty((n, 4))), states, offsets)
+def _slabs(n_worlds: int, stride: int, width: int,
+           old: Sequence[np.ndarray] = ()) -> list[np.ndarray]:
+    """Uninitialised classes (int8), depth, actions and states slabs of a
+    Record, world-major with `stride` rows per world; each world's rows of
+    the `old` slabs, if given, are copied to the head of its own."""
+    fresh = [np.empty((n_worlds * stride, cols), dtype) for cols, dtype in (
+        (width, np.int8), (width, np.float64), (4, np.float64), (6, np.float64))]
+    for slab, into in zip(old, fresh):  # 0-wide slabs have no -1 reshape
+        held, cols = len(slab) // n_worlds, into.shape[1]
+        into.reshape(n_worlds, stride, cols)[:, :held] = slab.reshape(
+            n_worlds, held, cols)
+    return fresh
 
 
 def fly(
@@ -697,11 +671,17 @@ def fly(
     exactly as it would alone.
 
     Returns the flight's Record, where episode i is world i's steps, and
-    each drone's end state, in world order. A tick is recorded as arrays:
-    the live ids, the scans, the commands, the poses and the crash flags,
-    laid out as that one Record when the flight ends. With record=False
-    every episode is empty and only the end states tell how each flight
-    went, so a large batch holds no scans past the tick that used them.
+    each drone's end state, in world order. Each Record field is recorded
+    into one world-major np.empty slab of stride rows per world: a drone
+    live at tick t has recorded t steps, so its row is its id * stride + t.
+    stride starts at min(max_steps, _STRIDE) and doubles, capped at
+    max_steps, when a drone reaches it. The flight then moves each world's
+    rows down to its episode and shrinks each slab in place (ndarray.resize
+    with no reference check: no view of a slab is handed out before), so
+    it holds its steps about once: collect_trajectories("fake", 24, 600,
+    seed=501) peaks at 10.4 MiB under tracemalloc for a 7.39 MiB Record.
+    With record=False no slab is allocated and every episode is empty;
+    only the end states tell how each flight went.
     """
     if max_steps < 1:
         raise ContractError(f"max_steps {max_steps} < 1")
@@ -712,34 +692,52 @@ def fly(
     # A drone whose start pose is already in collision has crashed there.
     drones = Drones(pose, point_in_collision(flock, pose[0], pose[1],
                                              cfg.collision_radius))
-    log = []  # per recorded tick, the fields _lay_out reads
+    width = 0 if blind else cfg.scan_width  # a blind Record's scans are None
+    stride = min(max_steps, _STRIDE) if record else 0
+    slabs = _slabs(len(worlds), stride, width)
     ends: list[DroneState | None] = [None] * len(worlds)
+    lengths = [0] * len(worlds)
 
-    def land(mask: np.ndarray) -> None:
+    def land(mask: np.ndarray, t: int) -> None:
+        """End the masked drones' flights before tick t."""
         nonlocal flock, drones
         for i, state in zip(flock.ids[mask].tolist(), drones.take(mask).states()):
-            ends[i] = state
+            ends[i], lengths[i] = state, t if record else 0
         flock, drones = flock.take(~mask), drones.take(~mask)
 
-    for _ in range(max_steps):
+    for t in range(max_steps):
         if drones.crashed.any():
-            land(drones.crashed)
+            land(drones.crashed, t)
         if done is not None and len(drones):
             over = done(flock, drones)
             if over.any():
-                land(over)
+                land(over, t)
         if not len(drones):
             break
         scans = None if blind else render_observation(flock, drones, cfg)
-        # A copy, so a flier may hand back a buffer it writes again.
-        commands = np.array(act(flock, drones, scans), dtype=np.float64)
+        commands = np.asarray(act(flock, drones, scans), dtype=np.float64)
         if record:
-            log.append((flock.ids, *((None, None) if blind else
-                                     (scans[0].astype(np.int8), scans[1])),
-                        commands, drones.pose.T, drones.crashed))
+            if t == stride:  # the longest episode has filled its rows
+                stride = min(2 * stride, max_steps)
+                slabs = _slabs(len(worlds), stride, width, slabs)
+            rows = flock.ids * stride + t
+            classes, depth, actions, states = slabs
+            if not blind:
+                classes[rows], depth[rows] = scans
+            actions[rows] = commands
+            states[rows, :5] = drones.pose.T
         drones = step_dynamics(flock, drones, commands, cfg)
-    land(np.ones(len(drones), dtype=bool))
-    return _lay_out(log, len(worlds), None if blind else cfg.scan_width), ends
+    land(np.ones(len(drones), dtype=bool), max_steps)
+    offsets = np.cumsum([0] + lengths)
+    for slab in slabs:
+        for i, (lo, n) in enumerate(zip(offsets.tolist(), lengths)):
+            if lo < i * stride:
+                slab[lo : lo + n] = slab[i * stride : i * stride + n]
+        slab.resize((int(offsets[-1]), slab.shape[1]), refcheck=False)
+    slabs[3][:, 5] = 0.0  # the crash flag: a crashed drone lands unrecorded
+    if blind:
+        slabs[:2] = None, None
+    return Record(*slabs, offsets), ends
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -407,3 +408,50 @@ def test_read_refuses_any_record_set_but_the_four(tmp_path):
         ct.write_container(path, bad, meta)
         with pytest.raises(IntegrityError, match="dataset holds records"):
             ex.read_dataset(path)
+
+
+# ---------------------------------------------------------------------------
+# memory: the shipped corridor set (24 episodes of up to 600 steps)
+
+
+def traced_peak(fn):
+    """fn's result and the tracemalloc peak of what it allocated."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def record_nbytes(record):
+    return sum(getattr(record, name).nbytes
+               for name in ("classes", "depth", "actions", "states"))
+
+
+@pytest.fixture(scope="module")
+def shipped_corridors():
+    """The set and the tracemalloc peak of collecting it."""
+    ex.collect_trajectories("fake", 1, 5, seed=0, cfg=CFG)  # lazy imports
+    return traced_peak(
+        lambda: ex.collect_trajectories("fake", 24, 600, seed=501, cfg=CFG))
+
+
+def test_a_corridor_collection_holds_its_steps_about_once(shipped_corridors):
+    # A flight records each tick where it ends up. A per-tick log laid out
+    # into the Record when the flight ended peaked at 1.95x the record.
+    data, peak = shipped_corridors
+    assert data.total_steps == 11810
+    assert peak < 1.6 * record_nbytes(data.record)
+
+
+def test_writing_a_dataset_copies_no_float64_record(shipped_corridors,
+                                                     tmp_path):
+    # Only the int8 classes are cast; headers and payloads stream to the
+    # file and the checksum. Copying each record into one in-memory body
+    # before the write peaked at 17.3 MiB here, above this bound.
+    rec = shipped_corridors[0].record
+    _, peak = traced_peak(lambda: ex.write_dataset(shipped_corridors[0],
+                                                   tmp_path / "d.bin"))
+    assert peak < record_nbytes(rec) + 8 * rec.classes.size

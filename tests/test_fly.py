@@ -7,6 +7,7 @@ with the flight through `fly` bit for bit.
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -403,6 +404,88 @@ def test_a_start_in_collision_is_a_crash_with_no_step_flown():
     assert [len(ep) for ep in flight.episodes()] == [5, 0]
     assert not ends[0].crashed
     assert ends[1] == ws.DroneState((x, bad.start[1], z), yaw, 0.0, True)
+
+
+# ---------------------------------------------------------------------------
+# the record slabs: a re-stride, an uncapped collection, no recording
+
+
+@pytest.mark.parametrize("blind", [False, True])
+def test_a_flight_past_the_stride_equals_single_flights(monkeypatch, blind):
+    # Episodes that end every way: a hover flies to the cap, a start in
+    # collision records nothing, a done ends one and two crash between
+    # re-strides. The batch re-strides 8 -> 16 -> 32 -> 64 -> 120; the
+    # single flights never reach the stride.
+    corridor = ws.spawn_fake_world(0, CFG)
+    x, _y, z, yaw = corridor.start
+    in_wall = dataclasses.replace(corridor,
+                                  start=(x, CFG.corridor_half_width, z, yaw))
+    rooms = {s: ws.spawn_real_world(s, 0.4, cfg=CFG) for s in (2, 0, 20, 10)}
+    worlds = [rooms[2], in_wall, rooms[0], rooms[20], rooms[10]]
+    steps = 120
+    tables = np.zeros((len(worlds), steps, 4))
+    tables[2:, :, 0] = np.array([1.0, CFG.v_max, CFG.v_max])[:, None]
+
+    def flier(tables):
+        ticks = itertools.count()
+
+        def act(flock, _drones, scans):
+            rows = tables[flock.ids, next(ticks)]
+            if scans is not None:
+                rows[:, 3] += 0.1 * np.array([row.mean() for row in scans[1]])
+            return rows
+
+        return act
+
+    done = lambda flock, drones: np.array(
+        [w is rooms[0] for w in flock.worlds]) & (drones.pose[4] > 2.0)
+    alone = [ws.fly([w], flier(tables[i : i + 1]), steps, CFG, blind=blind,
+                    done=done) for i, w in enumerate(worlds)]
+    strides = []
+
+    def slabs(n_worlds, stride, width, old=()):
+        strides.append(stride)
+        return make_slabs(n_worlds, stride, width, old)
+
+    make_slabs = ws._slabs
+    monkeypatch.setattr(ws, "_STRIDE", 8)
+    monkeypatch.setattr(ws, "_slabs", slabs)
+    batch, ends = ws.fly(worlds, flier(tables), steps, CFG, blind=blind,
+                         done=done)
+    assert strides == [8, 16, 32, 64, 120]
+    lengths = np.diff(batch.offsets).tolist()
+    assert lengths[:2] == [120, 0]
+    assert all(8 < n < 120 and n not in (16, 32, 64) for n in lengths[2:])
+    assert [end.crashed for end in ends] == [False, True, False, True, True]
+    for i, (record, (end,)) in enumerate(alone):
+        assert batch.episode(i) == record and ends[i] == end
+
+
+def test_an_uncapped_corridor_collection_sizes_no_slab_by_its_cap():
+    # Every corridor is done long before either cap, so both sets are the
+    # same; a slab of max_steps rows per world could not be allocated.
+    capped = collect_trajectories("fake", 3, 2000, seed=4, cfg=CFG)
+    uncapped = collect_trajectories("fake", 3, 10**9, seed=4, cfg=CFG)
+    assert uncapped.record == capped.record
+
+
+def test_a_flight_that_records_nothing_allocates_no_slab():
+    worlds = [ws.spawn_real_world(s, 0.4, cfg=CFG) for s in range(16)]
+    ws.fly(worlds[:1], hover, 2, CFG)  # lazy set-up outside the trace
+    calls = itertools.count()
+    stop = lambda flock, _drones: np.full(len(flock), next(calls) >= 3)
+    row_bytes = 9 * CFG.scan_width + 8 * (4 + 6)
+    tracemalloc.start()
+    try:
+        record, ends = ws.fly(worlds, hover, 1000, CFG, done=stop,
+                              record=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert record.offsets.tolist() == [0] * 17 and not len(record.actions)
+    assert all(end.odometer == 0.0 and not end.crashed for end in ends)
+    # the slabs of a recording flight would take 16 * 1000 rows
+    assert peak < 0.2 * 16 * 1000 * row_bytes
 
 
 @pytest.mark.xfail(strict=True, reason="collisions are tested at step ends "
