@@ -40,6 +40,7 @@ from .errors import (
 from .policy import ControllerParams
 from .vae import VaeParams, encode_rows, feature_rows
 from .worldsim import (
+    CORRIDOR_MARGIN,
     DEFAULT_SIM,
     FREE,
     GATE,
@@ -169,8 +170,9 @@ def matched_fake_observation(
                          for i in range(cfg.n_gates))
         half = max(cfg.corridor_half_width,
                    abs(lateral) + 2.0 * cfg.collision_radius)
-        bounds = (min(along, 0.0) - 4.0, -half,
-                  (cfg.n_gates - 1) * cfg.gate_spacing + cfg.d_max + 4.0, half)
+        bounds = (min(along, 0.0) - CORRIDOR_MARGIN, -half,
+                  (cfg.n_gates - 1) * cfg.gate_spacing + cfg.d_max
+                  + CORRIDOR_MARGIN, half)
         scenes.append(WorldSpec(kind="fake", bounds=bounds, obstacles=(),
                                 gates=corridor, seed=0,
                                 start=(along, lateral, z, heading)))

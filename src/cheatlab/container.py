@@ -11,12 +11,12 @@ Layout, all integers little-endian:
     meta             canonical JSON (sorted keys, compact separators)
     checksum 32 bytes sha256 over every preceding byte
 
-Structural violations (bad magic, unknown version, truncation, trailing
-garbage, a trailer that is not a JSON object) raise FormatError; checksum
-or digest disagreements raise IntegrityError. A record name or trailer
-that fails to decode raises IntegrityError when the checksum disagrees,
-else FormatError. Writing is deterministic: identical content yields
-identical bytes.
+FormatError: bad magic, unknown version, truncation, a name over 4096 bytes
+or a rank over 8 (which the writer refuses before it opens the file, as it
+does a dim of 2**32), a duplicate name, trailing bytes, a trailer that is
+not a JSON object. IntegrityError: a checksum or digest disagreement; a name
+or trailer that fails to decode is IntegrityError when the checksum
+disagrees, else FormatError. Identical content writes identical bytes.
 
 A checkpoint's trailer carries a "trainable" map, {name: true} for every
 tensor. Every parameter trains, so the map says nothing; it is kept so
@@ -30,6 +30,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -81,6 +82,10 @@ def write_container(
     for name, arr in records.items():
         if np.ndim(arr) > _MAX_RANK:
             raise FormatError(f"record {name!r} rank {np.ndim(arr)} > {_MAX_RANK}")
+        if len(name.encode("utf-8")) > _MAX_NAME:
+            raise FormatError(f"record name {name[:40]!r}.. over {_MAX_NAME} bytes")
+        if max(np.shape(arr), default=0) >> 32:
+            raise FormatError(f"record {name!r} dims {np.shape(arr)} out of u32")
     h = hashlib.sha256()
     with open(path, "wb") as f:
         def put(*parts) -> None:
@@ -96,82 +101,70 @@ def write_container(
         f.write(h.digest())
 
 
-class _Reader:
-    def __init__(self, blob: memoryview):
-        self.blob = blob
-        self.at = 0
-
-    def take(self, n: int) -> memoryview:
-        if self.at + n > len(self.blob):
-            raise FormatError(
-                f"file ended unexpectedly at byte {self.at} "
-                f"(wanted {n} more of {len(self.blob)})"
-            )
-        out = self.blob[self.at : self.at + n]
-        self.at += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-
 def read_container(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a container; returns (records, metadata) after verification.
 
-    The file is read once and parsed through a memoryview of it, so each
-    record is copied once, into its own array.
+    The mirror of write_container: one pass over the file in order, each
+    part fed to a running sha256 as it is read, and each record read once,
+    straight into its own array once its size is known to fit the file.
     """
     with open(path, "rb") as f:
-        blob = memoryview(f.read())
-    if len(blob) < 32:
-        raise FormatError(f"file too short ({len(blob)} bytes)")
-    payload, stored = blob[:-32], blob[-32:]
-    intact = hashlib.sha256(payload).digest() == stored
-    try:
-        records, meta = _parse(payload)
-    except ValueError as err:  # UnicodeDecodeError, JSONDecodeError
-        if not intact:
-            raise IntegrityError(f"checksum mismatch: {err}") from err
-        raise FormatError(f"undecodable content: {err}") from err
-    if not intact:
-        raise IntegrityError("checksum mismatch; file content was altered")
+        end = os.fstat(f.fileno()).st_size - 32
+        if end < 0:
+            raise FormatError(f"file too short ({end + 32} bytes)")
+        h, at = hashlib.sha256(), 0
+
+        def take(n: int, dims: tuple[int, ...] | None = None):
+            """The next n bytes, or with dims a float64 array of them. A file
+            cut short under the reader ends in a short digest, which fails."""
+            nonlocal at
+            if at + n > end:
+                raise FormatError(f"file ended unexpectedly at byte {at} "
+                                  f"(wanted {n} more of {end})")
+            out = bytearray(n) if dims is None else np.empty(dims, "<f8")
+            f.readinto(out)
+            h.update(out)
+            at += n
+            return out
+
+        try:
+            records, meta = _parse(take)
+        except ValueError as err:  # UnicodeDecodeError, JSONDecodeError
+            while at < end:
+                take(min(end - at, 1 << 20))
+            if h.digest() != f.read(32):
+                raise IntegrityError(f"checksum mismatch: {err}") from err
+            raise FormatError(f"undecodable content: {err}") from err
+        if at != end:
+            raise FormatError(f"{end - at} trailing bytes after trailer")
+        if h.digest() != f.read(32):
+            raise IntegrityError("checksum mismatch; file content was altered")
     return records, meta
 
 
-def _parse(payload: memoryview) -> tuple[dict[str, np.ndarray], dict]:
-    r = _Reader(payload)
-    if r.take(4) != MAGIC:
+def _parse(take: Callable) -> tuple[dict[str, np.ndarray], dict]:
+    if take(4) != MAGIC:
         raise FormatError(f"bad magic; expected {MAGIC!r}")
-    version = r.u32()
+    version, count = struct.unpack("<II", take(8))
     if version != VERSION:
         raise FormatError(f"unsupported version {version}, expected {VERSION}")
-    count = r.u32()
     records: dict[str, np.ndarray] = {}
     for _ in range(count):
-        name_len = r.u32()
+        (name_len,) = struct.unpack("<I", take(4))
         if name_len > _MAX_NAME:
             raise FormatError(f"record name length {name_len} out of bounds")
-        name = str(r.take(name_len), "utf-8")
-        rank = r.u32()
+        name = str(take(name_len), "utf-8")
+        (rank,) = struct.unpack("<I", take(4))
         if rank > _MAX_RANK:
             raise FormatError(f"record {name!r} rank {rank} out of bounds")
-        dims = tuple(r.u32() for _ in range(rank))
-        n = 1
-        for d in dims:
-            n *= d
-        data = np.frombuffer(r.take(8 * n), dtype="<f8").reshape(dims)
         if name in records:
             raise FormatError(f"duplicate record name {name!r}")
-        records[name] = data.astype(np.float64)
-    meta_len = r.u64()
-    meta = json.loads(str(r.take(meta_len), "utf-8"))
+        dims = struct.unpack(f"<{rank}I", take(4 * rank))
+        records[name] = take(8 * math.prod(dims), dims)
+    (meta_len,) = struct.unpack("<Q", take(8))
+    meta = json.loads(str(take(meta_len), "utf-8"))
     if not isinstance(meta, dict):
         raise FormatError("metadata trailer is not a JSON object")
-    if r.at != len(payload):
-        raise FormatError(f"{len(payload) - r.at} trailing bytes after trailer")
     return records, meta
 
 
@@ -194,13 +187,10 @@ def save_checkpoint(path, stage: str, params: ParamSet, metadata: Mapping,
     and the all-true trainable map are added.
     """
     digest = params_digest(params)
-    meta = dict(metadata)
-    meta.update(extra_meta or {})
-    meta["stage"] = stage
-    meta["params_digest"] = digest
-    meta["trainable"] = {name: True for name in params.names()}
-    records = {name: t.data for name, t in params.items()}
-    write_container(path, records, meta)
+    meta = {**metadata, **(extra_meta or {}), "stage": stage,
+            "params_digest": digest,
+            "trainable": dict.fromkeys(params.names(), True)}
+    write_container(path, {name: t.data for name, t in params.items()}, meta)
     return digest
 
 

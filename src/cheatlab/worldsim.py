@@ -241,14 +241,11 @@ def gate_passable(half_width: float, frame_thickness: float, radius: float,
 
 
 def _solid_boxes(world: WorldSpec) -> tuple[np.ndarray, np.ndarray]:
-    """All solid boxes as (N, 4) plus their per-box class codes (N,)."""
-    boxes = [np.array([(o.min_x, o.min_y, o.max_x, o.max_y)
-                       for o in world.obstacles]).reshape(-1, 4)]
-    classes = [np.full(len(world.obstacles), OBSTACLE, dtype=np.int64)]
-    for g in world.gates:
-        boxes.append(_gate_post_boxes(g))
-        classes.append(np.full(2, GATE, dtype=np.int64))
-    return np.concatenate(boxes), np.concatenate(classes)
+    """A world's solid boxes as (x0, y0, x1, y1) rows: its obstacles
+    (N, 4), then its gate posts (2G, 4), each gate's two in turn."""
+    return (np.array([(o.min_x, o.min_y, o.max_x, o.max_y)
+                      for o in world.obstacles]).reshape(-1, 4),
+            np.array([_gate_post_boxes(g) for g in world.gates]).reshape(-1, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +270,7 @@ class Flock:
                  "_reach")
 
     def __init__(self, worlds: Sequence[WorldSpec]):
-        solid = [_solid_boxes(w) for w in worlds]
-        obstacles = [boxes[classes == OBSTACLE] for boxes, classes in solid]
-        posts = [boxes[classes == GATE] for boxes, classes in solid]
+        obstacles, posts = zip(*(_solid_boxes(w) for w in worlds))
         n = max(len(o) for o in obstacles)
         boxes = np.full((n + max(len(p) for p in posts), len(worlds), 4),
                         np.nan)

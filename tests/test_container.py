@@ -1,5 +1,9 @@
 """Container and checkpoint round-trip, corruption, and digest tests."""
 
+import hashlib
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -188,6 +192,66 @@ def test_every_single_bit_flip_raises_a_documented_error(tmp_path):
             vb.load_vae(path)
         kinds.add(type(err.value))
     assert kinds == {FormatError, IntegrityError}
+
+
+def _reseal(blob: bytes) -> bytes:
+    """blob with its checksum recomputed over everything before it."""
+    return blob[:-32] + hashlib.sha256(blob[:-32]).digest()
+
+
+@pytest.mark.parametrize("old, new", [
+    (b"ab\x01", b"\xff\xfe\x01"),  # the record name: rank 1 follows it
+    (b'"zz"', b'"\xff\xff"'),  # a string in the JSON trailer
+    (b'"zz"}', b'"zz"]'),  # the trailer's JSON syntax
+])
+def test_undecodable_content_is_format_error_only_when_sealed(tmp_path, old,
+                                                              new):
+    path = tmp_path / "d.bin"
+    ct.write_container(path, {"ab": np.arange(3.0)}, {"k": "zz"})
+    blob = path.read_bytes()
+    assert blob.count(old) == 1
+    broken = blob.replace(old, new)
+    path.write_bytes(_reseal(broken))
+    with pytest.raises(FormatError, match="undecodable"):
+        ct.read_container(path)
+    path.write_bytes(broken)
+    with pytest.raises(IntegrityError, match="checksum mismatch"):
+        ct.read_container(path)
+
+
+def test_a_header_claiming_more_than_the_file_holds_allocates_nothing(
+        tmp_path):
+    # Dims of (2**32 - 1)**2 claim 2**67 bytes; the reader must measure
+    # them against the bytes left before it makes an array of them.
+    path = tmp_path / "d.bin"
+    ct.write_container(path, {"x": np.zeros((2, 2))}, {})
+    blob = bytearray(path.read_bytes())
+    head = struct.pack("<III", 2, 2, 2)  # rank 2, dims (2, 2)
+    at = blob.index(head)
+    blob[at : at + 12] = struct.pack("<III", 2, 2**32 - 1, 2**32 - 1)
+    path.write_bytes(_reseal(bytes(blob)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="ended unexpectedly"):
+            ct.read_container(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("name, arr, why", [
+    ("n" * 5000, np.zeros(3), "over 4096 bytes"),
+    ("wide", np.zeros((2**32, 0)), "out of u32"),
+], ids=["long-name", "wide-dim"])
+def test_write_refuses_what_read_refuses_and_leaves_the_target(tmp_path,
+                                                               name, arr, why):
+    path = tmp_path / "d.bin"
+    ct.write_container(path, {"x": np.zeros(3)}, {"k": 1})
+    before = path.read_bytes()
+    with pytest.raises(FormatError, match=why):
+        ct.write_container(path, {"x": np.zeros(3), name: arr}, {"k": 1})
+    assert path.read_bytes() == before
 
 
 def _controller():

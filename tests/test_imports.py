@@ -1,4 +1,5 @@
-"""Source hygiene: no module imports a name it never uses."""
+"""Source hygiene: no module imports a name it never uses, and the package
+defines no top-level name that nothing reads."""
 
 import ast
 from pathlib import Path
@@ -29,11 +30,47 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
                   if name not in read)
 
 
+def defined_names(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each top-level def, class and assigned name."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            out.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            out += [(node.lineno, n.id) for t in targets
+                    for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return out
+
+
+def read_names(source: str) -> set[str]:
+    """Every name a module reads: loaded names, attributes and the names
+    it imports. String literals do not count."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
 def test_the_scan_sees_every_source_tree():
     assert {path.relative_to(ROOT).parts[0] for path in FILES} == {
         "src", "tests", "demos", "perfbench"}
     assert unused_imports("import os\nfrom a import b as c\nc()\n"
                           "import d  # noqa: F401\n") == [(1, "os")]
+    source = ("import m\nfrom p import f\nA, (B, C) = 1, (2, 3)\n"
+              "D: int = 4\nclass K:\n    E = 5\ndef g():\n    return A\n"
+              "m.B\nx = 'C'\n")
+    assert defined_names(source) == [(3, "A"), (3, "B"), (3, "C"), (4, "D"),
+                                     (5, "K"), (7, "g"), (10, "x")]
+    assert {"A", "B", "f", "m"} <= read_names(source)
+    assert not {"C", "D", "E", "K", "g", "x"} & read_names(source)
 
 
 def test_no_module_imports_a_name_it_never_uses():
@@ -41,3 +78,12 @@ def test_no_module_imports_a_name_it_never_uses():
              for path in FILES
              for line, name in unused_imports(path.read_text())]
     assert not found, "imported but never used:\n" + "\n".join(found)
+
+
+def test_the_package_defines_no_name_that_nothing_reads():
+    read = set().union(*(read_names(path.read_text()) for path in FILES))
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in FILES if path.is_relative_to(ROOT / "src" / "cheatlab")
+             for line, name in defined_names(path.read_text())
+             if name not in read]
+    assert not found, "defined but never read:\n" + "\n".join(found)

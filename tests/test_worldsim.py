@@ -363,9 +363,11 @@ def test_a_huge_room_flies_without_overflow_warnings(size):
 def test_a_flock_packs_each_worlds_solid_boxes_and_follows_replace():
     world = ws.spawn_real_world(1, 0.4, with_gates=True, cfg=CFG)
     assert world.obstacles and world.gates
-    boxes, classes = ws._solid_boxes(world)
-    assert classes.tolist() == ([ws.OBSTACLE] * len(world.obstacles)
-                                + [ws.GATE] * 2 * len(world.gates))
+    obstacles, posts = ws._solid_boxes(world)
+    assert obstacles.shape == (len(world.obstacles), 4)
+    assert np.array_equal(posts, np.concatenate(
+        [ws._gate_post_boxes(g) for g in world.gates]))
+    boxes = np.concatenate([obstacles, posts])
 
     def packed(w):  # a one-world flock's boxes as (x0, y0, x1, y1) rows
         flock = ws.Flock([w])
@@ -380,7 +382,7 @@ def test_a_flock_packs_each_worlds_solid_boxes_and_follows_replace():
     bare = dataclasses.replace(world, gates=())
     n, rows = packed(bare)
     assert n == len(world.obstacles)
-    assert np.array_equal(rows, boxes[: len(world.obstacles)])
+    assert np.array_equal(rows, obstacles)
     checked = 0
     for g in world.gates:
         for x0, y0, x1, y1 in ws._gate_post_boxes(g):
