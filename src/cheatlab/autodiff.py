@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -78,39 +78,29 @@ def constant(data, name: str | None = None) -> Tensor:
 class ParamSet:
     """Ordered mapping from unique names to leaf tensors over one buffer.
 
-    The values live in one contiguous float64 array, `flat`: the tensors
-    in insertion order, each row-major. Every tensor's `.data` is a
-    C-contiguous view of `flat`, so writing through a tensor writes the
-    buffer and the reverse. This one layout is the serialization, genome
-    and gradient layout downstream; read or write `flat` for the whole
-    vector, and use `copy(values)` for a set over another vector. `add`
-    re-lays the buffer into a new array and re-points every tensor at it,
-    so an array taken from `flat` or from a `.data` before an `add` is
-    stale.
+    Built once from `tensors`, an ordered mapping from names to arrays:
+    their values are copied into one contiguous float64 array, `flat`, in
+    that order, each row-major, and every tensor is a trainable leaf whose
+    `.data` is a C-contiguous view of `flat`, so writing through a tensor
+    writes the buffer and the reverse. This one layout is the
+    serialization, genome and gradient layout downstream; read or write
+    `flat` for the whole vector, and use `copy(values)` for a set over
+    another vector.
     """
 
-    def __init__(self) -> None:
-        self.flat = np.zeros(0)
-        self._tensors: dict[str, Tensor] = {}
+    def __init__(self, tensors: Mapping[str, Array]) -> None:
         self._layout: dict[str, tuple[int, tuple[int, ...]]] = {}
-
-    def add(self, name: str, data) -> Tensor:
-        if name in self._tensors:
-            raise ContractError(f"duplicate parameter name {name!r}")
-        t = Tensor(data, name=name, trainable=True)
-        at = self.flat.size
-        flat = np.empty(at + t.data.size)
-        flat[:at] = self.flat
-        flat[at:] = t.data.ravel()
-        self._tensors[name] = t
-        self._layout[name] = (at, t.data.shape)
-        self._point(flat)
-        return t
-
-    def _point(self, flat: Array) -> None:
-        self.flat = flat
-        for name, view in self.views(flat).items():
-            self._tensors[name].data = view
+        at = 0
+        for name, data in tensors.items():
+            shape = np.shape(data)
+            self._layout[name] = (at, shape)
+            at += math.prod(shape)
+        self.flat = np.empty(at)
+        self._tensors: dict[str, Tensor] = {}
+        for name, view in self.views(self.flat).items():
+            view[...] = tensors[name]
+            leaf = self._tensors[name] = Tensor((), name, trainable=True)
+            leaf.data = view
 
     def _check(self, shape: tuple[int, ...]) -> None:
         if shape != self.flat.shape:
@@ -133,12 +123,6 @@ class ParamSet:
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
-    def __len__(self) -> int:
-        return len(self._tensors)
-
     def names(self) -> list[str]:
         return list(self._tensors)
 
@@ -148,14 +132,10 @@ class ParamSet:
     def copy(self, values: Array | None = None) -> "ParamSet":
         """A new set with this layout over a copy of `values` (this set's
         own by default); it shares no memory."""
-        flat = np.array(self.flat if values is None else values, dtype=np.float64)
+        flat = np.asarray(self.flat if values is None else values,
+                          dtype=np.float64)
         self._check(flat.shape)
-        out = ParamSet()
-        out._layout = dict(self._layout)
-        out._tensors = {name: Tensor((), name, trainable=True)
-                        for name in self._tensors}
-        out._point(flat)
-        return out
+        return ParamSet(self.views(flat))
 
 
 def dense_layout(prefix: str, sizes) -> list[tuple[str, tuple[int, ...]]]:
@@ -169,19 +149,17 @@ def dense_layout(prefix: str, sizes) -> list[tuple[str, tuple[int, ...]]]:
     return out
 
 
-def dense_init(params: ParamSet, prefix: str, sizes: list[int],
-               rng: np.random.Generator) -> None:
-    """Add the layers of a dense stack of the given widths to params, in
-    dense_layout's order: weights drawn from N(0, 1/fan_in) off rng, in
-    layer order, and zero biases.
+def dense_init(prefix: str, sizes: list[int],
+               rng: np.random.Generator) -> dict[str, Array]:
+    """The tensors of a dense stack of the given widths, {name: array} in
+    dense_layout's order, for a ParamSet: weights drawn from N(0, 1/fan_in)
+    off rng, in layer order, and zero biases.
     """
     if min(sizes) < 1:
         raise ContractError(f"bad dense layer sizes {list(sizes)} for {prefix!r}")
-    for name, shape in dense_layout(prefix, sizes):
-        if len(shape) == 2:
-            params.add(name, rng.standard_normal(shape) / np.sqrt(shape[1]))
-        else:
-            params.add(name, np.zeros(shape))
+    return {name: (rng.standard_normal(shape) / np.sqrt(shape[1])
+                   if len(shape) == 2 else np.zeros(shape))
+            for name, shape in dense_layout(prefix, sizes)}
 
 
 def _trace(root: Tensor) -> list[Tensor]:

@@ -118,9 +118,8 @@ def cheat_init(
     k: int, hidden: tuple[int, ...], seed: int, width: int = 64
 ) -> CheatEncoderParams:
     """Seeded init matching the autoencoder's: N(0, 1/fan_in), zero biases."""
-    params = ad.ParamSet()
-    ad.dense_init(params, "cheat", [2 * width, *hidden, k],
-                  np.random.default_rng(seed))
+    params = ad.ParamSet(ad.dense_init("cheat", [2 * width, *hidden, k],
+                                       np.random.default_rng(seed)))
     return CheatEncoderParams(params, k, tuple(hidden), width)
 
 

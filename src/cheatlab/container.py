@@ -21,7 +21,8 @@ disagrees, else FormatError. Identical content writes identical bytes.
 A checkpoint's trailer carries a "trainable" map, {name: true} for every
 tensor. Every parameter trains, so the map says nothing; it is kept so
 that checkpoint files keep their bytes, and a map holding any other value
-is rejected with FormatError rather than read as a frozen tensor.
+or over any other names is rejected with FormatError rather than read as a
+frozen tensor.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ _MAX_NAME = 4096
 def params_digest(params: ParamSet) -> str:
     """SHA-256 hex digest of a ParamSet's canonical serialization.
 
-    The byte stream is, per tensor in insertion order: name length (u32),
+    The byte stream is, per tensor in the set's order: name length (u32),
     utf-8 name, rank (u32), dims (u32 each), then the float64 payload in
     row-major little-endian order.
     """
@@ -231,9 +232,11 @@ def load_checkpoint(path, stage: str | None = None,
         if key not in meta:
             raise FormatError(f"checkpoint metadata missing {key!r}")
     flags = meta["trainable"]
-    if not isinstance(flags, dict) or any(v is not True for v in flags.values()):
+    if (not isinstance(flags, dict) or flags.keys() != records.keys()
+            or any(v is not True for v in flags.values())):
         raise FormatError("checkpoint metadata 'trainable' must map every "
-                          "name to true: no parameter is frozen")
+                          "tensor name, and only those, to true: no "
+                          "parameter is frozen")
     if stage is not None and meta["stage"] != stage:
         raise FormatError(f"expected a {stage} checkpoint, got {meta['stage']!r}")
     for key, convert in (keys or {}).items():
@@ -245,9 +248,7 @@ def load_checkpoint(path, stage: str | None = None,
             raise FormatError(
                 f"{meta['stage']} checkpoint metadata {key!r}: {err}"
             ) from None
-    params = ParamSet()
-    for name, arr in records.items():
-        params.add(name, arr)
+    params = ParamSet(records)
     digest = params_digest(params)
     if digest != meta["params_digest"]:
         raise IntegrityError(

@@ -72,9 +72,8 @@ def baseline_init(
     hidden: tuple[int, ...], seed: int, width: int = 64
 ) -> BaselineParams:
     """Seeded init, same scheme as every other stack here."""
-    params = ad.ParamSet()
-    ad.dense_init(params, "base", [2 * width, *hidden, 4],
-                  np.random.default_rng(seed))
+    params = ad.ParamSet(ad.dense_init("base", [2 * width, *hidden, 4],
+                                       np.random.default_rng(seed)))
     return BaselineParams(params, tuple(hidden), width)
 
 
@@ -180,6 +179,8 @@ def eval_mean_distance(
         raise ContractError("no evaluation seeds")
     if max_steps < 1:
         raise ContractError(f"max_steps {max_steps} < 1")
+    if hold_steps < 1:
+        raise ContractError(f"hold_steps {hold_steps} < 1")
     models = models or {}
     if pipeline == "cheat":
         cheat = _require_model(models, "cheat", CheatEncoderParams)

@@ -78,13 +78,12 @@ def controller_template(
     cfg: SimConfig = DEFAULT_SIM,
 ) -> ControllerParams:
     """All-zero controller fixing the shapes and genome layout."""
-    if k < 1 or h_dim < 1 or len(mlp_hidden) != 2:
+    if k < 1 or h_dim < 1 or len(mlp_hidden) != 2 or min(mlp_hidden) < 1:
         raise ContractError(
             f"bad controller architecture k={k} h_dim={h_dim} mlp={mlp_hidden}"
         )
-    params = ParamSet()
-    for name, shape in _layout(k, h_dim, mlp_hidden):
-        params.add(name, np.zeros(shape))
+    params = ParamSet({name: np.zeros(shape)
+                       for name, shape in _layout(k, h_dim, mlp_hidden)})
     out_scale = np.array([cfg.v_max, cfg.v_max, cfg.v_max, cfg.yaw_rate_max])
     return ControllerParams(params, k, h_dim, tuple(mlp_hidden), out_scale)
 
@@ -263,7 +262,7 @@ def genome_size(p: ControllerParams) -> int:
 
 def genome_from_controller(p: ControllerParams) -> np.ndarray:
     """A copy of the controller's flat parameter buffer: the tensors in
-    ParamSet insertion order, row-major each."""
+    ParamSet's order, row-major each."""
     return p.params.flat.copy()
 
 

@@ -65,10 +65,9 @@ def vae_init(
 ) -> VaeParams:
     """Seeded init: weights N(0, 1/fan_in), biases zero."""
     rng = np.random.default_rng(seed)
-    params = ad.ParamSet()
-    for prefix, sizes in _stacks(k, hidden, width):
-        ad.dense_init(params, prefix, sizes, rng)
-    return VaeParams(params, k, tuple(hidden), width)
+    enc, dec = [ad.dense_init(prefix, sizes, rng)
+                for prefix, sizes in _stacks(k, hidden, width)]
+    return VaeParams(ad.ParamSet(enc | dec), k, tuple(hidden), width)
 
 
 def _stacks(k: int, hidden, width: int) -> list[tuple[str, list[int]]]:

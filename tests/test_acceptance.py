@@ -115,51 +115,46 @@ def _primitive_case(kind: str, rng: np.random.Generator):
     """One (params, build) pair exercising a single primitive."""
     n = int(rng.integers(2, 6))
     m = int(rng.integers(2, 6))
-    ps = ad.ParamSet()
     if kind == "affine":
-        ps.add("w", rng.normal(size=(m, n)))
-        ps.add("x", rng.normal(size=n))
-        ps.add("b", rng.normal(size=m))
+        ps = ad.ParamSet({"w": rng.normal(size=(m, n)), "x": rng.normal(size=n),
+                          "b": rng.normal(size=m)})
         return ps, lambda p: _sq(ad.affine(p["w"], p["x"], p["b"]))
     if kind in ("tanh", "sigmoid", "exp"):
-        ps.add("x", rng.normal(size=n))
+        ps = ad.ParamSet({"x": rng.normal(size=n)})
         return ps, lambda p: _sq(ad.activation(kind, p["x"]))
     if kind == "relu":
         # keep inputs off the kink so the finite difference is valid
         x = rng.normal(size=n)
         x = np.where(np.abs(x) < 1e-2, x + np.sign(x + 0.5) * 0.1, x)
-        ps.add("x", x)
+        ps = ad.ParamSet({"x": x})
         return ps, lambda p: _sq(ad.activation("relu", p["x"]))
     if kind == "concat":
-        ps.add("a", rng.normal(size=n))
-        ps.add("b", rng.normal(size=m))
+        ps = ad.ParamSet({"a": rng.normal(size=n), "b": rng.normal(size=m)})
         return ps, lambda p: _sq(ad.concat(p["a"], p["b"]))
     if kind == "narrow":
-        ps.add("x", rng.normal(size=n + 2))
+        ps = ad.ParamSet({"x": rng.normal(size=n + 2)})
         start = int(rng.integers(0, 2))
         return ps, lambda p: _sq(ad.narrow(p["x"], start, start + n))
     if kind == "add":
-        ps.add("a", rng.normal(size=n))
-        ps.add("b", rng.normal(size=n))
+        ps = ad.ParamSet({"a": rng.normal(size=n), "b": rng.normal(size=n)})
         return ps, lambda p: _sq(ad.add(p["a"], p["b"]))
     if kind == "mul":
-        ps.add("a", rng.normal(size=n))
-        ps.add("b", rng.normal(size=n))
+        ps = ad.ParamSet({"a": rng.normal(size=n), "b": rng.normal(size=n)})
         return ps, lambda p: _sq(ad.mul(p["a"], p["b"]))
     if kind == "scale":
-        ps.add("x", rng.normal(size=n))
+        ps = ad.ParamSet({"x": rng.normal(size=n)})
         c = float(rng.normal())
         return ps, lambda p: _sq(ad.scale(p["x"], c))
     if kind == "vsum":
-        ps.add("x", rng.normal(size=n))
+        ps = ad.ParamSet({"x": rng.normal(size=n)})
         return ps, lambda p: ad.mul(ad.vsum(p["x"]), ad.vsum(p["x"]))
     if kind == "mse":
-        ps.add("pred", rng.normal(size=n))
+        ps = ad.ParamSet({"pred": rng.normal(size=n)})
         tgt = ad.constant(rng.normal(size=n))
         return ps, lambda p: ad.mse(p["pred"], tgt)
     if kind == "gaussian_kl":
-        ps.add("mu", rng.normal(size=n))
-        ps.add("logvar", rng.normal(size=n))
+        ps = ad.ParamSet({"mu": rng.normal(size=n),
+                          "logvar": rng.normal(size=n)})
         return ps, lambda p: ad.gaussian_kl(p["mu"], p["logvar"])
     raise AssertionError(kind)
 

@@ -18,11 +18,9 @@ from cheatlab.errors import FormatError, IntegrityError
 
 def sample_params(seed=0):
     rng = np.random.default_rng(seed)
-    p = ParamSet()
-    p.add("enc/w0", rng.normal(0, 1, (4, 6)))
-    p.add("enc/b0", rng.normal(0, 1, 4))
-    p.add("scalarish", np.asarray(rng.normal()))
-    return p
+    return ParamSet({"enc/w0": rng.normal(0, 1, (4, 6)),
+                     "enc/b0": rng.normal(0, 1, 4),
+                     "scalarish": np.asarray(rng.normal())})
 
 
 def test_roundtrip_bit_exact(tmp_path):
@@ -44,6 +42,10 @@ def test_roundtrip_bit_exact(tmp_path):
     {"enc/w0": 1},
     {"scalarish": None},
     ["enc/w0", "enc/b0", "scalarish"],
+    # The map must name every tensor and no other.
+    {},
+    {"enc/w0": True, "enc/b0": True, "scalarish": True, "ghost": True},
+    {"enc/w0": True, "scalarish": True},
 ])
 def test_a_checkpoint_that_freezes_a_tensor_is_format_error(tmp_path, flags):
     path = tmp_path / "x.ckpt"
@@ -54,6 +56,24 @@ def test_a_checkpoint_that_freezes_a_tensor_is_format_error(tmp_path, flags):
     ct.write_container(path, records, {**meta, "trainable": flags})
     with pytest.raises(FormatError, match="'trainable'"):
         ct.load_checkpoint(path)
+
+
+def test_loading_a_checkpoint_copies_its_parameters_once(tmp_path):
+    # 256 tensors of 64 x 64 (8 MiB): the records as read, plus one flat
+    # buffer, and nothing per tensor that grows with the set.
+    path = tmp_path / "many.ckpt"
+    rng = np.random.default_rng(3)
+    ct.save_checkpoint(path, "vae", ParamSet(
+        {f"t{i}": rng.normal(size=(64, 64)) for i in range(256)}), {})
+    tracemalloc.start()
+    try:
+        ckpt = ct.load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = ckpt.params.flat.nbytes
+    assert size == 256 * 64 * 64 * 8
+    assert peak < 2.5 * size, f"peak {peak / size:.2f}x the parameters"
 
 
 def test_save_is_deterministic(tmp_path):
@@ -68,9 +88,7 @@ def test_digest_is_64_hex_and_order_sensitive():
     d = ct.params_digest(p)
     assert len(d) == 64 and set(d) <= set("0123456789abcdef")
     assert ct.params_digest(sample_params()) == d
-    q = ParamSet()
-    for name, t in reversed(list(p.items())):
-        q.add(name, t.data.copy())
+    q = ParamSet({name: t.data for name, t in reversed(list(p.items()))})
     assert ct.params_digest(q) != d
 
 
@@ -333,9 +351,8 @@ def test_a_checkpoint_whose_tensors_disagree_with_its_metadata_is_refused(
         load(bad)
     # The right tensors in another order are another layout too.
     names = ckpt.params.names()
-    swapped = ParamSet()
-    for name in [names[1], names[0], *names[2:]]:
-        swapped.add(name, ckpt.params[name].data)
+    swapped = ParamSet({name: ckpt.params[name].data
+                        for name in [names[1], names[0], *names[2:]]})
     ct.save_checkpoint(bad, stage, swapped, meta)
     with pytest.raises(FormatError, match="tensor 0 is"):
         load(bad)

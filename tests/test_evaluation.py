@@ -94,6 +94,10 @@ def test_pipeline_model_mismatch_errors(tiny_models):
         ev.eval_mean_distance("warp", None, seeds=[0])
     with pytest.raises(ContractError):
         ev.eval_mean_distance("zero", None, seeds=[])
+    for hold_steps in (0, -3):
+        with pytest.raises(ContractError, match="hold_steps"):
+            ev.eval_mean_distance("random", None, seeds=[0], max_steps=5,
+                                  hold_steps=hold_steps)
 
 
 # ---------------------------------------------------------------------------

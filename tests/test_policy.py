@@ -244,6 +244,12 @@ def test_genome_roundtrip_and_size():
         po.controller_from_genome(vec[:-1], t)
 
 
+@pytest.mark.parametrize("mlp_hidden", [(0, 16), (-1, 16), (16, 0), (32,)])
+def test_a_controller_refuses_a_head_without_width(mlp_hidden):
+    with pytest.raises(ContractError, match="bad controller architecture"):
+        po.controller_template(k=4, h_dim=5, mlp_hidden=mlp_hidden)
+
+
 def test_each_genome_index_maps_to_exactly_one_entry():
     t = po.controller_template(k=2, h_dim=2, mlp_hidden=(3, 2))
     n = po.genome_size(t)

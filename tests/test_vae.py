@@ -231,9 +231,8 @@ def test_reparameterize_gradient_matches_finite_differences():
     mu0 = rng.normal(0, 1, 4)
     lv0 = rng.normal(0, 1, 4)
     eps = rng.normal(0, 1, 4)
-    params = ad.ParamSet()
-    mu = params.add("mu", mu0)
-    lv = params.add("lv", lv0)
+    params = ad.ParamSet({"mu": mu0, "lv": lv0})
+    mu, lv = params["mu"], params["lv"]
     loss = ad.vsum(vb.reparameterize(mu, lv, ad.constant(eps)))
     grads = ad.backward(loss, params)
 
