@@ -131,8 +131,9 @@ def collect_trajectories(
     the same arguments always reproduce the same dataset.
 
     A first wave that keeps every flight is the dataset's record as it
-    flew, with no copy; otherwise the kept episodes are joined in attempt
-    order.
+    flew, with no copy. A wave that rejects is cut to its kept episodes
+    as it lands, and the waves are joined in attempt order, so a
+    collection with rejections peaks at about twice its record.
     """
     if kind not in ("fake", "real"):
         raise ContractError(f"unknown world kind {kind!r}")
@@ -151,14 +152,16 @@ def collect_trajectories(
     # Each wave flies as many attempts as episodes are still missing, so
     # it can never keep too many; its results are taken in attempt order,
     # which keeps the same episodes and rejection count as one at a time.
-    kept: list[Record] = []
-    rejections = 0
-    attempt = 0
-    while len(kept) < n_episodes:
-        wave = range(attempt, attempt + n_episodes - len(kept))
+    # A wave that rejects is cut to its kept episodes before the next one
+    # flies, so no earlier wave's block stays alive.
+    parts: list[Record] = []
+    have = rejections = attempt = 0
+    while have < n_episodes:
+        wave = range(attempt, attempt + n_episodes - have)
         attempt = wave.stop
         worlds = [spawn(_derive_seed(seed, a)) for a in wave]
         flight, ends = fly(worlds, act, max_steps, cfg, done=done)
+        keep = []
         for e, end in enumerate(ends):
             if rejections > 10 * n_episodes:
                 raise GenerationError(
@@ -168,8 +171,14 @@ def collect_trajectories(
             if kind == "fake" and end.crashed:
                 rejections += 1
             else:
-                kept.append(flight.episode(e))
-    record = flight if not rejections else Record.join(kept)
+                keep.append(e)
+        if len(keep) == len(ends):
+            parts.append(flight)
+        elif keep:
+            parts.append(Record.join([flight.episode(e) for e in keep]))
+        have += len(keep)
+        del flight
+    record = parts[0] if len(parts) == 1 else Record.join(parts)
     lengths = np.diff(record.offsets).tolist()
     manifest = {
         "version": 1,

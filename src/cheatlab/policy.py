@@ -26,13 +26,15 @@ gemv per drone, so each flies bit for bit as it would alone; the
 evaluator keeps its stacked gemm. _pack stores the i/f/o gate columns
 negated, so the tick takes exp of the gate product directly. A population
 with enough rows (genomes x episodes) is scored in contiguous shards, one
-per usable core, every shard but the first in a forked child process; the
-shard count never changes a score's bytes.
+per usable core, every shard but the first in a forked child process that
+writes its rows of one shared score map in place, and a child that does
+not exit 0 raises; the shard count never changes a score's bytes.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import signal
 import sys
@@ -300,16 +302,6 @@ def controller_from_genome(
 _SHARD_ROWS = 192
 
 
-def _receive(fd: int, n: int) -> np.ndarray:
-    """The n float64 scores a shard's child writes to the pipe `fd`."""
-    data = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
-    if len(data) != 8 * n:
-        raise EvolutionError(
-            f"a shard process sent {len(data)} of {8 * n} score bytes"
-        )
-    return np.frombuffer(data, np.float64)
-
-
 def _usable_cores() -> int:
     """Cores this process may run on."""
     return len(os.sched_getaffinity(0))
@@ -339,13 +331,16 @@ class ImitationEvaluator:
     no reference to it, and splits it into _shards over the usable
     cores. Each shard runs the whole time loop with its own packed
     weights and _Work buffers: the first in the calling process, every
-    other one in a child forked for the call, which sends its scores back
-    through a pipe. The shards share no interpreter lock, so they run in
-    parallel. A short read from a child raises EvolutionError, and every
-    child is reaped before the call returns or raises. One shard never
-    forks. A genome's arithmetic never mixes with another genome's (each
-    has its own gemm and its own error rows), so the scores do not depend
-    on the shard count, bit for bit.
+    other one in a child forked for the call, which writes its scores
+    into its rows of one anonymous shared map of the call's n float64
+    scores and leaves. The shards share no interpreter lock, so they run
+    in parallel. A child that does not exit with status 0 raises
+    EvolutionError naming its genome range and status (negative: the
+    signal that ended it), and every child is reaped before the call
+    returns or raises. One shard never maps or forks. A genome's
+    arithmetic never mixes with another genome's (each has its own gemm
+    and its own error rows), so the scores do not depend on the shard
+    count, bit for bit.
     """
 
     def __init__(self, vae: VaeParams, data: Dataset,
@@ -381,50 +376,39 @@ class ImitationEvaluator:
                 f"genomes of shape {list(flat.shape)} are not rows of the "
                 f"parameter count {genome_size(self.template)}")
         (lo, hi), *rest = self.shards(len(flat))
-        children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+        if not rest:
+            return self._score(flat)
+        out = np.frombuffer(mmap.mmap(-1, 8 * len(flat)), np.float64)
+        children: list[int] = []  # pids not yet reaped, in the order of rest
         try:
             for a, b in rest:
-                children.append(self._fork(flat[a:b]))
-            scores = [self._score(flat[lo:hi])]
-            scores += [_receive(fd, b - a)
-                       for (_, fd), (a, b) in zip(children, rest)]
+                pid = os.fork()
+                if not pid:
+                    status = 1
+                    try:
+                        out[a:b] = self._score(flat[a:b])
+                        status = 0
+                    except Exception:
+                        traceback.print_exc()
+                        sys.stderr.flush()
+                    finally:
+                        os._exit(status)
+                children.append(pid)
+            out[lo:hi] = self._score(flat[lo:hi])
+            for a, b in rest:
+                code = os.waitstatus_to_exitcode(os.waitpid(children[0], 0)[1])
+                del children[0]
+                if code:
+                    raise EvolutionError(
+                        f"the process scoring genomes [{a}, {b}) exited "
+                        f"with status {code}")
         finally:
-            # Every child is reaped. One still scoring when the call fails
-            # is killed, not waited for; one that has sent its scores is
-            # already leaving, and the kill finds it gone or a zombie.
-            for pid, fd in children:
-                os.close(fd)
+            # A child still scoring when the call fails is killed, not
+            # waited for, and reaped.
+            for pid in children:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-        return np.concatenate(scores)
-
-    def _fork(self, flat: np.ndarray) -> tuple[int, int]:
-        """Start a child process that scores `flat`, writes the float64
-        scores to a pipe and leaves with os._exit; returns its pid and the
-        pipe's read end. The child inherits the evaluator and the genomes,
-        so nothing is sent to it."""
-        r, w = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(r)
-            os.close(w)
-            raise
-        if pid:
-            os.close(w)
-            return pid, r
-        status = 1
-        try:
-            os.close(r)
-            out = memoryview(self._score(flat)).cast("B")
-            while out:
-                out = out[os.write(w, out):]
-            status = 0
-        except Exception:
-            traceback.print_exc()
-            sys.stderr.flush()
-        finally:
-            os._exit(status)
+        return out.copy()
 
     def _score(self, flat: np.ndarray) -> np.ndarray:
         """Scores of a (pop, dim) genome stack over every episode."""

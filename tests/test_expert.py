@@ -446,6 +446,17 @@ def test_a_corridor_collection_holds_its_steps_about_once(shipped_corridors):
     assert peak < 1.6 * record_nbytes(data.record)
 
 
+def test_a_collection_with_rejections_keeps_no_wave_block_alive():
+    # Each rejecting wave is cut to its kept episodes before the next wave
+    # flies. Keeping every wave's block until one final join peaked at
+    # 2.45x the record here.
+    ex.collect_trajectories("fake", 1, 5, seed=0, cfg=CRASHY)  # lazy imports
+    data, peak = traced_peak(
+        lambda: ex.collect_trajectories("fake", 24, 600, seed=501, cfg=CRASHY))
+    assert data.total_steps < 24 * 600
+    assert peak < 2.2 * record_nbytes(data.record)
+
+
 def test_writing_a_dataset_copies_no_float64_record(shipped_corridors,
                                                      tmp_path):
     # Only the int8 classes are cast; headers and payloads stream to the

@@ -2,7 +2,9 @@
 
 import json
 import math
+import mmap
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -464,14 +466,22 @@ def force_three_shards(mp):
     mp.setattr(po, "_usable_cores", lambda: 3)
 
 
+def open_fds():
+    """The number of this process's open file descriptors, or None."""
+    fds = Path("/proc/self/fd")
+    return len(list(fds.iterdir())) if fds.is_dir() else None
+
+
 def test_forked_shards_leave_no_child(monkeypatch):
     ev, genomes = shard_evaluator(np.random.default_rng(20), 6)
     whole = ev(genomes)
     force_three_shards(monkeypatch)
     assert ev.shards(6) == [(0, 2), (2, 4), (4, 6)]
+    fds = open_fds()
     assert np.array_equal(ev(genomes), whole)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert open_fds() == fds
 
 
 def test_a_failing_shard_process_raises_and_is_reaped(monkeypatch, capfd):
@@ -487,7 +497,8 @@ def test_a_failing_shard_process_raises_and_is_reaped(monkeypatch, capfd):
         return scored
 
     monkeypatch.setattr(ev, "_score", fail_in("child"))
-    with pytest.raises(EvolutionError, match="sent 0 of 16 score bytes"):
+    with pytest.raises(EvolutionError,
+                       match=r"genomes \[2, 4\) exited with status 1$"):
         ev(genomes)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -500,18 +511,43 @@ def test_a_failing_shard_process_raises_and_is_reaped(monkeypatch, capfd):
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_a_child_killed_by_a_signal_raises_and_is_reaped(monkeypatch):
+    # A child that dies before writing its rows must not leave them zeros.
+    ev, genomes = shard_evaluator(np.random.default_rng(24), 6)
+    force_three_shards(monkeypatch)
+    parent, score = os.getpid(), ev._score
+
+    def scored(flat):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return score(flat)
+
+    monkeypatch.setattr(ev, "_score", scored)
+    with pytest.raises(EvolutionError, match=r"\[2, 4\) exited with status -9"):
+        ev(genomes)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_a_population_below_the_break_even_never_forks(monkeypatch):
     ev, genomes = shard_evaluator(np.random.default_rng(22), 128)
     forks, fork = [], os.fork
+    maps, shared = [], mmap.mmap
     monkeypatch.setattr(po.os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(po.mmap, "mmap", lambda *a: maps.append(a) or shared(*a))
     monkeypatch.setattr(po, "_usable_cores", lambda: 2)
     below = ev(genomes[:127])  # 381 rows, under 2 * _SHARD_ROWS
-    assert forks == []
+    assert forks == [] and maps == []
     assert np.array_equal(ev(genomes)[:127], below)  # 384 rows: one child
-    assert forks == [1]
+    assert forks == [1] and maps == [(-1, 8 * 128)]
     monkeypatch.setattr(po, "_usable_cores", lambda: 1)
     ev(genomes)
-    assert forks == [1]
+    # A one-shard call and an empty block neither map nor fork; a map of
+    # length 0 would raise.
+    force_three_shards(monkeypatch)
+    assert ev(np.empty((0, po.genome_size(ev.template)))).shape == (0,)
+    assert ev(genomes[:1]).shape == (1,)
+    assert forks == [1] and len(maps) == 1
 
 
 LIVE_POOL_RUN = """
