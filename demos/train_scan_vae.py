@@ -8,7 +8,7 @@ latent-space smoothness that the controller will later rely on.
 import numpy as np
 
 from cheatlab.expert import collect_trajectories
-from cheatlab.vae import VaeTrainConfig, decode, encode_rows, train_vae
+from cheatlab.vae import VaeTrainConfig, decode, encode, train_vae
 from cheatlab.worldsim import DEFAULT_SIM, _derive_seed
 
 cfg = DEFAULT_SIM
@@ -27,7 +27,7 @@ print(f"final/first ratio: {history[-1] / history[0]:.3f}")
 # reconstruction of one scan: the nets take (B, 2W) feature rows, here one
 rec = data.record
 n = len(data.episodes[0]) // 2
-mu, logvar = encode_rows(model, rec.features(n, n + 1))
+mu, logvar = encode(model, rec.features(n, n + 1))
 recon = decode(model, mu)
 classes, depth = recon.class_channel[0], recon.depth_channel[0]
 print("\nlatent mu:", np.round(mu[0], 2))
@@ -37,10 +37,10 @@ print("depth (recon):", np.round(depth[mid:mid + 8], 2))
 print("class (true) :", (rec.classes[n, mid:mid + 8] * 0.5).round(2))
 print("class (recon):", np.round(classes[mid:mid + 8], 2))
 
-# nearby scans should encode to nearby latents; encode_rows gives every
+# nearby scans should encode to nearby latents; encode gives every
 # row the latent it has alone
 x = rec.features(*rec.spans()[0])
-z, _ = encode_rows(model, x)
+z, _ = encode(model, x)
 dz = np.linalg.norm(np.diff(z, axis=0), axis=1)
 dobs = np.linalg.norm(np.diff(x, axis=0), axis=1)
 corr = np.corrcoef(dobs, dz)[0, 1]

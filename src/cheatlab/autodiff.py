@@ -260,7 +260,7 @@ def affine(w: Tensor, x: Tensor, b: Tensor) -> Tensor:
     return _result(y, (w, x, b), grad_fn_batch)
 
 
-# Each activation's forward map; the graph and plain-array forms share it.
+# Each activation's forward map; the graph and dense_rows share it.
 _FORWARD = {
     "tanh": np.tanh,
     "sigmoid": lambda x: 1.0 / (1.0 + np.exp(-x)),
@@ -287,33 +287,26 @@ def activation(kind: str, x: Tensor) -> Tensor:
     return _result(y, (x,), grad)
 
 
-def dense_stack(params: ParamSet, prefix: str, n_layers: int,
-                x: Tensor | Array, final: str | None = None) -> Tensor | Array:
-    """Dense stack: tanh between layers, `final` activation on the last.
-
-    A Tensor x builds graph nodes for backward. A plain array x runs the
-    same arithmetic on arrays and returns an array, with no graph: the
-    inference form, bit for bit the graph form's values.
-    """
-    plain = not isinstance(x, Tensor)
+def dense_stack(params: ParamSet, prefix: str, n_layers: int, x: Tensor,
+                final: str | None = None) -> Tensor:
+    """Dense stack: tanh between layers, `final` activation on the last."""
     h = x
     for i in range(n_layers):
-        w, b = params[f"{prefix}/w{i}"], params[f"{prefix}/b{i}"]
-        h = _affine(w.data, h, b.data) if plain else affine(w, h, b)
+        h = affine(params[f"{prefix}/w{i}"], h, params[f"{prefix}/b{i}"])
         kind = "tanh" if i < n_layers - 1 else final
         if kind is not None:
-            h = _FORWARD[kind](h) if plain else activation(kind, h)
+            h = activation(kind, h)
     return h
 
 
 def dense_rows(params: ParamSet, prefix: str, n_layers: int, x: Array,
                final: str | None = None) -> Array:
-    """dense_stack on (B, n) rows, each row with the bits dense_stack gives
-    that row alone as a vector.
+    """The inference form of dense_stack: (B, n) rows, each row with the
+    bits dense_stack gives that row alone as a vector.
 
     Each layer is one np.matvec, a gemv per row like w @ x, where
     dense_stack's batch form is one gemm (x @ w.T), which rounds
-    differently. This is the form for inputs that fly one per drone.
+    differently. Every net runs its inference rows through it.
     """
     h = x
     for i in range(n_layers):

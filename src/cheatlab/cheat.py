@@ -18,7 +18,7 @@ what lets the transferred policy fly rooms that contain no gates at all.
 
 Pairs are one struct-of-arrays block, Pairs. build_pairs draws rooms in
 waves, each through the batch kernels once (gate, real scans, matched
-scans) and vae.encode_rows, so each pair keeps the bits it has alone.
+scans) and vae.encode, so each pair keeps the bits it has alone.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .errors import (
     IntegrityError,
 )
 from .policy import ControllerParams
-from .vae import VaeParams, encode_rows, feature_rows
+from .vae import VaeParams, encode, feature_rows
 from .worldsim import (
     CORRIDOR_MARGIN,
     DEFAULT_SIM,
@@ -250,7 +250,7 @@ def build_pairs(
         gates = [g for g in gates if g is not None]
         flock, drones = flock.take(keep), drones.take(keep)
         classes, depth = render_observation(flock, drones, cfg)
-        mu, _ = encode_rows(vae, scan_features(
+        mu, _ = encode(vae, scan_features(
             *matched_fake_observation(gates, drones, cfg)))
         if not np.all(np.isfinite(mu)):
             raise GenerationError("frozen encoder produced a non-finite target")
@@ -269,7 +269,7 @@ def cheat_loss(p: CheatEncoderParams, pairs: Pairs) -> float:
     """Mean squared latent error over a pair block (the training objective)."""
     if not len(pairs):
         raise ContractError("no pairs to evaluate")
-    pred = ad.dense_stack(p.params, "cheat", len(p.hidden) + 1, pairs.features())
+    pred = cheat_encode(p, pairs.features())
     return float(np.mean((pred - pairs.target_mu) ** 2))
 
 

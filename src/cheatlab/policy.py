@@ -47,7 +47,7 @@ from . import container
 from .autodiff import ParamSet, dense_layout
 from .errors import ContractError, DimensionError, EvolutionError, FormatError
 from .expert import Dataset
-from .vae import VaeParams, encode, encode_rows
+from .vae import VaeParams, encode
 from .worldsim import (
     DEFAULT_SIM,
     DroneState,
@@ -321,7 +321,9 @@ class ImitationEvaluator:
     """Population-batched imitation fitness: the negative mean squared
     action error against the recorded expert, with the observations
     teacher-forced through the frozen encoder mean and the LSTM state
-    reset at every episode boundary.
+    reset at every episode boundary. Each step's latent has the bits a
+    flight computes for that scan alone (vae.encode), and an empty
+    episode is a column the mask leaves out.
 
     The episodes are padded to the longest into (T, E, .) latent and action
     arrays with a (T, E) validity mask, so scoring makes T batched ticks
@@ -345,9 +347,9 @@ class ImitationEvaluator:
 
     def __init__(self, vae: VaeParams, data: Dataset,
                  template: ControllerParams):
-        if data.world_kind != "fake" or not len(data.record):
+        if data.world_kind != "fake" or not data.total_steps:
             raise ContractError(
-                "imitation fitness needs a nonempty corridor dataset"
+                "imitation fitness needs a corridor dataset with steps"
             )
         self.template = template
         rec = data.record
@@ -578,7 +580,7 @@ def rollouts(
     """
     if encoder == "vae":
         kind = "fake"
-        see = lambda x: encode_rows(vae, x)[0]
+        see = lambda x: encode(vae, x)[0]
     elif encoder == "cheat":
         kind = "real"
         if cheat is None:

@@ -6,9 +6,9 @@ decoder mirrors the stack back to a sigmoid 2W reconstruction whose first
 W entries are the class channel and last W the depth channel. Training
 minimizes reconstruction MSE plus beta times the diagonal-Gaussian KL.
 
-Inference takes rows and gives rows: encode runs a dataset's (N, 2W)
-feature rows as one gemm per layer, while encode_rows and decode run
-(B, .) rows as one gemv per row, each row with the bits it has alone.
+Inference takes rows and gives rows: encode and decode run (B, .) rows
+as one gemv per row, so each row has the bits it has alone, whether it
+is one drone of a flight or one step of a recorded dataset.
 
 beta trades reconstruction for latent regularity. The default is small
 because the reconstruction term is a mean over 2W entries while the KL is
@@ -87,34 +87,13 @@ def feature_rows(p, x: np.ndarray) -> np.ndarray:
 
 
 def encode(p: VaeParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior parameters (mu, logvar), each [N, k], for N observations'
-    features (N, 2W), such as Record.features.
+    """Posterior parameters (mu, logvar), each [B, k], for B observations'
+    features (B, 2W): the live drones of a flight, or a dataset's steps
+    such as Record.features.
 
-    The rows are encoded as one batch, one gemm per layer. Inference runs
-    on plain arrays and builds no graph.
-    """
-    x = feature_rows(p, x)
-    if not len(x):
-        raise ContractError("encode needs at least one observation")
-    head = _encoder(p, x)
-    return head[:, : p.k].copy(), head[:, p.k :].copy()
-
-
-# The two halves: graph nodes for a Tensor input, an array for an array.
-def _encoder(p: VaeParams, x):
-    return ad.dense_stack(p.params, "enc", len(p.hidden) + 1, x)
-
-
-def _decoder(p: VaeParams, z):
-    return ad.dense_stack(p.params, "dec", len(p.hidden) + 1, z, final="sigmoid")
-
-
-def encode_rows(p: VaeParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(mu, logvar), each [B, k], for B drones' scan features (B, 2W).
-
-    Row b has the bits of drone b's row encoded alone: each layer is a
-    gemv per row (ad.dense_rows), where encode's dataset batch is one
-    gemm, which rounds differently.
+    Row b has the bits of row b encoded alone: each layer is a gemv per
+    row (ad.dense_rows). Inference runs on plain arrays and builds no
+    graph.
     """
     head = ad.dense_rows(p.params, "enc", len(p.hidden) + 1,
                          feature_rows(p, x))
@@ -146,11 +125,12 @@ def reparameterize(mu: ad.Tensor, logvar: ad.Tensor,
 
 def _elbo_graph(p: VaeParams, x: ad.Tensor, eps: np.ndarray, beta: float):
     """Shared single/batch graph; x is [2W] or [B, 2W], eps matches mu."""
-    head = _encoder(p, x)
+    n_layers = len(p.hidden) + 1
+    head = ad.dense_stack(p.params, "enc", n_layers, x)
     mu = ad.narrow(head, 0, p.k)
     logvar = ad.narrow(head, p.k, 2 * p.k)
     z = reparameterize(mu, logvar, ad.constant(eps))
-    recon = _decoder(p, z)
+    recon = ad.dense_stack(p.params, "dec", n_layers, z, final="sigmoid")
     loss = ad.add(
         ad.mse(recon, x), ad.scale(ad.gaussian_kl(mu, logvar), beta)
     )

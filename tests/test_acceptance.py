@@ -43,7 +43,7 @@ from cheatlab.policy import (
     genome_size,
     rollout,
 )
-from cheatlab.vae import VaeTrainConfig, encode_rows, train_vae
+from cheatlab.vae import VaeTrainConfig, encode, train_vae
 from cheatlab.worldsim import (
     DroneState,
     Drones,
@@ -291,8 +291,8 @@ def test_criterion_4_vae_training(vae_stack):
     for i, j in idx:
         d_obs.append(float(np.linalg.norm(x[i] - x[j])))
         # One-row blocks: a gemv per layer, as each observation alone.
-        mu_i = encode_rows(model, x[i][None])[0][0]
-        mu_j = encode_rows(model, x[j][None])[0][0]
+        mu_i = encode(model, x[i][None])[0][0]
+        mu_j = encode(model, x[j][None])[0][0]
         d_mu.append(float(np.linalg.norm(mu_i - mu_j)))
     rho = float(stats.spearmanr(d_obs, d_mu).statistic)
 

@@ -110,7 +110,7 @@ def matched_fake_reference(gate, state, cfg=DEFAULT_SIM):
 
 def lone_mu(vae, obs):
     """The frozen encoder's mean for one observation, encoded alone."""
-    return vb.encode_rows(vae, obs.features()[None])[0][0]
+    return vb.encode(vae, obs.features()[None])[0][0]
 
 
 def reference_pairs(real_seed, n_poses, vae, mode, density, cfg=DEFAULT_SIM):

@@ -191,7 +191,7 @@ def test_rollout_rejects_an_encoder_of_another_width(models):
 def test_vae_rollout_matches_per_step_controller(models, seed):
     vae, ctrl = models["vae"], models["controller"]
     world = ws.spawn_fake_world(seed, cfg=CFG)
-    command = controller_command(ctrl, lambda x: vb.encode_rows(vae, x)[0])
+    command = controller_command(ctrl, lambda x: vb.encode(vae, x)[0])
     steps, final = hand_flight(world, command, 120)
     assert_same_flight(po.rollout(world, vae, ctrl, 120, cfg=CFG),
                        steps, final)
@@ -219,7 +219,7 @@ def test_batched_rollouts_match_per_step_controllers(models, encoder):
         np.random.default_rng(7).normal(0, 1.0, po.genome_size(tmpl)), tmpl)
     if encoder == "vae":
         worlds = [ws.spawn_fake_world(s, cfg=CFG) for s in range(6)]
-        encode = lambda x: vb.encode_rows(vae, x)[0]
+        encode = lambda x: vb.encode(vae, x)[0]
     else:
         worlds = [ws.spawn_real_world(s, 0.4, cfg=CFG) for s in range(6)]
         encode = lambda x: ch.cheat_encode(cheat, x)

@@ -290,8 +290,8 @@ def fitness_imitation(
     ImitationEvaluator is checked against.
     """
     values = genome.values if isinstance(genome, po.Genome) else genome
-    if data.world_kind != "fake" or not data.episodes:
-        raise ContractError("imitation fitness needs a nonempty corridor dataset")
+    if data.world_kind != "fake" or not data.total_steps:
+        raise ContractError("imitation fitness needs a corridor dataset with steps")
     if template is None:
         template = po.controller_template(k=vae.k)
     ctrl = po.controller_from_genome(values, template)
@@ -300,7 +300,7 @@ def fitness_imitation(
     for ep in data.episodes:
         st = po.LstmBatch(ctrl, 1)
         for step in ep:
-            mu, _ = vb.encode_rows(vae, step.observation.features()[None])
+            mu, _ = vb.encode(vae, step.observation.features()[None])
             vx, vy, vz, yaw_rate = po.controller_step(ctrl, mu, st)[0]
             want = step.action
             total += (
@@ -337,16 +337,52 @@ def test_imitation_fitness_rejects_bad_data():
     model = vb.vae_init(3, (6, 4), 0, width=8)
     t = po.controller_template(k=3)
     g = np.zeros(po.genome_size(t))
-    empty = Dataset(Record(np.zeros((0, 8), np.int8), np.zeros((0, 8)),
-                           np.zeros((0, 4)), np.zeros((0, 6)), np.zeros(1, int)),
-                    "fake", 0, {})
-    with pytest.raises(ContractError):
-        fitness_imitation(g, model, empty)
-    with pytest.raises(ContractError):
-        po.ImitationEvaluator(model, empty, t)
+    # No episodes, or only empty ones: no step to score against.
+    for offsets in ([0], [0, 0, 0]):
+        empty = Dataset(Record(np.zeros((0, 8), np.int8), np.zeros((0, 8)),
+                               np.zeros((0, 4)), np.zeros((0, 6)),
+                               np.array(offsets)), "fake", 0, {})
+        with pytest.raises(ContractError):
+            fitness_imitation(g, model, empty)
+        with pytest.raises(ContractError, match="with steps"):
+            po.ImitationEvaluator(model, empty, t)
     ev = po.ImitationEvaluator(model, zero_action_dataset(), t)
     with pytest.raises(ContractError):
         ev([g[:-1]])
+
+
+def test_empty_episodes_add_nothing_to_the_scores():
+    # Episodes of length 0 (which read_dataset accepts) are columns the
+    # mask leaves out: the scores are those of the steps alone.
+    data = collect_trajectories("fake", 2, 40, seed=5, cfg=DEFAULT_SIM)
+    rec = data.record
+    arrays = (rec.classes, rec.depth, rec.actions, rec.states)
+    (_, b), (c, d) = rec.spans()
+    padded = Dataset(Record(*arrays, np.array([0, 0, b, b, d, d])), "fake", 5)
+    assert [len(ep) for ep in padded.episodes] == [0, b, 0, d - c, 0]
+    model = vb.vae_init(3, (12, 6), 1, width=DEFAULT_SIM.scan_width)
+    t = po.controller_template(k=3, h_dim=4, mlp_hidden=(6, 5))
+    genomes = np.random.default_rng(8).normal(0, 0.3, (4, po.genome_size(t)))
+    plain = po.ImitationEvaluator(model, data, t)
+    got = po.ImitationEvaluator(model, padded, t)(genomes)
+    assert got.tobytes() == plain(genomes).tobytes()
+    for row, g in zip(got, genomes):
+        assert math.isclose(row, fitness_imitation(g, model, padded, t),
+                            rel_tol=1e-12, abs_tol=1e-15)
+
+
+def test_teacher_forced_latents_are_the_ones_a_flight_computes():
+    # A flight encodes each drone's scan alone; evolution must score the
+    # controller on those very latents, bit for bit.
+    data = collect_trajectories("fake", 4, 150, seed=6, cfg=DEFAULT_SIM)
+    rec = data.record
+    model = vb.vae_init(8, (128, 64), 0, width=DEFAULT_SIM.scan_width)
+    ev = po.ImitationEvaluator(model, data, po.controller_template(k=8))
+    differ = [(e, i) for e, (lo, hi) in enumerate(rec.spans())
+              for i in range(hi - lo)
+              if ev.zs[i, e].tobytes() != vb.encode(
+                  model, rec.features(lo + i, lo + i + 1))[0][0].tobytes()]
+    assert not differ, f"{len(differ)} of {len(rec.actions)} latents differ"
 
 
 def test_population_evaluator_matches_reference_op():
@@ -364,9 +400,9 @@ def test_population_evaluator_matches_reference_op():
     ev = po.ImitationEvaluator(model, data, t)
 
     for (zs, acts), ep in zip(ev.episodes, episodes, strict=True):
-        want_z = vb.encode_rows(
+        want_z = vb.encode(
             model, np.stack([s.observation.features() for s in ep]))[0]
-        assert np.allclose(zs, want_z, rtol=1e-12, atol=1e-15)
+        assert zs.tobytes() == want_z.tobytes()
         assert np.array_equal(acts, [
             (s.action.vx, s.action.vy, s.action.vz, s.action.yaw_rate)
             for s in ep
