@@ -71,5 +71,5 @@ print(f"  belief strip written to {out} (top: real scan, bottom: what the "
 # what the controller "sees": latent agreement between both encoders on
 # the same real observation is NOT expected; the cheat encoder reports
 # corridor-like codes instead.
-z_cheat = cheat_encode(cheat, res.record.features(0, 1))
+z_cheat = cheat_encode(cheat, res.record.features([0]))
 print("cheat latent at start:", np.round(z_cheat[0], 2))

@@ -27,7 +27,7 @@ print(f"final/first ratio: {history[-1] / history[0]:.3f}")
 # reconstruction of one scan: the nets take (B, 2W) feature rows, here one
 rec = data.record
 n = len(data.episodes[0]) // 2
-mu, logvar = encode(model, rec.features(n, n + 1))
+mu, logvar = encode(model, rec.features([n]))
 recon = decode(model, mu)
 classes, depth = recon.class_channel[0], recon.depth_channel[0]
 print("\nlatent mu:", np.round(mu[0], 2))
@@ -39,7 +39,7 @@ print("class (recon):", np.round(classes[mid:mid + 8], 2))
 
 # nearby scans should encode to nearby latents; encode gives every
 # row the latent it has alone
-x = rec.features(*rec.spans()[0])
+x = rec.features(slice(*rec.spans()[0]))
 z, _ = encode(model, x)
 dz = np.linalg.norm(np.diff(z, axis=0), axis=1)
 dobs = np.linalg.norm(np.diff(x, axis=0), axis=1)

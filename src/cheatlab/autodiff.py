@@ -497,9 +497,10 @@ def fit_minibatch(
 
     cfg supplies epochs, batch and lr. Each epoch shuffles the rows with
     rng.permutation(n) and cuts the order into minibatches; loss_fn(idx, eps)
-    returns the scalar loss of rows idx. With noise_dim > 0 the epoch draws
-    an (n, noise_dim) standard-normal array right after its shuffle and eps
-    holds its rows idx; otherwise eps is None.
+    returns the scalar loss of rows idx and builds those rows' inputs
+    itself, so only one minibatch's are held at a time. With noise_dim > 0
+    the epoch draws an (n, noise_dim) standard-normal array right after its
+    shuffle and eps holds its rows idx; otherwise eps is None.
     """
     opt = Adam(cfg.lr)
     grads = params.copy()
@@ -517,12 +518,16 @@ def fit_minibatch(
     return history
 
 
-def fit_dense(params: ParamSet, prefix: str, n_layers: int, x: Array,
-              y: Array, cfg, rng: np.random.Generator) -> list[float]:
-    """fit_minibatch on the MSE between the dense stack's outputs for rows
-    of x and the same rows of y; returns the mean loss of each epoch."""
+def fit_dense(params: ParamSet, prefix: str, n_layers: int,
+              features: Callable[[Array], Array], y: Array, cfg,
+              rng: np.random.Generator) -> list[float]:
+    """fit_minibatch on the MSE between the dense stack's outputs for the
+    input rows features(idx) and the rows y[idx], over the len(y) rows;
+    returns the mean loss of each epoch. features is a block's own
+    (Record.features, Pairs.features), so each minibatch builds only its
+    rows and no whole-set input matrix is held."""
     def loss_fn(idx, _eps):
-        pred = dense_stack(params, prefix, n_layers, constant(x[idx]))
+        pred = dense_stack(params, prefix, n_layers, constant(features(idx)))
         return mse(pred, constant(y[idx]))
 
-    return fit_minibatch(params, loss_fn, len(x), cfg, rng)
+    return fit_minibatch(params, loss_fn, len(y), cfg, rng)

@@ -105,9 +105,10 @@ class Pairs:
         """The pairs at a slice or an index array, as a block of their own."""
         return Pairs(*(getattr(self, f.name)[rows] for f in fields(self)))
 
-    def features(self) -> np.ndarray:
-        """Encoder input (N, 2W) of the real scans, as scan_features."""
-        return scan_features(self.classes, self.depth)
+    def features(self, rows=slice(None)) -> np.ndarray:
+        """Encoder input of the real scans at an index, a slice or an index
+        array, as Record.features."""
+        return scan_features(self.classes[rows], self.depth[rows])
 
     def gate(self, i: int) -> Gate:
         x, y, z, yaw, half_width, frame_thickness = self.gates[i].tolist()
@@ -298,7 +299,7 @@ def train_cheat(
     p = cheat_init(vae.k, cfg.hidden, cfg.seed, pairs.classes.shape[1])
     rng = np.random.default_rng(_derive_seed(cfg.seed, "cheat-train"))
     history = ad.fit_dense(p.params, "cheat", len(p.hidden) + 1,
-                           pairs.features(), pairs.target_mu, cfg, rng)
+                           pairs.features, pairs.target_mu, cfg, rng)
     after = frozen_digests()
     if after != digests:
         raise FrozenWeightError(

@@ -83,11 +83,15 @@ def _stage_train_vae(cfg: RunConfig, out: Path, seed: int) -> dict:
 
 def _stage_train_policy(cfg: RunConfig, out: Path, seed: int) -> dict:
     model = vb.load_vae(out / "vae.ckpt")
-    data = read_dataset(out / "expert_data.bin")
     template = cfg.section("policy", po.controller_template, k=model.k, cfg=cfg.sim())
+    # The evaluator keeps the latents and actions it scores against, so
+    # neither the expert set nor the VAE is held while evolution runs.
+    fitness = po.ImitationEvaluator(
+        model, read_dataset(out / "expert_data.bin"), template)
+    del model
     best, history = po.evolve(
         cfg.section("evolve", po.EvolutionConfig, seed=seed),
-        po.ImitationEvaluator(model, data, template),
+        fitness,
         po.genome_size(template),
     )
     ctrl = po.controller_from_genome(best.values, template)

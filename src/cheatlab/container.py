@@ -34,7 +34,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -45,6 +45,7 @@ MAGIC = b"LCLB"
 VERSION = 1
 _MAX_RANK = 8
 _MAX_NAME = 4096
+_CHUNK = 1 << 19  # bytes of float64 payload cast at a time by the writer
 
 
 def params_digest(params: ParamSet) -> str:
@@ -61,13 +62,19 @@ def params_digest(params: ParamSet) -> str:
     return h.hexdigest()
 
 
-def _record_parts(name: str, arr) -> tuple[bytes, np.ndarray]:
-    """A record's header, then its payload: the array itself when it is
-    C-ordered float64 already, so that writing and hashing read it in place."""
-    arr = np.asarray(arr, dtype="<f8", order="C")
+def _record_parts(name: str, arr) -> Iterator[bytes | np.ndarray]:
+    """A record's header, then its payload in row chunks of about _CHUNK
+    bytes: views of the array when it is C-ordered float64 already, so that
+    writing and hashing read it in place, else float64 casts made one at a
+    time (a dataset's int8 classes)."""
+    arr = np.asarray(arr)
     raw = name.encode("utf-8")
-    return struct.pack(f"<I{len(raw)}sI{arr.ndim}I", len(raw), raw, arr.ndim,
-                       *arr.shape), arr
+    yield struct.pack(f"<I{len(raw)}sI{arr.ndim}I", len(raw), raw, arr.ndim,
+                      *arr.shape)
+    rows = np.atleast_1d(arr)
+    step = max(1, _CHUNK // (8 * max(1, math.prod(rows.shape[1:]))))
+    for at in range(0, len(rows), step):
+        yield np.asarray(rows[at : at + step], dtype="<f8", order="C")
 
 
 def _canonical_json(meta: Mapping) -> bytes:
@@ -79,7 +86,8 @@ def write_container(
 ) -> None:
     """Write named float64 arrays plus a JSON trailer; see module layout.
     Each part goes to the file and to a running sha256 as it is made, so
-    only a record of another dtype (a dataset's int8 classes) is copied."""
+    only a record of another dtype (a dataset's int8 classes) is copied,
+    one row chunk at a time."""
     for name, arr in records.items():
         if np.ndim(arr) > _MAX_RANK:
             raise FormatError(f"record {name!r} rank {np.ndim(arr)} > {_MAX_RANK}")
@@ -89,16 +97,17 @@ def write_container(
             raise FormatError(f"record {name!r} dims {np.shape(arr)} out of u32")
     h = hashlib.sha256()
     with open(path, "wb") as f:
-        def put(*parts) -> None:
+        def put(parts) -> None:
             for part in parts:
                 f.write(part)
                 h.update(part)
+                del part  # a cast chunk goes before the next one is made
 
-        put(MAGIC, struct.pack("<II", VERSION, len(records)))
+        put((MAGIC, struct.pack("<II", VERSION, len(records))))
         for name, arr in records.items():
-            put(*_record_parts(name, arr))
+            put(_record_parts(name, arr))
         meta = _canonical_json(metadata)
-        put(struct.pack("<Q", len(meta)), meta)
+        put((struct.pack("<Q", len(meta)), meta))
         f.write(h.digest())
 
 

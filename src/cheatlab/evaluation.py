@@ -104,7 +104,7 @@ def train_baseline(
     p = baseline_init(cfg.hidden, cfg.seed, width=real_data.record.width)
     rng = np.random.default_rng(_derive_seed(cfg.seed, "baseline-train"))
     history = ad.fit_dense(p.params, "base", len(p.hidden) + 1,
-                           real_data.record.features(),
+                           real_data.record.features,
                            real_data.record.actions, cfg, rng)
     return p, history
 

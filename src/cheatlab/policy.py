@@ -351,6 +351,9 @@ class ImitationEvaluator:
             raise ContractError(
                 "imitation fitness needs a corridor dataset with steps"
             )
+        if template.k != vae.k:
+            raise DimensionError(f"a controller template of k={template.k} "
+                                 f"cannot read latents of the VAE's k={vae.k}")
         self.template = template
         rec = data.record
         spans = rec.spans()
@@ -359,7 +362,7 @@ class ImitationEvaluator:
         self.acts = np.zeros((steps, len(spans), 4))
         self.mask = np.zeros((steps, len(spans)))
         for e, (lo, hi) in enumerate(spans):
-            self.zs[: hi - lo, e] = encode(vae, rec.features(lo, hi))[0]
+            self.zs[: hi - lo, e] = encode(vae, rec.features(slice(lo, hi)))[0]
             self.acts[: hi - lo, e] = rec.actions[lo:hi]
             self.mask[: hi - lo, e] = 1.0
         self.episodes = [(self.zs[: hi - lo, e], self.acts[: hi - lo, e])

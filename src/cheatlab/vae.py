@@ -160,7 +160,9 @@ def train_vae(data: Dataset, cfg: VaeTrainConfig) -> tuple[VaeParams, list[float
 
     Returns the trained model and one mean loss per epoch. cfg.epochs = 0
     returns the seeded init untouched. The schedule (shuffles and noise
-    draws) depends only on cfg.seed, never on wall clock.
+    draws) depends only on cfg.seed, never on wall clock. Each minibatch
+    builds its own feature rows (Record.features), so no whole-set input
+    matrix is held.
     """
     if data.world_kind != "fake":
         raise ContractError(
@@ -169,13 +171,14 @@ def train_vae(data: Dataset, cfg: VaeTrainConfig) -> tuple[VaeParams, list[float
     if not data.total_steps:
         raise ContractError("dataset holds no observations")
     p = vae_init(cfg.k, cfg.hidden, cfg.seed, data.record.width)
-    x_all = data.record.features()
     rng = np.random.default_rng(_derive_seed(cfg.seed, "vae-train"))
 
     def loss_fn(idx, eps):
-        return _elbo_graph(p, ad.constant(x_all[idx]), eps, cfg.beta)
+        x = ad.constant(data.record.features(idx))
+        return _elbo_graph(p, x, eps, cfg.beta)
 
-    history = ad.fit_minibatch(p.params, loss_fn, len(x_all), cfg, rng, cfg.k)
+    history = ad.fit_minibatch(p.params, loss_fn, data.total_steps, cfg, rng,
+                               cfg.k)
     return p, history
 
 

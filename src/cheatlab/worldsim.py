@@ -598,9 +598,11 @@ class Record:
         return Record(cut(self.classes), cut(self.depth), self.actions[lo:hi],
                       self.states[lo:hi])
 
-    def features(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """Encoder input (n, 2W) of rows lo to hi, as scan_features."""
-        return scan_features(self.classes[lo:hi], self.depth[lo:hi])
+    def features(self, rows=slice(None)) -> np.ndarray:
+        """Encoder input of the rows at an index, a slice or an index array,
+        as scan_features: (2W,) for one row, (n, 2W) for the others. Only
+        those rows are built, so a trainer's minibatch holds its own."""
+        return scan_features(self.classes[rows], self.depth[rows])
 
     def step(self, n: int) -> TrajectoryStep:
         """Row n as a TrajectoryStep; the observation views this block."""

@@ -5,13 +5,21 @@ The independent oracle throughout is central finite differences in float64
 the comparison uses |a - n| <= tol * max(1, |a|, |n|) per entry.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cheatlab import autodiff as ad
+from cheatlab import cheat as ch
+from cheatlab import evaluation as ev
+from cheatlab import policy as po
+from cheatlab import vae as vb
 from cheatlab.errors import ConfigError, ContractError, DimensionError
+from cheatlab.expert import Dataset
+from cheatlab.worldsim import DEFAULT_SIM, Record
 
 H = 1e-5
 TOL = 1e-6
@@ -542,6 +550,56 @@ def test_fit_minibatch_without_noise_and_zero_epochs():
     history = ad.fit_minibatch(p, loss_fn, 4, cfg, np.random.default_rng(0))
     assert eps_seen and all(e is None for e in eps_seen)
     assert history[-1] < history[0]
+
+
+# ---------------------------------------------------------------------------
+# training memory: each minibatch builds its own input rows
+
+
+def scan_block(n, seed):
+    """n random scans of the shipped width as int8 classes and depths."""
+    rng = np.random.default_rng(seed)
+    w = DEFAULT_SIM.scan_width
+    return rng.integers(0, 3, (n, w)).astype(np.int8), rng.uniform(0, 1, (n, w))
+
+
+def train_vae_on(classes, depth):
+    n = len(classes)
+    record = Record(classes, depth, np.zeros((n, 4)), np.zeros((n, 6)))
+    vb.train_vae(Dataset(record, "fake", 0), vb.VaeTrainConfig(epochs=1))
+
+
+def train_cheat_on(classes, depth):
+    vae = vb.vae_init(8, (128, 64), 0, classes.shape[1])
+    ctrl = po.controller_template(k=8)
+    n = len(classes)
+    pairs = ch.Pairs(classes, depth, np.zeros((n, 8)), np.zeros((n, 4)),
+                     np.zeros((n, 6)))
+    ch.train_cheat(pairs, (vae, ctrl), ch.CheatTrainConfig(epochs=1))
+
+
+def train_baseline_on(classes, depth):
+    n = len(classes)
+    record = Record(classes, depth, np.zeros((n, 4)), np.zeros((n, 6)))
+    ev.train_baseline(Dataset(record, "real", 0),
+                      ev.BaselineTrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("train", [train_vae_on, train_cheat_on,
+                                   train_baseline_on])
+def test_a_trainer_holds_no_whole_set_feature_matrix(train):
+    # Each minibatch builds its own feature rows from the int8 classes and
+    # the depths. Building the (N, 2W) float64 matrix of the whole set
+    # first (8 MiB here) peaked at 12.8 to 13.8 MiB.
+    classes, depth = scan_block(8192, 3)
+    train(classes[:64], depth[:64])  # lazy imports and first-call caches
+    tracemalloc.start()
+    try:
+        train(classes, depth)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 * classes.size
 
 
 # ---------------------------------------------------------------------------

@@ -350,9 +350,9 @@ def test_frozen_weight_guardrail_fires_on_mutation(frozen_vae, pair_bank):
     )
 
     class EvilPairs(ch.Pairs):
-        def features(self):
+        def features(self, rows=slice(None)):
             vae_copy.params["enc/w0"].data[0, 0] += 1.0
-            return super().features()
+            return super().features(rows)
 
     few = pair_bank[:4]
     evil = EvilPairs(few.classes, few.depth, few.target_mu, few.poses,

@@ -83,6 +83,26 @@ def test_save_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_a_record_of_another_dtype_or_order_writes_its_float64_bytes(tmp_path):
+    # Such a record is cast in row chunks; the bytes must be those of its
+    # float64 C-ordered copy, chunk edges and empty shapes included.
+    rng = np.random.default_rng(4)
+    records = {
+        "classes": rng.integers(0, 3, (3001, 64)).astype(np.int8),
+        "fortran": np.asfortranarray(rng.normal(size=(700, 3))),
+        "strided": rng.normal(size=(40, 6))[::3, ::2],
+        "no_rows": np.zeros((0, 8), np.int8),
+        "no_cols": np.zeros((5, 0), np.int8),
+        "scalar": np.int64(7),
+    }
+    cast = {k: np.array(v, dtype=np.float64) for k, v in records.items()}
+    ct.write_container(tmp_path / "a", records, {})
+    ct.write_container(tmp_path / "b", cast, {})
+    assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+    got, _ = ct.read_container(tmp_path / "a")
+    assert all(np.array_equal(got[k], cast[k]) for k in records)
+
+
 def test_digest_is_64_hex_and_order_sensitive():
     p = sample_params()
     d = ct.params_digest(p)

@@ -139,7 +139,7 @@ def test_baseline_action_is_clamped(real_data):
     for name in p.params.names():
         if name.endswith("w2") or name.endswith("b2"):
             p.params[name].data[...] = 50.0
-    x = real_data.record.features(0, 1)
+    x = real_data.record.features([0])
     (vx, _, _, yaw_rate), = ev.baseline_action(p, x)
     assert vx <= DEFAULT_SIM.v_max and yaw_rate <= DEFAULT_SIM.yaw_rate_max
     narrow = ev.baseline_init((8, 4), 0, width=32)

@@ -349,6 +349,10 @@ def test_imitation_fitness_rejects_bad_data():
     ev = po.ImitationEvaluator(model, zero_action_dataset(), t)
     with pytest.raises(ContractError):
         ev([g[:-1]])
+    # A controller that reads latents of another size than the VAE's.
+    with pytest.raises(DimensionError, match="k=4.*k=3"):
+        po.ImitationEvaluator(model, zero_action_dataset(),
+                              po.controller_template(k=4))
 
 
 def test_empty_episodes_add_nothing_to_the_scores():
@@ -381,7 +385,7 @@ def test_teacher_forced_latents_are_the_ones_a_flight_computes():
     differ = [(e, i) for e, (lo, hi) in enumerate(rec.spans())
               for i in range(hi - lo)
               if ev.zs[i, e].tobytes() != vb.encode(
-                  model, rec.features(lo + i, lo + i + 1))[0][0].tobytes()]
+                  model, rec.features([lo + i]))[0][0].tobytes()]
     assert not differ, f"{len(differ)} of {len(rec.actions)} latents differ"
 
 
