@@ -40,8 +40,7 @@ best, _ = evolve(
 ctrl = controller_from_genome(best.values, template)
 
 print("stage 2: paired supervision in cluttered rooms")
-pairs = build_pairs(real_seed=9, n_poses=300, vae=vae, mode="virtual_gate",
-                    density=0.4, cfg=cfg)
+pairs = build_pairs(real_seed=9, n_poses=300, vae=vae, density=0.4, cfg=cfg)
 print(f"  {len(pairs)} pairs; first target_mu:",
       np.round(pairs.target_mu[0, :4], 2), "...")
 

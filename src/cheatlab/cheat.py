@@ -10,11 +10,9 @@ drone's pose relative to the chosen gate, with the heading error held
 within the range corridor flights start with. Pairs are taken at the
 collision-free start pose of each seeded room.
 
-Two pairing modes exist. gates_visible drops actual gates into the
-cluttered rooms and supervises toward the nearest one ahead, so the gate
-geometry appears in the real rendering. virtual_gate keeps the rooms
-gate-free and aims the target at the widest-gap opening instead, which is
-what lets the transferred policy fly rooms that contain no gates at all.
+The rooms hold no gates. Each target is aimed at the pose's virtual gate,
+the widest-gap opening ahead (worldsim.virtual_gate), which is what lets
+the transferred policy fly rooms that contain no gates at all.
 
 Pairs are one struct-of-arrays block, Pairs. build_pairs draws rooms in
 waves, each through the batch kernels once (gate, real scans, matched
@@ -45,7 +43,6 @@ from .worldsim import (
     FREE,
     GATE,
     OBSTACLE,
-    DroneState,
     Drones,
     Flock,
     Gate,
@@ -60,7 +57,6 @@ from .worldsim import (
     wrap_angle,
 )
 
-PAIR_MODES = ("virtual_gate", "gates_visible")
 # Rooms per build_pairs wave at most. The gap fan's arrays grow as boxes
 # x rooms x rays: a wave of 500 rooms peaks 62 MiB above one of 8, and
 # from 8 to 128 rooms build_pairs(..., 500) takes the same time.
@@ -152,9 +148,10 @@ def matched_fake_observation(
     with. A virtual gate lies straight down that axis, so it then stays
     inside the scan cone, as the target gate does in nearly every training
     step; an unclamped error of 60 degrees would show a scan full of side
-    wall, which no corridor flight ever sees. The walls widen only when
-    the drone sits outside them, which placed gates (gates_visible) often
-    cause. All scenes render in one batch, each drone as it would alone.
+    wall, which no corridor flight ever sees. A drone sits on its virtual
+    gate's axis, so the walls widen to keep it 2 * collision_radius inside
+    them only where corridor_half_width is narrower than that. All scenes
+    render in one batch, each drone as it would alone.
     """
     limit = math.radians(cfg.start_yaw_max_deg)
     scenes = []
@@ -180,45 +177,23 @@ def matched_fake_observation(
         Flock(scenes), Drones.of([start_state(w) for w in scenes]), cfg)
 
 
-def _nearest_forward_gate(
-    world: WorldSpec, state: DroneState, cfg: SimConfig
-) -> Gate | None:
-    """Nearest placed gate inside the scan cone, or None."""
-    half_fov = np.deg2rad(cfg.fov_deg) / 2.0
-    best = None
-    best_dist = np.inf
-    for gate in world.gates:
-        dx = gate.center[0] - state.position[0]
-        dy = gate.center[1] - state.position[1]
-        dist = float(np.hypot(dx, dy))
-        bearing = wrap_angle(np.arctan2(dy, dx) - state.yaw)
-        if dist > cfg.d_max or abs(bearing) > half_fov:
-            continue
-        if dist < best_dist:
-            best, best_dist = gate, dist
-    return best
-
-
 def build_pairs(
     real_seed: int,
     n_poses: int,
     vae: VaeParams,
-    mode: str = "virtual_gate",
     density: float = 0.4,
     cfg: SimConfig = DEFAULT_SIM,
 ) -> Pairs:
-    """Collect supervision pairs from seeded cluttered rooms.
+    """Collect supervision pairs from seeded gate-free cluttered rooms.
 
     Each pose is the collision-free start of its own seeded room, so the
-    sample stream is deterministic in (real_seed, mode) and poses never
-    share clutter. A pose is rejected when no gate qualifies: no gap wide
-    enough in virtual_gate mode, or no placed gate inside the scan cone in
-    gates_visible mode. More than 10x n_poses rejections aborts.
+    sample stream is deterministic in real_seed and poses never share
+    clutter. Each pose is paired with its virtual gate; a pose is rejected
+    when no gap is wide enough for one. More than 10x n_poses rejections
+    aborts.
     """
     if n_poses < 1:
         raise ContractError(f"n_poses {n_poses} < 1")
-    if mode not in PAIR_MODES:
-        raise ContractError(f"unknown pairing mode {mode!r}")
     parts = []
     found = attempts = 0
     cap = 10 * n_poses
@@ -226,7 +201,7 @@ def build_pairs(
         if attempts >= cap:
             raise GenerationError(
                 f"rejected too many poses ({attempts} attempts for "
-                f"{found}/{n_poses} pairs in mode {mode!r})"
+                f"{found}/{n_poses} pairs)"
             )
         # A wave tries no more rooms than pairs are still missing, so it
         # can never keep too many; kept in attempt order, its pairs and
@@ -235,16 +210,11 @@ def build_pairs(
                                    attempts + _WAVE_ROOMS))
         attempts = wave.stop
         worlds = [spawn_real_world(_derive_seed(real_seed, "pair-world", a),
-                                   density, cfg=cfg,
-                                   with_gates=(mode == "gates_visible"))
+                                   density, cfg=cfg)
                   for a in wave]
         flock = Flock(worlds)
         drones = Drones.of([start_state(w) for w in worlds])
-        if mode == "virtual_gate":
-            gates = virtual_gate(flock, drones, cfg)
-        else:
-            gates = [_nearest_forward_gate(w, start_state(w), cfg)
-                     for w in worlds]
+        gates = virtual_gate(flock, drones, cfg)
         keep = np.array([g is not None for g in gates])
         if not keep.any():
             continue
@@ -321,12 +291,12 @@ def write_pairs(path, pairs: Pairs, meta: dict | None = None) -> None:
     if not len(pairs):
         raise ContractError("refusing to write an empty pair block")
     info = {
+        **(meta or {}),
         "kind": "pairs",
         "count": len(pairs),
         "width": pairs.classes.shape[1],
         "k": pairs.target_mu.shape[1],
     }
-    info.update(meta or {})
     container.write_container(
         path, {name: getattr(pairs, name) for name in _FIELDS}, info)
 

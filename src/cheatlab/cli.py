@@ -115,16 +115,9 @@ def _stage_build_pairs(cfg: RunConfig, out: Path, seed: int) -> dict:
     model = vb.load_vae(out / "vae.ckpt")
     pairs = cfg.section("cheat", ch.build_pairs, real_seed=seed, vae=model,
                         cfg=cfg.sim())
-    ch.write_pairs(
-        out / "pairs.bin",
-        pairs,
-        {
-            "mode": cfg["cheat.mode"],
-            "real_seed": seed,
-            "density": cfg["cheat.density"],
-        },
-    )
-    return {"pairs": len(pairs), "mode": cfg["cheat.mode"]}
+    ch.write_pairs(out / "pairs.bin", pairs,
+                   {"real_seed": seed, "density": cfg["cheat.density"]})
+    return {"pairs": len(pairs)}
 
 
 def _stage_train_cheat(cfg: RunConfig, out: Path, seed: int) -> dict:

@@ -54,15 +54,6 @@ def _float(lo=None, hi=None, lo_open=False):
     return parse
 
 
-def _choice(*options: str):
-    def parse(text: str) -> str:
-        if text not in options:
-            raise ValueError(f"expected one of {options}")
-        return text
-
-    return parse
-
-
 def _int_list(n: int | None = None):
     def parse(text: str) -> tuple[int, ...]:
         values = tuple(int(tok) for tok in text.split(",") if tok.strip())
@@ -76,6 +67,10 @@ def _int_list(n: int | None = None):
 
 
 def _text(text: str) -> str:
+    # dump writes the text as it is, so a comment sign or a line break
+    # would not read back as the same value.
+    if any(c in text for c in "#\r\n"):
+        raise ValueError("must not hold '#' or a line break")
     return text
 
 
@@ -142,7 +137,6 @@ KEYS: dict[str, _Key] = {
     "evolve.generations": _Key(_E.generations, _int(1)),
     # substitute encoder
     "cheat.n_poses": _Key(2000, _int(1)),
-    "cheat.mode": _Key("virtual_gate", _choice("virtual_gate", "gates_visible")),
     "cheat.density": _Key(0.4, _float(0, 1)),
     "cheat.hidden": _Key(_D.hidden, _int_list()),
     "cheat.epochs": _Key(_D.epochs, _int(0)),

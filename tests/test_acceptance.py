@@ -389,7 +389,7 @@ def transfer_stack(vae_stack, controller_stack):
     t0 = time.perf_counter()
     pairs = build_pairs(
         real_seed=_derive_seed(CFG["seed"], "build-pairs"),
-        n_poses=CFG["cheat.n_poses"], vae=model, mode=CFG["cheat.mode"],
+        n_poses=CFG["cheat.n_poses"], vae=model,
         density=CFG["cheat.density"], cfg=SIM,
     )
     cheat, cheat_history, digests = train_cheat(

@@ -45,7 +45,7 @@ def frozen_vae():
 
 @pytest.fixture(scope="module")
 def pair_bank(frozen_vae):
-    return ch.build_pairs(5, 90, frozen_vae, mode="virtual_gate", density=0.4)
+    return ch.build_pairs(5, 90, frozen_vae, density=0.4)
 
 
 def test_zero_encoder_predicts_zero(frozen_vae):
@@ -113,7 +113,7 @@ def lone_mu(vae, obs):
     return vb.encode(vae, obs.features()[None])[0][0]
 
 
-def reference_pairs(real_seed, n_poses, vae, mode, density, cfg=DEFAULT_SIM):
+def reference_pairs(real_seed, n_poses, vae, density, cfg=DEFAULT_SIM):
     """build_pairs one pose at a time: each room spawned, gated, rendered
     and encoded alone (B = 1 kernels, the lone encode). Returns the pairs
     as a Pairs block and the number of rooms tried."""
@@ -124,18 +124,13 @@ def reference_pairs(real_seed, n_poses, vae, mode, density, cfg=DEFAULT_SIM):
         if attempts >= cap:
             raise GenerationError(
                 f"rejected too many poses ({attempts} attempts for "
-                f"{len(pairs)}/{n_poses} pairs in mode {mode!r})"
+                f"{len(pairs)}/{n_poses} pairs)"
             )
         world_seed = _derive_seed(real_seed, "pair-world", attempts)
         attempts += 1
-        world = spawn_real_world(
-            world_seed, density, cfg=cfg, with_gates=(mode == "gates_visible")
-        )
+        world = spawn_real_world(world_seed, density, cfg=cfg)
         state = start_state(world)
-        if mode == "virtual_gate":
-            gate = virtual_gate(world, state, cfg)
-        else:
-            gate = ch._nearest_forward_gate(world, state, cfg)
+        gate = virtual_gate(world, state, cfg)
         if gate is None:
             continue
         real_obs = render_observation(world, state, cfg)
@@ -155,16 +150,15 @@ def assert_same_pairs(got, want):
 
 
 # Each case spans more than one wave of at most ch._WAVE_ROOMS rooms.
-@pytest.mark.parametrize("mode, seed, n, density, size, rejects", [
-    ("virtual_gate", 5, 30, 0.4, 20.0, False),
-    ("virtual_gate", 0, 4, 0.0, 7.0, True),
-    ("gates_visible", 11, 20, 0.25, 20.0, True),
+@pytest.mark.parametrize("seed, n, density, size, rejects", [
+    (5, 30, 0.4, 20.0, False),
+    (0, 4, 0.0, 7.0, True),
 ])
 def test_build_pairs_matches_the_per_pose_reference(frozen_vae, monkeypatch,
-                                                    mode, seed, n, density,
-                                                    size, rejects):
+                                                    seed, n, density, size,
+                                                    rejects):
     cfg = replace(DEFAULT_SIM, room_size=size)
-    want, attempts = reference_pairs(seed, n, frozen_vae, mode, density, cfg)
+    want, attempts = reference_pairs(seed, n, frozen_vae, density, cfg)
     assert (attempts > n) == rejects
     spawned = [0]
 
@@ -173,8 +167,7 @@ def test_build_pairs_matches_the_per_pose_reference(frozen_vae, monkeypatch,
         return _spawn(*args, **kwargs)
 
     monkeypatch.setattr(ch, "spawn_real_world", counted)
-    got = ch.build_pairs(seed, n, frozen_vae, mode=mode, density=density,
-                         cfg=cfg)
+    got = ch.build_pairs(seed, n, frozen_vae, density=density, cfg=cfg)
     assert spawned[0] == attempts
     assert_same_pairs(got, want)
 
@@ -192,8 +185,8 @@ def test_pair_targets_recompute_exactly(frozen_vae, pair_bank):
 
 
 def test_build_pairs_deterministic(frozen_vae):
-    a = ch.build_pairs(9, 12, frozen_vae, mode="virtual_gate", density=0.3)
-    b = ch.build_pairs(9, 12, frozen_vae, mode="virtual_gate", density=0.3)
+    a = ch.build_pairs(9, 12, frozen_vae, density=0.3)
+    b = ch.build_pairs(9, 12, frozen_vae, density=0.3)
     assert len(a) == len(b) == 12
     assert_same_pairs(a, b)
 
@@ -203,8 +196,7 @@ def test_empty_room_pair_targets_centered_gate(frozen_vae):
     # sits d_gate straight ahead at the pose's own yaw. Rebuild that gate by
     # hand and the encoding must match the pair target exactly.
     cfg = replace(DEFAULT_SIM, room_size=60.0)
-    pairs = ch.build_pairs(3, 3, frozen_vae, mode="virtual_gate",
-                           density=0.0, cfg=cfg)
+    pairs = ch.build_pairs(3, 3, frozen_vae, density=0.0, cfg=cfg)
     for i in range(len(pairs)):
         x, y, z, yaw = pairs.poses[i].tolist()
         gate = Gate(
@@ -226,28 +218,9 @@ def test_empty_room_pair_targets_centered_gate(frozen_vae):
         assert np.all(pairs.classes[i] != 1)
 
 
-def test_gates_visible_mode_picks_scan_cone_gates(frozen_vae):
-    pairs = ch.build_pairs(11, 10, frozen_vae, mode="gates_visible", density=0.25)
-    half_fov = np.deg2rad(DEFAULT_SIM.fov_deg) / 2
-    for i in range(len(pairs)):
-        x, y, z, yaw = pairs.poses[i].tolist()
-        gate = pairs.gate(i)
-        dx = gate.center[0] - x
-        dy = gate.center[1] - y
-        bearing = np.arctan2(dy, dx) - yaw
-        bearing = (bearing + np.pi) % (2 * np.pi) - np.pi
-        assert np.hypot(dx, dy) <= DEFAULT_SIM.d_max + 1e-12
-        assert abs(bearing) <= half_fov + 1e-12
-        state = DroneState((x, y, z), yaw, 0.0, False)
-        mu = lone_mu(frozen_vae, matched_fake_reference(gate, state))
-        assert np.array_equal(mu, pairs.target_mu[i])
-
-
 def test_build_pairs_argument_checks(frozen_vae):
     with pytest.raises(ContractError):
         ch.build_pairs(0, 0, frozen_vae)
-    with pytest.raises(ContractError):
-        ch.build_pairs(0, 5, frozen_vae, mode="telepathy")
 
 
 def test_build_pairs_rejection_cap(frozen_vae):
@@ -255,17 +228,15 @@ def test_build_pairs_rejection_cap(frozen_vae):
     # qualifies and every pose is rejected until the cap trips.
     cramped = replace(DEFAULT_SIM, room_size=4.0)
     with pytest.raises(GenerationError):
-        ch.build_pairs(0, 2, frozen_vae, mode="virtual_gate",
-                       density=0.0, cfg=cramped)
+        ch.build_pairs(0, 2, frozen_vae, density=0.0, cfg=cramped)
     # In a 6.5 m room a few gaps qualify: the cap trips with 3 of 5 pairs
     # found, at the same attempt as one room at a time.
     tight = replace(DEFAULT_SIM, room_size=6.5)
     for cfg, n in ((cramped, 2), (tight, 5)):
         with pytest.raises(GenerationError) as want:
-            reference_pairs(0, n, frozen_vae, "virtual_gate", 0.0, cfg)
+            reference_pairs(0, n, frozen_vae, 0.0, cfg)
         with pytest.raises(GenerationError) as got:
-            ch.build_pairs(0, n, frozen_vae, mode="virtual_gate",
-                           density=0.0, cfg=cfg)
+            ch.build_pairs(0, n, frozen_vae, density=0.0, cfg=cfg)
         assert str(got.value) == str(want.value)
     assert "(50 attempts for 3/5 pairs" in str(got.value)
 
@@ -380,14 +351,26 @@ def test_pairs_roundtrip_and_byte_stability(pair_bank, tmp_path):
     subset = pair_bank[:15]
     path_a = tmp_path / "a.bin"
     path_b = tmp_path / "b.bin"
-    ch.write_pairs(path_a, subset, {"mode": "virtual_gate", "real_seed": 5})
-    ch.write_pairs(path_b, subset, {"mode": "virtual_gate", "real_seed": 5})
+    ch.write_pairs(path_a, subset, {"real_seed": 5, "density": 0.4})
+    ch.write_pairs(path_b, subset, {"real_seed": 5, "density": 0.4})
     assert path_a.read_bytes() == path_b.read_bytes()
     back, meta = ch.read_pairs(path_a)
-    assert meta["mode"] == "virtual_gate" and meta["count"] == 15
+    assert meta["real_seed"] == 5 and meta["count"] == 15
     assert_same_pairs(back, subset)
     with pytest.raises(ContractError):
         ch.write_pairs(tmp_path / "c.bin", pair_bank[:0])
+
+
+@pytest.mark.parametrize("clash", [{"kind": "dataset"}, {"count": 4},
+                                   {"width": 3, "k": 99}])
+def test_write_pairs_keeps_its_own_keys_over_the_callers(pair_bank, tmp_path,
+                                                         clash):
+    subset = pair_bank[:6]
+    ch.write_pairs(tmp_path / "p.bin", subset, {**clash, "real_seed": 5})
+    back, meta = ch.read_pairs(tmp_path / "p.bin")
+    assert_same_pairs(back, subset)
+    assert (meta["kind"], meta["count"], meta["real_seed"]) == ("pairs", 6, 5)
+    assert (meta["width"], meta["k"]) == (DEFAULT_SIM.scan_width, 4)
 
 
 def test_read_pairs_rejects_wrong_kind(frozen_vae, tmp_path):
@@ -458,8 +441,7 @@ def test_pair_path_builds_no_observation(frozen_vae, pair_bank, tmp_path,
         _init(self, *args, **kwargs)
 
     monkeypatch.setattr(Observation, "__init__", counted)
-    for mode in ("virtual_gate", "gates_visible"):
-        pairs = ch.build_pairs(11, 10, frozen_vae, mode=mode, density=0.25)
+    pairs = ch.build_pairs(11, 10, frozen_vae, density=0.25)
     ch.write_pairs(tmp_path / "pairs.bin", pairs)
     back, _ = ch.read_pairs(tmp_path / "pairs.bin")
     ch.train_cheat(back, make_frozen(frozen_vae),

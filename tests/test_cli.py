@@ -1,5 +1,6 @@
 """Command-line orchestration: stages, summaries, determinism, exit codes."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from cheatlab import cli
-from cheatlab.config import KEYS, load_config
+from cheatlab.config import KEYS, RunConfig, load_config
 from cheatlab.container import (file_digest, load_checkpoint, read_container,
                                 save_checkpoint, write_container)
 
@@ -206,6 +207,25 @@ def test_pipeline_runs_each_stage_through_run_command(tmp_path, monkeypatch):
     assert by["gen-expert"]["metrics"]["total_steps"] > 0
     assert by["train-policy"]["config"]["evolve.population"] == 6
     assert len(by["train-cheat"]["metrics"]["frozen"]) == 2
+
+
+def test_the_pipeline_reads_every_config_key(tmp_path):
+    # A key that no stage reads is a knob that turns nothing.
+    read = set()
+
+    class Recording(RunConfig):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+        def section(self, prefix, cls, **given):
+            read.update(f"{prefix}.{name}"
+                        for name in inspect.signature(cls).parameters)
+            return super().section(prefix, cls, **given)
+
+    cfg = load_config(None, tiny_args(tmp_path / "run")[1::2])
+    cli.run_command("pipeline", Recording(cfg.values))
+    assert sorted(set(KEYS) - read) == []
 
 
 def test_missing_prerequisite_exits_two(tmp_path, capsys):

@@ -81,8 +81,12 @@ def test_malformed_line_and_override():
     with pytest.raises(ConfigError):
         load_config(None, ["seed"])
     with pytest.raises(ConfigError) as err:
-        load_config(None, ["cheat.mode=telekinesis"])
-    assert "cheat.mode" in str(err.value)
+        load_config(None, ["vae.hidden=telekinesis"])
+    assert "vae.hidden" in str(err.value)
+    # print-config writes out_dir as it is, so it must read back as it is.
+    for raw in ("runs/a#1", "runs/a\nseed=3", "runs/a\rb"):
+        with pytest.raises(ConfigError, match="out_dir"):
+            load_config(None, [f"out_dir={raw}"])
     with pytest.raises(ConfigError, match="unknown key 'evolve.fitness'"):
         load_config(None, ["evolve.fitness=imitation"])
 
@@ -214,7 +218,9 @@ def test_the_last_gates_posts_must_stay_inside_the_far_wall():
 
 
 def test_dump_reparses_to_identical_config(tmp_path):
-    cfg = load_config(None, ["seed=11", "vae.hidden=24,12", "world.dt=0.04"])
+    cfg = load_config(None, ["seed=11", "vae.hidden=24,12", "world.dt=0.04",
+                             "out_dir=runs/a b"])
+    assert cfg["out_dir"] == "runs/a b"
     path = tmp_path / "dumped.cfg"
     path.write_text(cfg.dump())
     again = load_config(path)
@@ -260,7 +266,7 @@ def test_each_dataclass_field_but_the_seed_has_a_key(prefix):
     names = {f.name for f in dataclasses.fields(cls)} - {"seed"}
     assert names <= set(_keys(prefix))
     if prefix == "cheat":
-        assert set(_keys(prefix)) - names == {"n_poses", "mode", "density"}
+        assert set(_keys(prefix)) - names == {"n_poses", "density"}
 
 
 @pytest.mark.parametrize("prefix", sorted(SECTIONS))
